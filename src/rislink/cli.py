@@ -1,9 +1,10 @@
 """Command-line pipeline: synthesize | optimize | sweep.
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage/config/parse
-problem. Every command writes a manifest.json next to its outputs; runs
-with identical inputs and seed reproduce output files byte-identically
-(timestamps live only in the manifest).
+problem. Every command writes a manifest.<command>.json next to its
+outputs, so commands sharing one output directory keep their own
+provenance; runs with identical inputs and seed reproduce output files
+byte-identically (timestamps live only in the manifests).
 """
 
 from __future__ import annotations
@@ -50,8 +51,10 @@ class RunManifest:
     input_hashes: dict
     outputs: list[str]
 
-    def write(self, path: Path) -> None:
+    def write(self, out_dir: Path) -> None:
+        """Write ``manifest.<command>.json`` into ``out_dir``."""
         payload = dataclasses.asdict(self)
+        path = out_dir / f"manifest.{self.command}.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -134,9 +137,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / f"full.s{full.n_ports}p"
     write_touchstone(document_from_matrix(full), out_path)
-    _manifest("synthesize", cfg, Path(args.config), [out_path.name], seed=None).write(
-        cfg.out_dir / "manifest.json"
-    )
+    _manifest("synthesize", cfg, Path(args.config), [out_path.name], seed=None).write(cfg.out_dir)
     print(f"wrote {out_path} ({full.n_ports} ports at {full.freq_hz / 1e9:.9g} GHz)")
     return 0
 
@@ -163,7 +164,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     _manifest(
         "optimize", cfg, Path(args.config), [caps_path.name], seed=opts.seed,
         extra_config={"achieved_objective": f"{result.objective:.12g}"},
-    ).write(cfg.out_dir / "manifest.json")
+    ).write(cfg.out_dir)
     print(f"wrote {caps_path} (objective {result.objective:.6g})")
     return 0
 
@@ -226,7 +227,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_path = cfg.out_dir / "brcs.csv"
     export_csv(curves, out_path)
     _manifest("sweep", cfg, Path(args.config), [out_path.name], seed=None,
-              extra_inputs=extra_inputs).write(cfg.out_dir / "manifest.json")
+              extra_inputs=extra_inputs).write(cfg.out_dir)
     print(f"wrote {out_path} ({len(curves)} curve(s), {alphas.size} angles)")
     return 0
 

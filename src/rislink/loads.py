@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .errors import UnoptimizableError
 from .farfield import Scenario, distance_to_element
-from .network import ReflectionVector, ScatterMatrix, power_transfer, reduce_loaded
+from .network import LinkKernel, ReflectionVector, ScatterMatrix
 from .util import parallel_map
 
 _SIMPLEX_FATOL = 1e-10
@@ -137,9 +136,9 @@ def objective(
     model: VaractorModel = IDEAL_VARACTOR,
 ) -> float:
     """Tx -> Rx power transfer of the link under the given loads, in [0, 1]."""
-    _check_caps(caps, bounds, len(full.ris_indices))
-    gammas = load_gammas(caps, full.freq_hz, full.z0_ohm, model)
-    return power_transfer(reduce_loaded(full, gammas))
+    kernel = full.kernel
+    _check_caps(caps, bounds, kernel.n_ris)
+    return kernel.transfer(caps.as_array, model)
 
 
 def objective_gradient(
@@ -149,26 +148,9 @@ def objective_gradient(
     model: VaractorModel = IDEAL_VARACTOR,
 ) -> np.ndarray:
     """Analytic gradient d(objective)/dC in 1/farad, for gradient refinement."""
-    ris = full.ris_indices
-    _check_caps(caps, bounds, len(ris))
-    ext = (full.tx_index, full.rx_index)
-    s = full.entries
-    gam = load_gammas(caps, full.freq_hz, full.z0_ohm, model).as_array
-    s_ii = s[np.ix_(ris, ris)]
-    row = s[full.rx_index, list(ris)]
-    col = s[list(ris), full.tx_index]
-    system = np.eye(len(ris), dtype=complex) - s_ii * gam[np.newaxis, :]
-    p = np.linalg.solve(system, col)
-    s21 = s[ext[1], ext[0]] + row @ (gam * p)
-    y = np.linalg.solve(system.T, row * gam)
-    q = row + s_ii.T @ y
-    ds_dgamma = q * p
-
-    w = 2.0 * math.pi * full.freq_hz
-    c = caps.as_array
-    z_load = model.series_resistance_ohm + 1j * (w * model.series_inductance_h - 1.0 / (w * c))
-    dgamma_dc = 2.0 * full.z0_ohm / (z_load + full.z0_ohm) ** 2 * (1j / (w * c**2))
-    return 2.0 * np.real(np.conj(s21) * ds_dgamma * dgamma_dc)
+    kernel = full.kernel
+    _check_caps(caps, bounds, kernel.n_ris)
+    return kernel.gradient(caps.as_array, model)
 
 
 def _ideal_phase(c_f: float, freq_hz: float, z0_ohm: float) -> float:
@@ -290,30 +272,35 @@ def optimize(
     the lowest start index, so results are reproducible bit-for-bit for a
     fixed seed.
 
+    Inputs are checked once here; every evaluation then runs the matrix's
+    ``LinkKernel`` on the clipped capacitance array, with no per-call
+    validation (the bounds and the varactor model already guarantee
+    positive, in-range capacitances and passive loads).
+
     Raises
     ------
     UnoptimizableError
         If the Tx or Rx side has no coupling to any RIS port, making the
         objective constant.
     """
+    from scipy.optimize import Bounds, minimize
+
     opts = opts or OptimizerOptions()
-    ris = full.ris_indices
-    n = len(ris)
+    kernel = full.kernel
+    n = kernel.n_ris
     if n == 0:
         raise ValueError("full matrix has no RIS ports to load")
 
-    s = full.entries
-    tx, rx = full.tx_index, full.rx_index
-    tx_coupling = max(np.abs(s[tx, list(ris)]).max(), np.abs(s[list(ris), tx]).max())
-    rx_coupling = max(np.abs(s[rx, list(ris)]).max(), np.abs(s[list(ris), rx]).max())
+    # Rows of s_ei and columns of s_ie are the (Tx, Rx) couplings to the RIS ports.
+    tx_coupling = max(np.abs(kernel.s_ei[0]).max(), np.abs(kernel.s_ie[:, 0]).max())
+    rx_coupling = max(np.abs(kernel.s_ei[1]).max(), np.abs(kernel.s_ie[:, 1]).max())
     if tx_coupling == 0.0 or rx_coupling == 0.0:
         raise UnoptimizableError("unoptimizable: no Tx or Rx coupling to the RIS ports")
 
     lo_pf, hi_pf = bounds.c_min_f * 1e12, bounds.c_max_f * 1e12
 
     def eval_pf(u: np.ndarray) -> float:
-        caps = LoadVector.of(np.clip(u, lo_pf, hi_pf) * 1e-12)
-        return objective(full, caps, bounds, model)
+        return kernel.transfer(np.clip(u, lo_pf, hi_pf) * 1e-12, model)
 
     rng = np.random.default_rng(opts.seed)
     if opts.initial is not None:
@@ -346,7 +333,7 @@ def optimize(
         )
 
         if opts.gradient_refine:
-            _refine_with_gradient(full, bounds, model, lo_pf, hi_pf, recorded, best)
+            _refine_with_gradient(kernel, model, lo_pf, hi_pf, recorded, best)
         if opts.polish:
             for _ in range(_POLISH_PASSES):
                 for k in range(n):
@@ -372,13 +359,14 @@ def optimize(
     return OptimizeResult(caps, best_trace.best_objective, tuple(t for t, _ in outcomes))
 
 
-def _refine_with_gradient(full, bounds, model, lo_pf, hi_pf, recorded, best) -> None:
+def _refine_with_gradient(kernel: LinkKernel, model, lo_pf, hi_pf, recorded, best) -> None:
+    from scipy.optimize import Bounds, minimize
+
     def neg(u: np.ndarray) -> float:
         return -recorded(u)
 
     def neg_grad(u: np.ndarray) -> np.ndarray:
-        caps = LoadVector.of(np.clip(u, lo_pf, hi_pf) * 1e-12)
-        return -objective_gradient(full, caps, bounds, model) * 1e-12
+        return -kernel.gradient(np.clip(u, lo_pf, hi_pf) * 1e-12, model) * 1e-12
 
     minimize(
         neg,

@@ -10,13 +10,18 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .errors import IllConditionedLoadError
+
+if TYPE_CHECKING:
+    from .loads import VaractorModel
 
 TX_ROLE = "tx"
 RX_ROLE = "rx"
@@ -27,6 +32,9 @@ _RIS_ROLE_RE = re.compile(r"^ris([1-9][0-9]*)$")
 #: physical loaded passive networks never reach exact singularity, so a
 #: near-singular system flags bad data rather than physics.
 RCOND_LIMIT = 1e-12
+
+#: Rounding slack on |gamma| <= 1 accepted for passive loads.
+GAMMA_SLACK = 1e-9
 
 
 def ris_role(element_number: int) -> str:
@@ -163,6 +171,106 @@ class ScatterMatrix:
     def has_link_ports(self) -> bool:
         return TX_ROLE in self.port_roles and RX_ROLE in self.port_roles
 
+    @cached_property
+    def kernel(self) -> "LinkKernel":
+        """Loaded-link kernel of this Tx/RIS/Rx matrix, built on first use."""
+        return LinkKernel(self)
+
+
+class LinkKernel:
+    """Loaded-link transfer of one Tx/RIS/Rx matrix, on plain arrays.
+
+    The matrix is split once into its external (Tx, Rx) and RIS blocks, so an
+    evaluation is the linear solve plus a few array operations: no role
+    lookups, no fancy indexing and no validation. Callers check their inputs
+    at their own boundary; get the kernel through ``ScatterMatrix.kernel``,
+    which builds it once per matrix.
+
+    Conditioning: with s = sigma_max(S_ii) < 1 and every |gamma| <= 1,
+    cond2(I - S_ii*Gamma) <= (1 + s)/(1 - s) (||I - S_ii*Gamma|| <= 1 + s, and
+    the Neumann series gives ||(I - S_ii*Gamma)^-1|| <= 1/(1 - s)). When that
+    bound (with s scaled by 1 + GAMMA_SLACK) is below half of 1/RCOND_LIMIT
+    (the half absorbs rounding in the computed s), no passive load can trip
+    the conditioning check and evaluations skip it; otherwise every
+    evaluation computes cond2 as ``reduce_loaded`` always did.
+    """
+
+    def __init__(self, full: ScatterMatrix):
+        ext = [full.tx_index, full.rx_index]
+        ris = list(full.ris_indices)
+        s = full.entries
+        self.freq_hz = full.freq_hz
+        self.z0_ohm = full.z0_ohm
+        self.n_ris = len(ris)
+        self.s_ee = s[np.ix_(ext, ext)]
+        self.s_ei = s[np.ix_(ext, ris)]
+        self.s_ie = s[np.ix_(ris, ext)]
+        self.s_ii = s[np.ix_(ris, ris)]
+        self._eye = np.eye(self.n_ris, dtype=complex)
+        self.cond_bound = _passive_cond_bound(self.s_ii)
+        self.checks_conditioning = self.cond_bound >= 0.5 / RCOND_LIMIT
+
+    def gammas(self, caps_f: np.ndarray, model: VaractorModel) -> np.ndarray:
+        """Reflection coefficients of series R-L-C loads, bit-identical to ``cap_to_gamma``.
+
+        CPython divides complex numbers with Smith's algorithm (scale by the
+        larger part of the denominator); numpy's complex division rounds
+        differently, so the quotient (Z_L - Z0)/(Z_L + Z0) is spelled out.
+        """
+        w = 2.0 * math.pi * self.freq_hz
+        x = w * model.series_inductance_h - 1.0 / (w * caps_f)
+        num_re = model.series_resistance_ohm - self.z0_ohm
+        den_re = model.series_resistance_ohm + self.z0_ohm
+        by_re = den_re >= np.abs(x)
+        ratio = np.where(by_re, x, den_re) / np.where(by_re, den_re, x)
+        denom = np.where(by_re, den_re + x * ratio, den_re * ratio + x)
+        gam = np.empty(x.shape, dtype=complex)
+        gam.real = np.where(by_re, num_re + x * ratio, num_re * ratio + x) / denom
+        gam.imag = np.where(by_re, x - num_re * ratio, x * ratio - num_re) / denom
+        return gam
+
+    def reduce(self, gam: np.ndarray) -> np.ndarray:
+        """2x2 (Tx, Rx) matrix with the RIS ports terminated by ``gam``."""
+        if not self.n_ris:
+            return self.s_ee.copy()
+        # gam[np.newaxis, :], not gam: numpy picks its complex-multiply loop
+        # by operand shape, and only this spelling matches the reference bits.
+        system = self._eye - self.s_ii * gam[np.newaxis, :]
+        if self.checks_conditioning:
+            cond = np.linalg.cond(system)
+            if not np.isfinite(cond) or 1.0 / cond < RCOND_LIMIT:
+                raise IllConditionedLoadError(float(cond))
+        return self.s_ee + self.s_ei @ (gam[:, np.newaxis] * np.linalg.solve(system, self.s_ie))
+
+    def transfer(self, caps_f: np.ndarray, model: VaractorModel) -> float:
+        """|S_RxTx|^2 under the given load capacitances (farads)."""
+        return float(abs(self.reduce(self.gammas(caps_f, model))[1, 0]) ** 2)
+
+    def gradient(self, caps_f: np.ndarray, model: VaractorModel) -> np.ndarray:
+        """d(transfer)/dC in 1/farad, from one forward and one adjoint solve."""
+        gam = self.gammas(caps_f, model)
+        row, col = self.s_ei[1], self.s_ie[:, 0]
+        system = self._eye - self.s_ii * gam[np.newaxis, :]
+        p = np.linalg.solve(system, col)
+        s21 = self.s_ee[1, 0] + row @ (gam * p)
+        y = np.linalg.solve(system.T, row * gam)
+        ds_dgamma = (row + self.s_ii.T @ y) * p
+
+        w = 2.0 * math.pi * self.freq_hz
+        z_load = model.series_resistance_ohm + 1j * (w * model.series_inductance_h - 1.0 / (w * caps_f))
+        dgamma_dc = 2.0 * self.z0_ohm / (z_load + self.z0_ohm) ** 2 * (1j / (w * caps_f**2))
+        return 2.0 * np.real(np.conj(s21) * ds_dgamma * dgamma_dc)
+
+
+def _passive_cond_bound(s_ii: np.ndarray) -> float:
+    """Upper bound on cond2(I - S_ii*Gamma) over all |gamma| <= 1 + GAMMA_SLACK; inf if none."""
+    if not s_ii.size:
+        return 1.0
+    if not np.isfinite(s_ii).all():
+        return math.inf
+    s = float(np.linalg.norm(s_ii, 2)) * (1.0 + GAMMA_SLACK)
+    return (1.0 + s) / (1.0 - s) if s < 1.0 else math.inf
+
 
 @dataclass(frozen=True)
 class ReflectionVector:
@@ -177,7 +285,7 @@ class ReflectionVector:
     def __post_init__(self):
         gammas = tuple(complex(g) for g in self.gammas)
         for i, g in enumerate(gammas):
-            if abs(g) > 1.0 + 1e-9:
+            if not abs(g) <= 1.0 + GAMMA_SLACK:
                 raise ValueError(f"|gamma_{i + 1}| = {abs(g):.6f} exceeds 1 (active load)")
         object.__setattr__(self, "gammas", gammas)
 
@@ -217,27 +325,10 @@ def reduce_loaded(full: ScatterMatrix, loads: ReflectionVector) -> ScatterMatrix
     IllConditionedLoadError
         If ``I - S_ii*Gamma`` is singular beyond the conditioning threshold.
     """
-    ext = (full.tx_index, full.rx_index)
-    ris = full.ris_indices
-    if len(loads) != len(ris):
-        raise ValueError(f"{len(loads)} loads for {len(ris)} RIS ports")
-
-    s = full.entries
-    s_ee = s[np.ix_(ext, ext)]
-    if not ris:
-        reduced = s_ee.copy()
-    else:
-        gam = loads.as_array
-        s_ei = s[np.ix_(ext, ris)]
-        s_ie = s[np.ix_(ris, ext)]
-        s_ii = s[np.ix_(ris, ris)]
-        system = np.eye(len(ris), dtype=complex) - s_ii * gam[np.newaxis, :]
-        cond = np.linalg.cond(system)
-        if not np.isfinite(cond) or 1.0 / cond < RCOND_LIMIT:
-            raise IllConditionedLoadError(float(cond))
-        reduced = s_ee + s_ei @ (gam[:, np.newaxis] * np.linalg.solve(system, s_ie))
-
-    return ScatterMatrix(reduced, full.freq_hz, (TX_ROLE, RX_ROLE), full.z0_ohm)
+    kernel = full.kernel
+    if len(loads) != kernel.n_ris:
+        raise ValueError(f"{len(loads)} loads for {kernel.n_ris} RIS ports")
+    return ScatterMatrix(kernel.reduce(loads.as_array), full.freq_hz, (TX_ROLE, RX_ROLE), full.z0_ohm)
 
 
 def power_transfer(reduced: ScatterMatrix) -> float:

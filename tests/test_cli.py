@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 from rislink import (
     LoadVector,
+    __version__,
     objective,
     read_scenario,
     read_touchstone,
@@ -77,7 +81,7 @@ class TestSynthesize:
         ris = _build_ris(cfg)
         full = assemble_full_matrix(cfg.scenario, ris, _build_patterns(cfg, ris))
         assert np.array_equal(doc.points[0][1], full.entries)
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.synthesize.json").read_text())
         assert manifest["command"] == "synthesize"
         assert manifest["outputs"] == ["full.s3p"]
         assert "config" in manifest["input_hashes"]
@@ -126,7 +130,7 @@ class TestOptimize:
         assert abs(caps[1] * 1e-12 - best_caps[0]) <= 0.005e-12
         assert abs(caps[2] * 1e-12 - best_caps[1]) <= 0.005e-12
 
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.optimize.json").read_text())
         achieved = float(manifest["config"]["achieved_objective"])
         assert achieved >= best - 1e-9
 
@@ -221,3 +225,41 @@ class TestOverrides:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["synthesize", str(tmp_path / "none.cfg")]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+
+class TestManifests:
+    def test_optimize_then_sweep_keep_both_manifests(self, toy_cfg, tmp_path):
+        out = tmp_path / "shared"
+        assert main(["optimize", str(toy_cfg), "--seed", "7", "--out", str(out)]) == 0
+        assert main(["sweep", str(toy_cfg), str(out / "caps.csv"), "--out", str(out)]) == 0
+        optimized = json.loads((out / "manifest.optimize.json").read_text())
+        swept = json.loads((out / "manifest.sweep.json").read_text())
+        assert (optimized["command"], optimized["outputs"], optimized["seed"]) == (
+            "optimize", ["caps.csv"], 7
+        )
+        assert "achieved_objective" in optimized["config"]
+        assert (swept["command"], swept["outputs"]) == ("sweep", ["brcs.csv"])
+        assert "caps" in swept["input_hashes"]
+        assert not (out / "manifest.json").exists()
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with this checkout's ``src`` first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestEntryPoints:
+    def test_python_dash_m_prints_version(self):
+        run = _python("-m", "rislink", "--version")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == f"rislink {__version__}"
+
+    def test_cli_import_leaves_scipy_optimize_unimported(self):
+        run = _python("-c", "import sys, rislink.cli; print('scipy.optimize' in sys.modules)")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"

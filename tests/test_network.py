@@ -3,14 +3,23 @@ import pytest
 
 from conftest import brute_force_reduce, random_full_link, random_passive
 from rislink import (
+    IDEAL_VARACTOR,
     IllConditionedLoadError,
+    LoadBounds,
+    LoadVector,
+    OptimizerOptions,
     ReflectionVector,
     ScatterMatrix,
+    VaractorModel,
+    cap_to_gamma,
     check_passivity,
     check_reciprocity,
+    load_gammas,
+    optimize,
     power_transfer,
     reduce_loaded,
 )
+from rislink.network import RCOND_LIMIT
 
 
 def three_port_link():
@@ -125,6 +134,65 @@ class TestReduceLoaded:
     def test_load_count_mismatch(self):
         with pytest.raises(ValueError, match="loads"):
             reduce_loaded(three_port_link(), ReflectionVector.of([0.1, 0.1]))
+
+
+class TestLinkKernel:
+    MODELS = (IDEAL_VARACTOR, VaractorModel(2.0, 0.5e-9))
+
+    def test_vectorized_gamma_is_bitwise_cap_to_gamma(self):
+        full = three_port_link()
+        caps = np.concatenate([np.geomspace(1e-15, 1e-9, 4001), np.linspace(0.23e-12, 2.1e-12, 2001)])
+        for model in self.MODELS:
+            vectorized = full.kernel.gammas(caps, model)
+            scalar = np.array([cap_to_gamma(c, full.freq_hz, full.z0_ohm, model) for c in caps])
+            assert np.array_equal(vectorized.view(np.float64), scalar.view(np.float64)), model
+
+    def test_transfer_is_bitwise_reduce_loaded(self, rng):
+        for k in range(100):
+            n = int(rng.integers(1, 16))
+            full = random_full_link(rng, n)
+            caps = rng.uniform(0.23e-12, 2.1e-12, n)
+            model = self.MODELS[k % 2]
+            gammas = load_gammas(LoadVector.of(caps), full.freq_hz, full.z0_ohm, model)
+            assert full.kernel.transfer(caps, model) == power_transfer(reduce_loaded(full, gammas))
+
+    def test_gradient_matches_central_differences(self, rng):
+        for k in range(20):
+            full = random_full_link(rng, 4)
+            model = self.MODELS[k % 2]
+            caps = rng.uniform(0.3e-12, 2.0e-12, 4)
+            direction = rng.standard_normal(4)
+            step = 1e-6 * caps * direction / np.linalg.norm(direction)
+            up = full.kernel.transfer(caps + step, model)
+            down = full.kernel.transfer(caps - step, model)
+            analytic = float(full.kernel.gradient(caps, model) @ step)
+            assert analytic == pytest.approx(0.5 * (up - down), rel=1e-4)
+
+    def test_passive_s_ii_skips_the_per_evaluation_check(self, rng):
+        for _ in range(20):
+            full = random_full_link(rng, 6, scale=0.95)
+            kernel = full.kernel
+            assert np.linalg.norm(kernel.s_ii, 2) < 1.0
+            assert not kernel.checks_conditioning
+            assert kernel.cond_bound < 0.5 / RCOND_LIMIT
+            for _ in range(10):
+                gam = np.sqrt(rng.uniform(0, 1, 6)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
+                system = np.eye(6) - kernel.s_ii * gam[np.newaxis, :]
+                assert np.linalg.cond(system) <= kernel.cond_bound * (1 + 1e-12)
+
+    def test_non_passive_s_ii_still_raises_through_optimize(self):
+        bounds = LoadBounds(0.23e-12, 2.1e-12)
+        c0 = 1e-12
+        s = np.zeros((4, 4), dtype=complex)
+        s[0, 1] = s[1, 0] = s[0, 2] = s[2, 0] = 0.3
+        s[3, 1] = s[1, 3] = s[3, 2] = s[2, 3] = 0.3
+        s[1, 1] = np.conj(cap_to_gamma(c0, 3.55e9))  # |S_11| = 1: port 1 resonates at c0
+        s[2, 2] = 0.2
+        full = ScatterMatrix.full_link(s, 3.55e9, [1, 2])
+        assert full.kernel.checks_conditioning
+        opts = OptimizerOptions(starts=1, initial=LoadVector.of([c0, c0]))
+        with pytest.raises(IllConditionedLoadError, match="condition number"):
+            optimize(full, bounds, opts=opts)
 
 
 class TestPowerTransfer:
