@@ -24,11 +24,11 @@ from .farfield import (
     FarFieldValidityWarning,
     Scenario,
     assemble_full_matrix,
+    coupling_row,
     farfield_limit_distance,
 )
-from .loads import IDEAL_VARACTOR, LoadVector, VaractorModel, load_gammas
-from .network import ScatterMatrix, reduce_loaded
-from .util import parallel_map
+from .loads import IDEAL_VARACTOR, LoadVector, VaractorModel
+from .network import ScatterMatrix
 
 DBSM_FLOOR = -100.0
 _SIGMA_FLOOR_M2 = 10.0 ** (DBSM_FLOOR / 10.0)
@@ -109,18 +109,19 @@ def sweep_rx_angle(
     alphas_rad: Sequence[float] | np.ndarray,
     model: VaractorModel = IDEAL_VARACTOR,
     label: str = "ris",
-    workers: int = 1,
 ) -> BrcsCurve:
     """sigma(alpha) of the loaded RIS link over a receiver-angle grid.
 
-    The loads stay fixed while the receiver moves; only the Rx-RIS block of
-    the assembled matrix changes between angles, and each angle is an
-    independent evaluation (safe to parallelize).
+    The loads stay fixed while the receiver moves, so only the Rx coupling
+    row r(alpha) of the full matrix changes:
+    S_RxTx(alpha) = S_RxTx + r(alpha) @ Gamma*(I - S_ii*Gamma)^-1 * t.
+    The full matrix is assembled once, at the first angle, and its kernel
+    (``full.kernel``) solves for the loaded-port waves once; each angle is
+    then one coupling row and one dot product.
     """
     alphas = np.asarray(alphas_rad, dtype=float)
     if alphas.size == 0:
         raise ValueError("alpha grid is empty")
-    gammas = load_gammas(caps, scn.freq_hz, ris.z0_ohm, model)
     lam = scn.wavelength_m
 
     limit = farfield_limit_distance(scn)
@@ -133,14 +134,19 @@ def sweep_rx_angle(
             stacklevel=2,
         )
 
-    def sigma_at(alpha: float) -> float:
-        local = replace(scn, alpha_rad=float(alpha))
-        full = assemble_full_matrix(local, ris, patterns, nearfield_warning=False)
-        reduced = reduce_loaded(full, gammas)
-        s21 = reduced.entries[reduced.rx_index, reduced.tx_index]
-        return brcs_from_coupling(s21, scn.r_m, scn.r_m, scn.g_tx_lin, scn.g_rx_lin, lam)
+    full = assemble_full_matrix(
+        replace(scn, alpha_rad=float(alphas[0])), ris, patterns, nearfield_warning=False
+    )
+    kernel = full.kernel
+    if len(caps) != kernel.n_ris:
+        raise ValueError(f"{len(caps)} loads for {kernel.n_ris} RIS ports")
+    wave = kernel.tx_wave(kernel.gammas(caps.as_array, model))
 
-    sigma = parallel_map(sigma_at, alphas, workers=workers)
+    sigma = []
+    for alpha in alphas:
+        r = coupling_row(replace(scn, alpha_rad=float(alpha)), patterns, "rx")
+        s21 = kernel.s_ee[1, 0] + r @ wave
+        sigma.append(brcs_from_coupling(s21, scn.r_m, scn.r_m, scn.g_tx_lin, scn.g_rx_lin, lam))
     fingerprint = (
         ("beta_deg", f"{math.degrees(scn.beta_rad):.6g}"),
         ("r_m", f"{scn.r_m:.6g}"),

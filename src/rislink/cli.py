@@ -34,7 +34,6 @@ from .scenario import (
     read_scenario,
 )
 from .touchstone import document_from_matrix, matrix_at_frequency, read_touchstone, write_touchstone
-from .util import worker_count
 
 CAPS_HEADER = "m,c_pf,gamma_re,gamma_im"
 
@@ -150,7 +149,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     full = assemble_full_matrix(scn, ris, patterns)
 
     seed_vector = phase_gradient_seed(scn, cfg.bounds, cfg.varactor, z0_ohm=ris.z0_ohm)
-    opts = replace(cfg.optimizer, initial=seed_vector, workers=worker_count())
+    opts = replace(cfg.optimizer, initial=seed_vector)
     result = optimize(full, cfg.bounds, cfg.varactor, opts)
 
     gammas = load_gammas(result.caps, scn.freq_hz, ris.z0_ohm, cfg.varactor)
@@ -212,11 +211,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         extra_inputs["caps"] = Path(args.caps)
         ris = _build_ris(cfg)
         patterns = _build_patterns(cfg, ris)
-        curves.append(
-            sweep_rx_angle(
-                scn, ris, patterns, caps, alphas, model=cfg.varactor, workers=worker_count()
-            )
-        )
+        curves.append(sweep_rx_angle(scn, ris, patterns, caps, alphas, model=cfg.varactor))
     curves.append(
         flat_reflector_reference(
             cfg.reflector.width_m, cfg.reflector.height_m, scn.wavelength_m, scn.beta_rad, alphas

@@ -167,7 +167,10 @@ def distance_to_element(scn: Scenario, m: int, side: Side) -> float:
     d = sqrt(R^2 + x_m^2 + z_m^2 - 2*x_m*R*sin(angle)) with angle = beta for
     the Tx side and -alpha for the Rx side.
     """
-    el = scn.element(m)
+    return _distance(scn, scn.element(m), side)
+
+
+def _distance(scn: Scenario, el: ElementGeometry, side: Side) -> float:
     if el.x_m == 0.0 and el.z_m == 0.0:
         return scn.r_m
     angle = _side_angle(scn, side)
@@ -190,25 +193,39 @@ def azimuth_to_element(scn: Scenario, m: int, side: Side) -> float:
     gamma - angle = -(x_m/R)*cos(angle) + O((x_m/R)^2) for any z_m, which
     enters only at second order.
     """
-    el = scn.element(m)
+    return _azimuth(scn, scn.element(m), side)
+
+
+def _azimuth(scn: Scenario, el: ElementGeometry, side: Side) -> float:
     angle = _side_angle(scn, side)
     if el.x_m == 0.0 and el.z_m == 0.0:
         return angle
-    d = distance_to_element(scn, m, side)
+    d = _distance(scn, el, side)
     return _safe_asin((scn.r_m * math.sin(angle) - el.x_m) / d)
 
 
 def coupling_coefficient(scn: Scenario, pat: ElementPattern, m: int, side: Side) -> complex:
     """Complex antenna-to-element coupling entry for the full-link matrix."""
-    if pat.index_m != m:
-        raise PatternError(f"pattern for element {pat.index_m} passed for element {m}")
-    d = distance_to_element(scn, m, side)
-    gamma = azimuth_to_element(scn, m, side)
+    return _coupling(scn, pat, scn.element(m), side)
+
+
+def _coupling(scn: Scenario, pat: ElementPattern, el: ElementGeometry, side: Side) -> complex:
+    if pat.index_m != el.index_m:
+        raise PatternError(f"pattern for element {pat.index_m} passed for element {el.index_m}")
+    d = _distance(scn, el, side)
+    gamma = _azimuth(scn, el, side)
     lam = scn.wavelength_m
     mismatch = math.sqrt(max(0.0, 1.0 - abs(pat.s_mm) ** 2))
     magnitude = mismatch * math.sqrt(_side_gain(scn, side) * pat.gain(gamma)) / (4.0 * math.pi * d / lam)
     phase = -2.0 * math.pi * d / lam
     return magnitude * complex(math.cos(phase), math.sin(phase))
+
+
+def coupling_row(scn: Scenario, patterns: Sequence[ElementPattern], side: Side) -> np.ndarray:
+    """The side's row of the full-link matrix: its coupling to each of ``scn.elements``."""
+    return np.array(
+        [_coupling(scn, pat, el, side) for pat, el in zip(patterns, scn.elements)], dtype=complex
+    )
 
 
 def farfield_limit_distance(scn: Scenario) -> float:
@@ -225,9 +242,7 @@ def _warn_if_nearfield(scn: Scenario) -> None:
     limit = farfield_limit_distance(scn)
     if limit <= 0.0 or not scn.elements:
         return
-    d_min = min(
-        distance_to_element(scn, e.index_m, side) for e in scn.elements for side in ("tx", "rx")
-    )
+    d_min = min(_distance(scn, e, side) for e in scn.elements for side in ("tx", "rx"))
     if d_min < limit:
         warnings.warn(
             FarFieldValidityWarning(
@@ -249,7 +264,7 @@ def assemble_full_matrix(
 
     The Tx port comes first, the RIS block (copied verbatim from ``ris``)
     in the middle and the Rx port last. Tx-RIS and Rx-RIS rows/columns are
-    filled with :func:`coupling_coefficient`; the Tx and Rx self terms and
+    filled with :func:`coupling_row`; the Tx and Rx self terms and
     the direct Tx-Rx term are zero (obstructed line of sight). The result
     is symmetric by construction.
     """
@@ -281,11 +296,8 @@ def assemble_full_matrix(
 
     full = np.zeros((n + 2, n + 2), dtype=complex)
     full[1 : n + 1, 1 : n + 1] = ris.entries
-    for i, el in enumerate(scn.elements):
-        t = coupling_coefficient(scn, patterns[i], el.index_m, "tx")
-        r = coupling_coefficient(scn, patterns[i], el.index_m, "rx")
-        full[0, 1 + i] = full[1 + i, 0] = t
-        full[n + 1, 1 + i] = full[1 + i, n + 1] = r
+    full[0, 1 : n + 1] = full[1 : n + 1, 0] = coupling_row(scn, patterns, "tx")
+    full[n + 1, 1 : n + 1] = full[1 : n + 1, n + 1] = coupling_row(scn, patterns, "rx")
 
     roles = (TX_ROLE, *(ris_role(m) for m in scn.element_numbers), RX_ROLE)
     return ScatterMatrix(full, scn.freq_hz, roles, ris.z0_ohm)

@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import UnoptimizableError
 from .farfield import Scenario, distance_to_element
-from .network import LinkKernel, ReflectionVector, ScatterMatrix
-from .util import parallel_map
+from .network import ReflectionVector, ScatterMatrix
 
 _SIMPLEX_FATOL = 1e-10
 _POLISH_PASSES = 2
@@ -147,7 +146,7 @@ def objective_gradient(
     bounds: LoadBounds,
     model: VaractorModel = IDEAL_VARACTOR,
 ) -> np.ndarray:
-    """Analytic gradient d(objective)/dC in 1/farad, for gradient refinement."""
+    """Analytic gradient d(objective)/dC in 1/farad (one forward and one adjoint solve)."""
     kernel = full.kernel
     _check_caps(caps, bounds, kernel.n_ris)
     return kernel.gradient(caps.as_array, model)
@@ -205,8 +204,6 @@ class OptimizerOptions:
     max_evals: int = 2000
     seed: int = 0
     polish: bool = True
-    gradient_refine: bool = False
-    workers: int = 1
     initial: LoadVector | None = None
 
     def __post_init__(self):
@@ -267,10 +264,10 @@ def optimize(
 
     Multi-start bounded Nelder-Mead (the caller may supply a physics-informed
     first start via ``opts.initial``, remaining starts are seeded-random),
-    then optional coordinate-wise golden-section polish and optional
-    gradient refinement. The best start wins; exact objective ties break to
-    the lowest start index, so results are reproducible bit-for-bit for a
-    fixed seed.
+    then optional coordinate-wise golden-section polish. The starts run one
+    after another; the best start wins, exact objective ties break to the
+    lowest start index, so results are reproducible bit-for-bit for a fixed
+    seed.
 
     Inputs are checked once here; every evaluation then runs the matrix's
     ``LinkKernel`` on the clipped capacitance array, with no per-call
@@ -311,8 +308,7 @@ def optimize(
         first = np.full(n, 0.5 * (lo_pf + hi_pf))
     start_points = [first] + [rng.uniform(lo_pf, hi_pf, n) for _ in range(opts.starts - 1)]
 
-    def run_start(item: tuple[int, np.ndarray]) -> tuple[StartTrace, np.ndarray]:
-        index, x0 = item
+    def run_start(index: int, x0: np.ndarray) -> tuple[StartTrace, np.ndarray]:
         history: list[float] = []
         best = {"f": -math.inf, "x": x0.copy()}
 
@@ -332,8 +328,6 @@ def optimize(
             options={"maxfev": opts.max_evals, "fatol": _SIMPLEX_FATOL, "xatol": 1e-8},
         )
 
-        if opts.gradient_refine:
-            _refine_with_gradient(kernel, model, lo_pf, hi_pf, recorded, best)
         if opts.polish:
             for _ in range(_POLISH_PASSES):
                 for k in range(n):
@@ -348,7 +342,7 @@ def optimize(
         trace = StartTrace(index, tuple(x0), len(history), best["f"], tuple(history))
         return trace, best["x"]
 
-    outcomes = parallel_map(run_start, list(enumerate(start_points)), workers=opts.workers)
+    outcomes = [run_start(index, x0) for index, x0 in enumerate(start_points)]
 
     best_trace, best_x = outcomes[0]
     for trace, x in outcomes[1:]:
@@ -358,21 +352,3 @@ def optimize(
     caps = LoadVector.of(best_x * 1e-12)
     return OptimizeResult(caps, best_trace.best_objective, tuple(t for t, _ in outcomes))
 
-
-def _refine_with_gradient(kernel: LinkKernel, model, lo_pf, hi_pf, recorded, best) -> None:
-    from scipy.optimize import Bounds, minimize
-
-    def neg(u: np.ndarray) -> float:
-        return -recorded(u)
-
-    def neg_grad(u: np.ndarray) -> np.ndarray:
-        return -kernel.gradient(np.clip(u, lo_pf, hi_pf) * 1e-12, model) * 1e-12
-
-    minimize(
-        neg,
-        best["x"].copy(),
-        jac=neg_grad,
-        method="L-BFGS-B",
-        bounds=Bounds(lo_pf, hi_pf),
-        options={"maxiter": 200},
-    )

@@ -229,10 +229,8 @@ class LinkKernel:
         gam.imag = np.where(by_re, x - num_re * ratio, x * ratio - num_re) / denom
         return gam
 
-    def reduce(self, gam: np.ndarray) -> np.ndarray:
-        """2x2 (Tx, Rx) matrix with the RIS ports terminated by ``gam``."""
-        if not self.n_ris:
-            return self.s_ee.copy()
+    def _system(self, gam: np.ndarray) -> np.ndarray:
+        """I - S_ii*Gamma, rejected if ill-conditioned (see the class docstring)."""
         # gam[np.newaxis, :], not gam: numpy picks its complex-multiply loop
         # by operand shape, and only this spelling matches the reference bits.
         system = self._eye - self.s_ii * gam[np.newaxis, :]
@@ -240,7 +238,17 @@ class LinkKernel:
             cond = np.linalg.cond(system)
             if not np.isfinite(cond) or 1.0 / cond < RCOND_LIMIT:
                 raise IllConditionedLoadError(float(cond))
-        return self.s_ee + self.s_ei @ (gam[:, np.newaxis] * np.linalg.solve(system, self.s_ie))
+        return system
+
+    def reduce(self, gam: np.ndarray) -> np.ndarray:
+        """2x2 (Tx, Rx) matrix with the RIS ports terminated by ``gam``."""
+        if not self.n_ris:
+            return self.s_ee.copy()
+        return self.s_ee + self.s_ei @ (gam[:, np.newaxis] * np.linalg.solve(self._system(gam), self.s_ie))
+
+    def tx_wave(self, gam: np.ndarray) -> np.ndarray:
+        """Gamma*(I - S_ii*Gamma)^-1*t for the Tx column t; S_RxTx = S_ee[1, 0] + r @ this for Rx row r."""
+        return gam * np.linalg.solve(self._system(gam), self.s_ie[:, 0])
 
     def transfer(self, caps_f: np.ndarray, model: VaractorModel) -> float:
         """|S_RxTx|^2 under the given load capacitances (farads)."""
@@ -250,7 +258,7 @@ class LinkKernel:
         """d(transfer)/dC in 1/farad, from one forward and one adjoint solve."""
         gam = self.gammas(caps_f, model)
         row, col = self.s_ei[1], self.s_ie[:, 0]
-        system = self._eye - self.s_ii * gam[np.newaxis, :]
+        system = self._system(gam)
         p = np.linalg.solve(system, col)
         s21 = self.s_ee[1, 0] + row @ (gam * p)
         y = np.linalg.solve(system.T, row * gam)

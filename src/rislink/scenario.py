@@ -392,7 +392,6 @@ def load_scenario(config_text: str, base_dir: str | Path | None = None) -> Scena
         max_evals=_integer("opt.max_evals", kv.take("opt.max_evals") or "2000"),
         seed=_integer("opt.seed", kv.take("opt.seed") or "0"),
         polish=_flag("opt.polish", kv.take("opt.polish") or "on"),
-        gradient_refine=_flag("opt.gradient_refine", kv.take("opt.gradient_refine") or "off"),
     )
 
     out_dir = Path(kv.take("out.dir") or ".")

@@ -1,20 +1,31 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import random_passive
 from rislink import (
     BrcsCurve,
     DBSM_FLOOR,
     ElementGeometry,
     ElementPattern,
     ExpDecayCoupling,
+    IDEAL_VARACTOR,
+    IllConditionedLoadError,
     LoadVector,
+    PatternCoverageError,
     Scenario,
+    ScatterMatrix,
     SPEED_OF_LIGHT,
+    VaractorModel,
+    assemble_full_matrix,
     brcs_from_coupling,
+    cap_to_gamma,
     export_csv,
     flat_reflector_reference,
+    load_gammas,
+    reduce_loaded,
     sweep_rx_angle,
     synth_ris_matrix,
 )
@@ -160,14 +171,56 @@ class TestSweep:
         assert keys["r_m"] == "2"
         assert "caps_sha256" in keys
 
-    def test_threaded_sweep_matches_sequential(self):
+    def test_matches_per_angle_reduction(self, rng):
+        # Reference: the full matrix assembled at each alpha, then reduce_loaded.
+        alphas = np.radians(np.arange(-80.0, 81.0, 4.0))
+        azimuths = np.radians(np.arange(-90.0, 91.0, 10.0))
+        for n in (1, 3, 6):
+            for model in (IDEAL_VARACTOR, VaractorModel(2.0, 0.5e-9)):
+                xz = rng.uniform(-0.06, 0.06, (n, 2))
+                elements = tuple(ElementGeometry(m + 1, x, z) for m, (x, z) in enumerate(xz))
+                scn = Scenario(
+                    rng.uniform(2.0, 10.0), 0.0, math.radians(rng.uniform(-60.0, 60.0)), F_CARRIER,
+                    rng.uniform(1.0, 20.0), rng.uniform(1.0, 20.0), elements,
+                )
+                ris = ScatterMatrix.ris_only(random_passive(rng, n, scale=0.9), F_CARRIER)
+                patterns = [
+                    ElementPattern(m, azimuths, rng.uniform(0.5, 4.0, azimuths.size), ris.entries[i, i])
+                    for i, m in enumerate(scn.element_numbers)
+                ]
+                caps = LoadVector.of(rng.uniform(0.23e-12, 2.1e-12, n))
+                gammas = load_gammas(caps, F_CARRIER, ris.z0_ohm, model)
+                oracle = []
+                for alpha in alphas:
+                    local = replace(scn, alpha_rad=float(alpha))
+                    full = assemble_full_matrix(local, ris, patterns, nearfield_warning=False)
+                    s21 = reduce_loaded(full, gammas).entries[1, 0]
+                    oracle.append(
+                        brcs_from_coupling(s21, scn.r_m, scn.r_m, scn.g_tx_lin, scn.g_rx_lin, LAM)
+                    )
+                curve = sweep_rx_angle(scn, ris, patterns, caps, alphas, model)
+                np.testing.assert_allclose(10.0 ** (curve.sigma_dbsm / 10.0), oracle, rtol=1e-12, atol=0)
+
         scn = pair_scenario()
         ris, patterns = setup_pair(scn)
-        caps = LoadVector.uniform(1e-12, 2)
-        alphas = np.radians(np.arange(-20.0, 21.0, 5.0))
-        seq = sweep_rx_angle(scn, ris, patterns, caps, alphas, workers=1)
-        par = sweep_rx_angle(scn, ris, patterns, caps, alphas, workers=4)
-        assert np.array_equal(seq.sigma_dbsm, par.sigma_dbsm)
+        with pytest.raises(ValueError, match="3 loads for 2 RIS ports"):
+            sweep_rx_angle(scn, ris, patterns, LoadVector.uniform(1e-12, 3), alphas)
+
+        c0 = 1e-12
+        lossless = np.diag([np.conj(cap_to_gamma(c0, F_CARRIER)), 0.2])  # |S_11| = 1, resonant at c0
+        resonant = [ElementPattern.isotropic(m, 2.0, s_mm=lossless[i, i]) for i, m in enumerate((1, 2))]
+        with pytest.raises(IllConditionedLoadError, match="condition number"):
+            sweep_rx_angle(
+                scn, ScatterMatrix.ris_only(lossless, F_CARRIER), resonant,
+                LoadVector.uniform(c0, 2), alphas,
+            )
+
+        span = (math.radians(-50.0), math.radians(50.0))
+        narrow = [
+            ElementPattern.isotropic(p.index_m, 2.0, s_mm=p.s_mm, span_rad=span) for p in patterns
+        ]
+        with pytest.raises(PatternCoverageError, match="outside sampled range"):
+            sweep_rx_angle(scn, ris, narrow, LoadVector.uniform(1e-12, 2), np.radians([0.0, 10.0, 70.0]))
 
     def test_empty_grid_rejected(self):
         scn = pair_scenario()

@@ -148,17 +148,6 @@ class TestOptimize:
             c_pf = float(row.split(",")[1])
             assert 0.23 <= c_pf <= 2.1
 
-    def test_threads_env_does_not_change_result(self, toy_cfg, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert main(["optimize", str(toy_cfg), "--out", str(out1)]) == 0
-        monkeypatch.setenv("RISLINK_THREADS", "3")
-        assert main(["optimize", str(toy_cfg), "--out", str(out2)]) == 0
-        assert (out1 / "caps.csv").read_bytes() == (out2 / "caps.csv").read_bytes()
-
-    def test_bad_threads_env_exits_2(self, toy_cfg, tmp_path, monkeypatch):
-        monkeypatch.setenv("RISLINK_THREADS", "many")
-        assert main(["optimize", str(toy_cfg), "--out", str(tmp_path / "x")]) == 2
-
 
 class TestSweep:
     def run_optimize(self, toy_cfg, out):

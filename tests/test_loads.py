@@ -225,12 +225,6 @@ class TestOptimize:
         assert a.caps.caps_f == b.caps.caps_f
         assert a.objective == b.objective
 
-    def test_threaded_starts_match_sequential(self):
-        seq = optimize(link_n2(), BOUNDS, opts=OptimizerOptions(starts=4, seed=3, workers=1))
-        par = optimize(link_n2(), BOUNDS, opts=OptimizerOptions(starts=4, seed=3, workers=4))
-        assert seq.caps.caps_f == par.caps.caps_f
-        assert seq.objective == par.objective
-
     def test_result_within_bounds(self):
         result = optimize(link_n2(), BOUNDS, opts=OptimizerOptions(starts=3, seed=0))
         for c in result.caps.caps_f:
@@ -256,13 +250,6 @@ class TestOptimize:
         opts = OptimizerOptions(starts=2, seed=0, initial=initial)
         result = optimize(link_n2(), BOUNDS, opts=opts)
         assert result.trace[0].initial_pf == pytest.approx((0.5, 1.5))
-
-    def test_gradient_refinement_smoke(self):
-        base = OptimizerOptions(starts=2, seed=0)
-        refined = OptimizerOptions(starts=2, seed=0, gradient_refine=True)
-        a = optimize(link_n2(), BOUNDS, opts=base)
-        b = optimize(link_n2(), BOUNDS, opts=refined)
-        assert b.objective >= a.objective - 1e-12
 
     def test_zero_coupling_is_unoptimizable(self):
         s = np.zeros((3, 3), dtype=complex)

@@ -15,6 +15,7 @@ from rislink import (
     check_passivity,
     check_reciprocity,
     load_gammas,
+    objective_gradient,
     optimize,
     power_transfer,
     reduce_loaded,
@@ -193,6 +194,8 @@ class TestLinkKernel:
         opts = OptimizerOptions(starts=1, initial=LoadVector.of([c0, c0]))
         with pytest.raises(IllConditionedLoadError, match="condition number"):
             optimize(full, bounds, opts=opts)
+        with pytest.raises(IllConditionedLoadError, match="condition number"):
+            objective_gradient(full, LoadVector.of([c0, c0]), bounds)
 
 
 class TestPowerTransfer:

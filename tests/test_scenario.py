@@ -139,6 +139,8 @@ class TestConfigErrors:
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown configuration keys"):
             self.project(tmp_path, lambda t: t + "typo.key = 1\n")
+        with pytest.raises(ConfigError, match="unknown configuration keys"):
+            self.project(tmp_path, lambda t: t + "opt.gradient_refine = on\n")
 
     def test_duplicate_key(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate key"):
