@@ -67,10 +67,13 @@ def _utc_now() -> str:
 
 def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     scenario = cfg.scenario
-    if args.alpha is not None:
-        scenario = replace(scenario, alpha_rad=math.radians(args.alpha))
-    if args.beta is not None:
-        scenario = replace(scenario, beta_rad=math.radians(args.beta))
+    try:
+        if args.alpha is not None:
+            scenario = replace(scenario, alpha_rad=math.radians(args.alpha))
+        if args.beta is not None:
+            scenario = replace(scenario, beta_rad=math.radians(args.beta))
+    except ValueError as exc:
+        raise InputError(f"--alpha/--beta: {exc}") from None
     out_dir = Path(args.out) if args.out is not None else cfg.out_dir
     optimizer = cfg.optimizer if args.seed is None else replace(cfg.optimizer, seed=args.seed)
     return replace(cfg, scenario=scenario, out_dir=out_dir, optimizer=optimizer)

@@ -193,14 +193,15 @@ def azimuth_to_element(scn: Scenario, m: int, side: Side) -> float:
     gamma - angle = -(x_m/R)*cos(angle) + O((x_m/R)^2) for any z_m, which
     enters only at second order.
     """
-    return _azimuth(scn, scn.element(m), side)
+    el = scn.element(m)
+    return _azimuth(scn, el, side, _distance(scn, el, side))
 
 
-def _azimuth(scn: Scenario, el: ElementGeometry, side: Side) -> float:
+def _azimuth(scn: Scenario, el: ElementGeometry, side: Side, d: float) -> float:
+    """Azimuth formula for element ``el`` at its distance ``d`` from the side's antenna."""
     angle = _side_angle(scn, side)
     if el.x_m == 0.0 and el.z_m == 0.0:
         return angle
-    d = _distance(scn, el, side)
     return _safe_asin((scn.r_m * math.sin(angle) - el.x_m) / d)
 
 
@@ -213,7 +214,7 @@ def _coupling(scn: Scenario, pat: ElementPattern, el: ElementGeometry, side: Sid
     if pat.index_m != el.index_m:
         raise PatternError(f"pattern for element {pat.index_m} passed for element {el.index_m}")
     d = _distance(scn, el, side)
-    gamma = _azimuth(scn, el, side)
+    gamma = _azimuth(scn, el, side, d)
     lam = scn.wavelength_m
     mismatch = math.sqrt(max(0.0, 1.0 - abs(pat.s_mm) ** 2))
     magnitude = mismatch * math.sqrt(_side_gain(scn, side) * pat.gain(gamma)) / (4.0 * math.pi * d / lam)
@@ -303,11 +304,19 @@ def assemble_full_matrix(
     return ScatterMatrix(full, scn.freq_hz, roles, ris.z0_ohm)
 
 
+def _check_self_term(s_mm: complex) -> None:
+    if abs(s_mm) > 1.0:
+        raise ValueError("|s_mm| must be <= 1 for a passive element")
+
+
 @dataclass(frozen=True)
 class IsolatedCoupling:
     """Synthetic RIS model: no inter-element coupling, common self term."""
 
     s_mm: complex = 0j
+
+    def __post_init__(self):
+        _check_self_term(self.s_mm)
 
 
 @dataclass(frozen=True)
@@ -319,6 +328,7 @@ class ExpDecayCoupling:
     rolloff_m: float = 0.05
 
     def __post_init__(self):
+        _check_self_term(self.s_mm)
         if self.c0 < 0:
             raise ValueError("c0 must be >= 0")
         if not self.rolloff_m > 0:
@@ -345,8 +355,6 @@ def synth_ris_matrix(
     elements = tuple(elements)
     if not elements:
         raise ValueError("synth_ris_matrix needs at least one element")
-    if abs(model.s_mm) > 1.0:
-        raise ValueError("|s_mm| must be <= 1 for a passive element")
     n = len(elements)
     entries = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(entries, complex(model.s_mm))

@@ -4,7 +4,10 @@ Each RIS port is terminated by a series R-L-C load whose capacitance is the
 tuning variable. ``cap_to_gamma`` maps a capacitance to its reflection
 coefficient; ``optimize`` searches the box-bounded capacitance space for
 maximum Tx -> Rx power transfer with a deterministic multi-start simplex
-search plus optional coordinate-wise golden-section polish.
+search plus optional coordinate-wise golden-section polish. The simplex
+search is ``_nelder_mead``, a clipped Nelder-Mead (Nelder & Mead 1965) that
+evaluates the same points as SciPy's bounded Nelder-Mead; the package needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnoptimizableError
-from .farfield import Scenario, distance_to_element
+from .farfield import Scenario, _distance
 from .network import ReflectionVector, ScatterMatrix
 
+_SIMPLEX_XATOL = 1e-8
 _SIMPLEX_FATOL = 1e-10
 _POLISH_PASSES = 2
 _POLISH_TOL_PF = 1e-7
@@ -183,7 +187,7 @@ def phase_gradient_seed(
 
     caps = []
     for el in scn.elements:
-        path = distance_to_element(scn, el.index_m, "tx") + distance_to_element(scn, el.index_m, "rx")
+        path = _distance(scn, el, "tx") + _distance(scn, el, "rx")
         target = _wrap(2.0 * math.pi * path / lam)
         if phase_lo <= target <= phase_hi:
             reactance = z0_ohm / math.tan(target / 2.0)
@@ -231,6 +235,92 @@ class OptimizeResult:
     trace: tuple[StartTrace, ...] = field(repr=False)
 
 
+class _BudgetSpent(Exception):
+    """The evaluation budget of ``_nelder_mead`` ran out."""
+
+
+def _nelder_mead(fun, x0, lo, hi, maxfev, xatol, fatol) -> tuple[np.ndarray, float]:
+    """Minimize ``fun`` over the box [lo, hi] with the clipped Nelder-Mead simplex.
+
+    The steps, coefficients (reflect 1, expand 2, contract 1/2, shrink 1/2),
+    clipping, sorting and stop test are SciPy's bounded Nelder-Mead
+    (``minimize(method="Nelder-Mead", bounds=..., options={"maxfev",
+    "xatol", "fatol"})``), spelled the same way so that the evaluated points
+    are bit-identical, which the test suite checks: the initial simplex
+    scales one coordinate of x0 by 1.05 per vertex and reflects vertices
+    above ``hi`` back inside; an iteration that reaches ``maxfev`` stops
+    where it is and the simplex is re-sorted; the search stops once every
+    vertex lies within ``xatol`` and every value within ``fatol`` of the
+    best. Requires lo > 0. Every point passed to ``fun`` lies inside the
+    box. Returns the best vertex and its value.
+    """
+    nfev = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(x)
+
+    x0 = np.clip(x0, lo, hi)
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        sim[k + 1] = x0
+        sim[k + 1, k] = (1 + 0.05) * x0[k]
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # Sorted twice, as the reference does: argsort need not be stable on ties.
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+
+    while nfev < maxfev:
+        try:
+            if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = np.clip(2 * xbar - sim[-1], lo, hi)
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
+                    fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], float(fsim[0])
+
+
 def _golden_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Golden-section maximization on [lo, hi]; returns the best point seen."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -262,16 +352,17 @@ def optimize(
 ) -> OptimizeResult:
     """Search the bounded capacitance space for maximum power transfer.
 
-    Multi-start bounded Nelder-Mead (the caller may supply a physics-informed
-    first start via ``opts.initial``, remaining starts are seeded-random),
-    then optional coordinate-wise golden-section polish. The starts run one
-    after another; the best start wins, exact objective ties break to the
-    lowest start index, so results are reproducible bit-for-bit for a fixed
-    seed.
+    Multi-start clipped Nelder-Mead, ``_nelder_mead`` (the caller may supply
+    a physics-informed first start via ``opts.initial``, remaining starts are
+    seeded-random), then optional coordinate-wise golden-section polish. The
+    starts run one after another; the best start wins, exact objective ties
+    break to the lowest start index, so results are reproducible bit-for-bit
+    for a fixed seed.
 
     Inputs are checked once here; every evaluation then runs the matrix's
-    ``LinkKernel`` on the clipped capacitance array, with no per-call
-    validation (the bounds and the varactor model already guarantee
+    ``LinkKernel`` on a capacitance array that lies inside the bounds (the
+    simplex clips every point, golden-section points stay inside), with no
+    per-call validation (the bounds and the varactor model already guarantee
     positive, in-range capacitances and passive loads).
 
     Raises
@@ -280,8 +371,6 @@ def optimize(
         If the Tx or Rx side has no coupling to any RIS port, making the
         objective constant.
     """
-    from scipy.optimize import Bounds, minimize
-
     opts = opts or OptimizerOptions()
     kernel = full.kernel
     n = kernel.n_ris
@@ -297,7 +386,7 @@ def optimize(
     lo_pf, hi_pf = bounds.c_min_f * 1e12, bounds.c_max_f * 1e12
 
     def eval_pf(u: np.ndarray) -> float:
-        return kernel.transfer(np.clip(u, lo_pf, hi_pf) * 1e-12, model)
+        return kernel.transfer(u * 1e-12, model)
 
     rng = np.random.default_rng(opts.seed)
     if opts.initial is not None:
@@ -316,17 +405,11 @@ def optimize(
             value = eval_pf(u)
             if value > best["f"]:
                 best["f"] = value
-                best["x"] = np.clip(np.asarray(u, dtype=float), lo_pf, hi_pf).copy()
+                best["x"] = u.copy()
             history.append(best["f"])
             return value
 
-        minimize(
-            lambda u: -recorded(u),
-            x0,
-            method="Nelder-Mead",
-            bounds=Bounds(lo_pf, hi_pf),
-            options={"maxfev": opts.max_evals, "fatol": _SIMPLEX_FATOL, "xatol": 1e-8},
-        )
+        _nelder_mead(lambda u: -recorded(u), x0, lo_pf, hi_pf, opts.max_evals, _SIMPLEX_XATOL, _SIMPLEX_FATOL)
 
         if opts.polish:
             for _ in range(_POLISH_PASSES):

@@ -211,23 +211,11 @@ class LinkKernel:
         self.checks_conditioning = self.cond_bound >= 0.5 / RCOND_LIMIT
 
     def gammas(self, caps_f: np.ndarray, model: VaractorModel) -> np.ndarray:
-        """Reflection coefficients of series R-L-C loads, bit-identical to ``cap_to_gamma``.
-
-        CPython divides complex numbers with Smith's algorithm (scale by the
-        larger part of the denominator); numpy's complex division rounds
-        differently, so the quotient (Z_L - Z0)/(Z_L + Z0) is spelled out.
-        """
+        """Reflection coefficients of series R-L-C loads, bit-identical to ``cap_to_gamma``."""
         w = 2.0 * math.pi * self.freq_hz
         x = w * model.series_inductance_h - 1.0 / (w * caps_f)
-        num_re = model.series_resistance_ohm - self.z0_ohm
-        den_re = model.series_resistance_ohm + self.z0_ohm
-        by_re = den_re >= np.abs(x)
-        ratio = np.where(by_re, x, den_re) / np.where(by_re, den_re, x)
-        denom = np.where(by_re, den_re + x * ratio, den_re * ratio + x)
-        gam = np.empty(x.shape, dtype=complex)
-        gam.real = np.where(by_re, num_re + x * ratio, num_re * ratio + x) / denom
-        gam.imag = np.where(by_re, x - num_re * ratio, x * ratio - num_re) / denom
-        return gam
+        r, z0 = model.series_resistance_ohm, self.z0_ohm
+        return np.array([(complex(r, xi) - z0) / (complex(r, xi) + z0) for xi in x.tolist()], dtype=complex)
 
     def _system(self, gam: np.ndarray) -> np.ndarray:
         """I - S_ii*Gamma, rejected if ill-conditioned (see the class docstring)."""

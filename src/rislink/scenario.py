@@ -249,6 +249,14 @@ def _flag(key: str, text: str) -> bool:
     raise ConfigError(f"{key}: expected on/off, got {text!r}")
 
 
+def _build(keys: str, make, **fields):
+    """``make(**fields)``, with a ValueError from its validation raised as a ConfigError naming ``keys``."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
+
+
 def _parse_elements(kv: _KeyValues) -> tuple[ElementGeometry, ...]:
     has_grid = any(k.startswith("grid.") for k in kv.values)
     explicit = sorted(
@@ -268,7 +276,7 @@ def _parse_elements(kv: _KeyValues) -> tuple[ElementGeometry, ...]:
             offset_x_m=_optional_length(kv, "grid.offset_x", 0.0),
             offset_z_m=_optional_length(kv, "grid.offset_z", 0.0),
         )
-        return grid.elements()
+        return _build("grid.*", grid.elements)
 
     elements = []
     for token in explicit:
@@ -278,7 +286,7 @@ def _parse_elements(kv: _KeyValues) -> tuple[ElementGeometry, ...]:
             raise ConfigError(f"invalid element number {token!r}") from None
         x = _quantity(f"element.{m}.x", kv.require(f"element.{m}.x"), _LENGTH_UNITS, "m/mm/cm")
         z = _quantity(f"element.{m}.z", kv.require(f"element.{m}.z"), _LENGTH_UNITS, "m/mm/cm")
-        elements.append(ElementGeometry(m, x, z))
+        elements.append(_build(f"element.{m}.x/element.{m}.z", ElementGeometry, index_m=m, x_m=x, z_m=z))
     return tuple(elements)
 
 
@@ -303,11 +311,13 @@ def _parse_ris(kv: _KeyValues, base_dir: Path) -> RisSource:
         _number("ris.smm_im", kv.take("ris.smm_im") or "0"),
     )
     if model_value == "isolated":
-        return RisSynthesis(IsolatedCoupling(s_mm))
+        return RisSynthesis(_build("ris.smm_re/ris.smm_im", IsolatedCoupling, s_mm=s_mm))
     if model_value == "exp_decay":
         return RisSynthesis(
-            ExpDecayCoupling(
-                s_mm,
+            _build(
+                "ris.smm_re/ris.smm_im/ris.c0/ris.rolloff",
+                ExpDecayCoupling,
+                s_mm=s_mm,
                 c0=_number("ris.c0", kv.require("ris.c0")),
                 rolloff_m=_quantity("ris.rolloff", kv.require("ris.rolloff"), _LENGTH_UNITS, "m/mm/cm"),
             )
@@ -344,7 +354,9 @@ def load_scenario(config_text: str, base_dir: str | Path | None = None) -> Scena
     kv = _KeyValues(config_text)
 
     freq_hz = _quantity("freq", kv.require("freq"), _FREQ_UNITS, "Hz/kHz/MHz/GHz")
-    scenario = Scenario(
+    scenario = _build(
+        "range/alpha/beta/freq/gain_tx_db/gain_rx_db",
+        Scenario,
         r_m=_quantity("range", kv.require("range"), _LENGTH_UNITS, "m/mm/cm"),
         alpha_rad=_quantity("alpha", kv.require("alpha"), _ANGLE_UNITS, "deg/rad"),
         beta_rad=_quantity("beta", kv.require("beta"), _ANGLE_UNITS, "deg/rad"),
@@ -356,14 +368,14 @@ def load_scenario(config_text: str, base_dir: str | Path | None = None) -> Scena
 
     c_min = _quantity("bounds.c_min", kv.require("bounds.c_min"), _CAP_UNITS, "F/nF/pF")
     c_max = _quantity("bounds.c_max", kv.require("bounds.c_max"), _CAP_UNITS, "F/nF/pF")
-    if not (0 < c_min < c_max):
-        raise ConfigError(f"bounds require 0 < c_min < c_max, got [{c_min}, {c_max}]")
-    bounds = LoadBounds(c_min, c_max)
+    bounds = _build("bounds.c_min/bounds.c_max", LoadBounds, c_min_f=c_min, c_max_f=c_max)
 
     ris = _parse_ris(kv, base)
     patterns = _parse_patterns(kv, base)
 
-    varactor = VaractorModel(
+    varactor = _build(
+        "varactor.rs/varactor.ls",
+        VaractorModel,
         series_resistance_ohm=(
             _quantity("varactor.rs", kv.take("varactor.rs"), _RES_UNITS, "ohm")
             if kv.has("varactor.rs") else 0.0
@@ -387,7 +399,9 @@ def load_scenario(config_text: str, base_dir: str | Path | None = None) -> Scena
             height_m=_quantity("reflector.height", kv.require("reflector.height"), _LENGTH_UNITS, "m/mm/cm"),
         )
 
-    optimizer = OptimizerOptions(
+    optimizer = _build(
+        "opt.starts/opt.max_evals",
+        OptimizerOptions,
         starts=_integer("opt.starts", kv.take("opt.starts") or "8"),
         max_evals=_integer("opt.max_evals", kv.take("opt.max_evals") or "2000"),
         seed=_integer("opt.seed", kv.take("opt.seed") or "0"),

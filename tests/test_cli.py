@@ -148,6 +148,23 @@ class TestOptimize:
             c_pf = float(row.split(",")[1])
             assert 0.23 <= c_pf <= 2.1
 
+    @pytest.mark.parametrize("line", [
+        "opt.starts = 0",
+        "opt.max_evals = 5",
+        "varactor.rs = -1 ohm",
+        "range = -2 m",
+        "alpha = 120 deg",
+        "ris.smm_re = 2",
+    ])
+    def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        text = "".join(ln + "\n" for ln in TOY.splitlines() if not ln.startswith(key + " ")) + line + "\n"
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        assert main(["optimize", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+
 
 class TestSweep:
     def run_optimize(self, toy_cfg, out):
@@ -211,6 +228,10 @@ class TestOverrides:
         assert main(["optimize", str(toy_cfg), "--alpha", "15", "--out", str(out)]) == 0
         assert (out / "caps.csv").is_file()
 
+    def test_out_of_range_alpha_override_exits_2(self, toy_cfg, tmp_path, capsys):
+        assert main(["optimize", str(toy_cfg), "--alpha", "120", "--out", str(tmp_path / "o")]) == 2
+        assert "--alpha" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["synthesize", str(tmp_path / "none.cfg")]) == 2
         assert "does not exist" in capsys.readouterr().err
@@ -252,3 +273,11 @@ class TestEntryPoints:
         run = _python("-c", "import sys, rislink.cli; print('scipy.optimize' in sys.modules)")
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "False"
+
+    def test_optimize_runs_without_scipy(self, tmp_path):
+        config = Path(__file__).resolve().parents[1] / "scenarios" / "board_7x2" / "scenario.cfg"
+        argv = ["optimize", str(config), "--out", str(tmp_path), "--seed", "7"]
+        code = f"import sys; from rislink.cli import main; print(main({argv!r}), 'scipy' in sys.modules)"
+        run = _python("-c", code)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "0 False"

@@ -24,6 +24,7 @@ from rislink import (
     power_transfer,
     reduce_loaded,
 )
+from rislink.loads import _nelder_mead
 
 F_CARRIER = 3.55e9
 BOUNDS = LoadBounds(0.23e-12, 2.1e-12)
@@ -257,6 +258,94 @@ class TestOptimize:
         full = ScatterMatrix.full_link(s, F_CARRIER, [1])
         with pytest.raises(UnoptimizableError, match="no Tx or Rx coupling"):
             optimize(full, BOUNDS)
+
+
+def _smooth_box_problem(rng, n):
+    """Random smooth non-convex function of n variables, a box [lo, hi] and starts in it."""
+    lo = rng.uniform(0.1, 1.0)
+    hi = lo + rng.uniform(0.5, 3.0)
+    centre = rng.uniform(lo - 0.5, hi + 0.5, n)
+    weight = rng.uniform(0.5, 2.0, n)
+    mix = 0.2 * rng.standard_normal((n, n))
+    freq = rng.uniform(1.0, 25.0, n)
+    ripple = rng.uniform(0.0, 5.0)
+
+    def fun(x):
+        d = x - centre
+        return float(d @ (weight * d) + (d @ mix) @ d + ripple * np.sin(freq * x).sum())
+
+    interior = rng.uniform(lo, hi, n)
+    at_upper = np.where(rng.random(n) < 0.5, hi, interior)
+    return fun, lo, hi, (interior, at_upper, np.full(n, hi))
+
+
+class _Logged:
+    """Objective wrapper that records every point it is evaluated at, and the value."""
+
+    def __init__(self, fun):
+        self.fun, self.points, self.values = fun, [], []
+
+    def __call__(self, x):
+        self.points.append(np.array(x, copy=True))
+        self.values.append(self.fun(x))
+        return self.values[-1]
+
+
+def _cut_budgets(values, iteration_ends, n):
+    """Budgets that run out inside the first expansion and inside the first shrink.
+
+    An iteration of 2 evaluations whose first point beats every earlier value is an
+    expansion; one of n + 2 evaluations is a contraction followed by a shrink.
+    """
+    expansion, shrink = [], []
+    before = n + 1
+    for end in iteration_ends:
+        if not expansion and end - before == 2 and values[before] < min(values[:before]):
+            expansion = [before + 1]
+        elif not shrink and end - before == n + 2:
+            shrink = [before + 2, before + 2 + n // 2]
+        before = end
+    return expansion, shrink
+
+
+class TestNelderMead:
+    def test_replays_scipy_bit_for_bit(self):
+        """Same points, values and result as scipy's bounded Nelder-Mead, including cut-off runs."""
+        from scipy.optimize import Bounds, minimize
+
+        rng = np.random.default_rng(1965)
+        seen = {"tolerance stop": 0, "reflected start": 0, "cut in expansion": 0, "cut in shrink": 0}
+        for n in range(1, 9):
+            fun, lo, hi, starts = _smooth_box_problem(rng, n)
+            for x0 in starts:
+                for xatol, fatol in ((1e-8, 1e-10), (1e-3, 1e-4)):
+
+                    def reference(f, maxfev, callback=None):
+                        return minimize(
+                            f, x0, method="Nelder-Mead", bounds=Bounds(lo, hi),
+                            options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol},
+                            callback=callback,
+                        )
+
+                    full, ends = _Logged(fun), []
+                    reference(full, 2000, lambda intermediate_result: ends.append(len(full.points)))
+                    seen["tolerance stop"] += len(full.points) < 2000
+                    expansion, shrink = _cut_budgets(full.values, ends, n)
+                    seen["reflected start"] += bool((x0 == hi).any())
+                    seen["cut in expansion"] += bool(expansion)
+                    seen["cut in shrink"] += bool(shrink)
+
+                    for maxfev in (n, 2000, *expansion, *shrink):
+                        want, got = _Logged(fun), _Logged(fun)
+                        result = reference(want, maxfev)
+                        x, fx = _nelder_mead(got, x0, lo, hi, maxfev, xatol, fatol)
+                        assert len(got.points) == len(want.points), (n, maxfev)
+                        for p, q in zip(got.points, want.points):
+                            assert np.array_equal(p, q), (n, maxfev)
+                            assert ((lo <= p) & (p <= hi)).all()
+                        assert got.values == want.values
+                        assert np.array_equal(x, result.x) and fx == result.fun
+        assert all(seen.values()), seen
 
 
 class TestLoadTypes:
