@@ -191,13 +191,12 @@ def _read_caps_csv(path: Path, cfg: ScenarioConfig) -> LoadVector:
     missing = [m for m in numbers if m not in caps_by_m]
     if missing:
         raise InputError(f"{path}: missing capacitances for elements {missing}")
-    caps = LoadVector.of(caps_by_m[m] for m in numbers)
-    for m, c in zip(numbers, caps.caps_f):
-        if not cfg.bounds.contains(c):
+    for m in numbers:
+        if not cfg.bounds.contains(caps_by_m[m]):
             raise InputError(
-                f"{path}: element {m} capacitance {c * 1e12:.6g} pF outside configured bounds"
+                f"{path}: element {m} capacitance {caps_by_m[m] * 1e12:.6g} pF outside configured bounds"
             )
-    return caps
+    return LoadVector.of(caps_by_m[m] for m in numbers)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

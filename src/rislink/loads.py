@@ -3,11 +3,10 @@
 Each RIS port is terminated by a series R-L-C load whose capacitance is the
 tuning variable. ``cap_to_gamma`` maps a capacitance to its reflection
 coefficient; ``optimize`` searches the box-bounded capacitance space for
-maximum Tx -> Rx power transfer with a deterministic multi-start simplex
-search plus optional coordinate-wise golden-section polish. The simplex
-search is ``_nelder_mead``, a clipped Nelder-Mead (Nelder & Mead 1965) that
-evaluates the same points as SciPy's bounded Nelder-Mead; the package needs
-numpy only.
+maximum Tx -> Rx power transfer by deterministic multi-start coordinate
+ascent. With every other load held, the link is a Moebius function of one
+load, so each coordinate step maximizes its capacitance exactly in closed
+form (``_coordinate_max``); the package needs numpy only.
 """
 
 from __future__ import annotations
@@ -19,12 +18,10 @@ import numpy as np
 
 from .errors import UnoptimizableError
 from .farfield import Scenario, _distance
-from .network import ReflectionVector, ScatterMatrix
+from .network import LinkKernel, ReflectionVector, ScatterMatrix
 
-_SIMPLEX_XATOL = 1e-8
-_SIMPLEX_FATOL = 1e-10
-_POLISH_PASSES = 2
-_POLISH_TOL_PF = 1e-7
+#: A start ends after a pass over every element that raises its best by no more than this, relatively.
+_PASS_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -207,7 +204,6 @@ class OptimizerOptions:
     starts: int = 8
     max_evals: int = 2000
     seed: int = 0
-    polish: bool = True
     initial: LoadVector | None = None
 
     def __post_init__(self):
@@ -235,113 +231,48 @@ class OptimizeResult:
     trace: tuple[StartTrace, ...] = field(repr=False)
 
 
-class _BudgetSpent(Exception):
-    """The evaluation budget of ``_nelder_mead`` ran out."""
+def _real_roots(a: float, b: float, c: float) -> tuple[float, ...]:
+    """Real roots of a*x**2 + b*x + c, without cancellation between -b and the square root."""
+    if a == 0.0:
+        return (-c / b,) if b != 0.0 else ()
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return ()
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return (q / a, c / q) if q != 0.0 else (0.0,)
 
 
-def _nelder_mead(fun, x0, lo, hi, maxfev, xatol, fatol) -> tuple[np.ndarray, float]:
-    """Minimize ``fun`` over the box [lo, hi] with the clipped Nelder-Mead simplex.
+def _coordinate_max(
+    kernel: LinkKernel, gam: np.ndarray, k: int, bounds: LoadBounds, model: VaractorModel
+) -> float:
+    """Capacitance of element k, in farads, that maximizes the transfer with every other load held.
 
-    The steps, coefficients (reflect 1, expand 2, contract 1/2, shrink 1/2),
-    clipping, sorting and stop test are SciPy's bounded Nelder-Mead
-    (``minimize(method="Nelder-Mead", bounds=..., options={"maxfev",
-    "xatol", "fatol"})``), spelled the same way so that the evaluated points
-    are bit-identical, which the test suite checks: the initial simplex
-    scales one coordinate of x0 by 1.05 per vertex and reflects vertices
-    above ``hi`` back inside; an iteration that reaches ``maxfev`` stops
-    where it is and the simplex is re-sorted; the search stops once every
-    vertex lies within ``xatol`` and every value within ``fatol`` of the
-    best. Requires lo > 0. Every point passed to ``fun`` lies inside the
-    box. Returns the best vertex and its value.
+    S_RxTx = A + B*g/(1 - C*g) (``LinkKernel.coordinate``), and with
+    z = R_s + jX the load's g = (z - z0)/(z + z0), so S = (p0 + p1*X)/(q0 + q1*X)
+    and |S|^2 = N(X)/D(X) is a ratio of real quadratics in the reactance X.
+    Its maximum over [X(c_min), X(c_max)] lies at an endpoint or at a real
+    root of the derivative's numerator, a quadratic; X increases with C, so
+    C = 1/(w*(w*L_s - X)).
     """
-    nfev = 0
+    a, b, c = kernel.coordinate(gam, k)
+    w = 2.0 * math.pi * kernel.freq_hz
+    wl, rs, z0 = w * model.series_inductance_h, model.series_resistance_ohm, kernel.z0_ohm
+    p0, p1 = a * (rs + z0) + (b - a * c) * (rs - z0), 1j * (a + b - a * c)
+    q0, q1 = (rs + z0) - c * (rs - z0), 1j * (1.0 - c)
+    n0, n1, n2 = abs(p0) ** 2, 2.0 * (p0 * p1.conjugate()).real, abs(p1) ** 2
+    d0, d1, d2 = abs(q0) ** 2, 2.0 * (q0 * q1.conjugate()).real, abs(q1) ** 2
 
-    def f(x: np.ndarray) -> float:
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _BudgetSpent
-        nfev += 1
-        return fun(x)
+    def reactance(c_f: float) -> float:
+        return wl - 1.0 / (w * c_f)
 
-    x0 = np.clip(x0, lo, hi)
-    n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        sim[k + 1] = x0
-        sim[k + 1, k] = (1 + 0.05) * x0[k]
-    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
-    fsim = np.full(n + 1, np.inf)
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _BudgetSpent:
-        pass
-    # Sorted twice, as the reference does: argsort need not be stable on ties.
-    for _ in range(2):
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
+    def power(c_f: float) -> float:
+        x = reactance(c_f)
+        return (n0 + x * (n1 + x * n2)) / (d0 + x * (d1 + x * d2))
 
-    while nfev < maxfev:
-        try:
-            if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = np.clip(2 * xbar - sim[-1], lo, hi)
-            fxr = f(xr)
-            shrink = False
-            if fxr < fsim[0]:
-                xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-1]:
-                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
-                fxc = f(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    shrink = True
-            else:
-                xcc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
-                fxcc = f(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    shrink = True
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
-                    fsim[j] = f(sim[j])
-        except _BudgetSpent:
-            pass
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return sim[0], float(fsim[0])
-
-
-def _golden_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns the best point seen."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-        x, f = (c, fc) if fc >= fd else (d, fd)
-        if f > best_f:
-            best_x, best_f = x, f
-    return best_x, best_f
+    x_lo, x_hi = reactance(bounds.c_min_f), reactance(bounds.c_max_f)
+    roots = _real_roots(n2 * d1 - n1 * d2, 2.0 * (n2 * d0 - n0 * d2), n1 * d0 - n0 * d1)
+    inside = [bounds.clip(1.0 / (w * (wl - x))) for x in roots if x_lo < x < x_hi]
+    return max((bounds.c_min_f, bounds.c_max_f, *inside), key=power)
 
 
 def optimize(
@@ -352,18 +283,20 @@ def optimize(
 ) -> OptimizeResult:
     """Search the bounded capacitance space for maximum power transfer.
 
-    Multi-start clipped Nelder-Mead, ``_nelder_mead`` (the caller may supply
-    a physics-informed first start via ``opts.initial``, remaining starts are
-    seeded-random), then optional coordinate-wise golden-section polish. The
-    starts run one after another; the best start wins, exact objective ties
-    break to the lowest start index, so results are reproducible bit-for-bit
-    for a fixed seed.
+    Multi-start exact coordinate ascent: the caller may supply a
+    physics-informed first start via ``opts.initial``, the remaining starts
+    are seeded-random. Each step sets one element's capacitance to the exact
+    maximum of the transfer over that coordinate (``_coordinate_max``) and
+    keeps it unless the evaluated transfer falls below the best so far.
+    Passes run over the elements in port order until a pass raises the
+    best by no more than ``_PASS_RTOL`` relatively, or the start has
+    recorded ``opts.max_evals`` evaluations (its first point and one per
+    step). The best start wins, exact objective ties break to the lowest
+    start index, so results are reproducible bit-for-bit for a fixed seed.
 
     Inputs are checked once here; every evaluation then runs the matrix's
-    ``LinkKernel`` on a capacitance array that lies inside the bounds (the
-    simplex clips every point, golden-section points stay inside), with no
-    per-call validation (the bounds and the varactor model already guarantee
-    positive, in-range capacitances and passive loads).
+    ``LinkKernel`` on capacitances inside the bounds, with no per-call
+    validation, and every solve keeps the kernel's conditioning check.
 
     Raises
     ------
@@ -384,10 +317,6 @@ def optimize(
         raise UnoptimizableError("unoptimizable: no Tx or Rx coupling to the RIS ports")
 
     lo_pf, hi_pf = bounds.c_min_f * 1e12, bounds.c_max_f * 1e12
-
-    def eval_pf(u: np.ndarray) -> float:
-        return kernel.transfer(u * 1e-12, model)
-
     rng = np.random.default_rng(opts.seed)
     if opts.initial is not None:
         first = np.array([bounds.clip(c) * 1e12 for c in opts.initial.caps_f])
@@ -397,41 +326,33 @@ def optimize(
         first = np.full(n, 0.5 * (lo_pf + hi_pf))
     start_points = [first] + [rng.uniform(lo_pf, hi_pf, n) for _ in range(opts.starts - 1)]
 
-    def run_start(index: int, x0: np.ndarray) -> tuple[StartTrace, np.ndarray]:
-        history: list[float] = []
-        best = {"f": -math.inf, "x": x0.copy()}
-
-        def recorded(u: np.ndarray) -> float:
-            value = eval_pf(u)
-            if value > best["f"]:
-                best["f"] = value
-                best["x"] = u.copy()
-            history.append(best["f"])
-            return value
-
-        _nelder_mead(lambda u: -recorded(u), x0, lo_pf, hi_pf, opts.max_evals, _SIMPLEX_XATOL, _SIMPLEX_FATOL)
-
-        if opts.polish:
-            for _ in range(_POLISH_PASSES):
-                for k in range(n):
-                    x = best["x"].copy()
-
-                    def line(value: float, k=k, x=x) -> float:
-                        x[k] = value
-                        return recorded(x)
-
-                    _golden_max(line, lo_pf, hi_pf, _POLISH_TOL_PF)
-
-        trace = StartTrace(index, tuple(x0), len(history), best["f"], tuple(history))
-        return trace, best["x"]
+    def run_start(index: int, x0_pf: np.ndarray) -> tuple[StartTrace, np.ndarray]:
+        # The clip undoes an ulp that the pF -> F conversion can put outside the bounds.
+        caps = np.clip(x0_pf * 1e-12, bounds.c_min_f, bounds.c_max_f)
+        gam = kernel.gammas(caps, model)
+        best = kernel.transfer(caps, model)
+        history = [best]
+        while len(history) < opts.max_evals:
+            before = best
+            for k in range(n):
+                if len(history) == opts.max_evals:
+                    break
+                trial = caps.copy()
+                trial[k] = _coordinate_max(kernel, gam, k, bounds, model)
+                value = kernel.transfer(trial, model)
+                if value >= best:
+                    best, caps = value, trial
+                    gam[k] = kernel.gammas(trial[k : k + 1], model)[0]
+                history.append(best)
+            if best - before <= _PASS_RTOL * before:
+                break
+        return StartTrace(index, tuple(x0_pf), len(history), best, tuple(history)), caps
 
     outcomes = [run_start(index, x0) for index, x0 in enumerate(start_points)]
 
-    best_trace, best_x = outcomes[0]
-    for trace, x in outcomes[1:]:
+    best_trace, best_caps = outcomes[0]
+    for trace, caps in outcomes[1:]:
         if trace.best_objective > best_trace.best_objective:
-            best_trace, best_x = trace, x
+            best_trace, best_caps = trace, caps
 
-    caps = LoadVector.of(best_x * 1e-12)
-    return OptimizeResult(caps, best_trace.best_objective, tuple(t for t, _ in outcomes))
-
+    return OptimizeResult(LoadVector.of(best_caps), best_trace.best_objective, tuple(t for t, _ in outcomes))

@@ -238,6 +238,20 @@ class LinkKernel:
         """Gamma*(I - S_ii*Gamma)^-1*t for the Tx column t; S_RxTx = S_ee[1, 0] + r @ this for Rx row r."""
         return gam * np.linalg.solve(self._system(gam), self.s_ie[:, 0])
 
+    def coordinate(self, gam: np.ndarray, k: int) -> tuple[complex, complex, complex]:
+        """(A, B, C) with S_RxTx = A + B*g/(1 - C*g) when load k is g and every other load is ``gam``.
+
+        With load k matched, u and v solve (I - S_ii*Gamma) against the Tx
+        column t and S_ii[:, k]; Sherman-Morrison on the rank-one change of
+        load k gives A = S_ee[1, 0] + r*Gamma*u, B = (r_k + r*Gamma*v)*u_k and
+        C = v_k for the Rx row r. One factorization serves both right-hand sides.
+        """
+        held = gam.copy()
+        held[k] = 0.0
+        u, v = np.linalg.solve(self._system(held), np.column_stack((self.s_ie[:, 0], self.s_ii[:, k]))).T
+        row = self.s_ei[1]
+        return self.s_ee[1, 0] + row @ (held * u), (row[k] + row @ (held * v)) * u[k], v[k]
+
     def transfer(self, caps_f: np.ndarray, model: VaractorModel) -> float:
         """|S_RxTx|^2 under the given load capacitances (farads)."""
         return float(abs(self.reduce(self.gammas(caps_f, model))[1, 0]) ** 2)

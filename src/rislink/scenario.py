@@ -45,7 +45,6 @@ Every dimensioned value carries an explicit unit suffix; blank lines and
     opt.starts = 8               optimizer settings
     opt.max_evals = 2000
     opt.seed = 0
-    opt.polish = on
     out.dir = out                output directory
 """
 
@@ -240,15 +239,6 @@ def _integer(key: str, text: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
 
 
-def _flag(key: str, text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("on", "true", "yes", "1"):
-        return True
-    if lowered in ("off", "false", "no", "0"):
-        return False
-    raise ConfigError(f"{key}: expected on/off, got {text!r}")
-
-
 def _build(keys: str, make, **fields):
     """``make(**fields)``, with a ValueError from its validation raised as a ConfigError naming ``keys``."""
     try:
@@ -405,7 +395,6 @@ def load_scenario(config_text: str, base_dir: str | Path | None = None) -> Scena
         starts=_integer("opt.starts", kv.take("opt.starts") or "8"),
         max_evals=_integer("opt.max_evals", kv.take("opt.max_evals") or "2000"),
         seed=_integer("opt.seed", kv.take("opt.seed") or "0"),
-        polish=_flag("opt.polish", kv.take("opt.polish") or "on"),
     )
 
     out_dir = Path(kv.take("out.dir") or ".")

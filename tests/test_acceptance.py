@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import brute_force_reduce, random_full_link, random_reciprocal_passive
+from conftest import brute_force_reduce, grid_transfer, random_full_link, random_reciprocal_passive
 from rislink import (
     ElementGeometry,
     ElementPattern,
@@ -171,7 +171,7 @@ def test_criterion_5_optimizer_matches_exhaustive_grids():
     with criterion(5, "optimizer vs exhaustive capacitance grids", budget_s=60.0):
         full1 = link_n1()
         grid = np.linspace(BOUNDS.c_min_f, BOUNDS.c_max_f, 100_000)
-        grid_best_1 = max(objective(full1, LoadVector.of([c]), BOUNDS) for c in grid)
+        grid_best_1 = grid_transfer(full1, grid[:, np.newaxis]).max()
         result_1 = optimize(full1, BOUNDS)
         assert grid_best_1 - result_1.objective <= 1e-6, (
             f"N=1 gap {grid_best_1 - result_1.objective:.2e}"
@@ -179,10 +179,8 @@ def test_criterion_5_optimizer_matches_exhaustive_grids():
 
         full2 = link_n2()
         axis = np.linspace(BOUNDS.c_min_f, BOUNDS.c_max_f, 300)
-        grid_best_2 = -1.0
-        for c1 in axis:
-            for c2 in axis:
-                grid_best_2 = max(grid_best_2, objective(full2, LoadVector.of([c1, c2]), BOUNDS))
+        c1, c2 = np.meshgrid(axis, axis, indexing="ij")
+        grid_best_2 = grid_transfer(full2, np.column_stack((c1.ravel(), c2.ravel()))).max()
         result_2 = optimize(full2, BOUNDS)
         assert grid_best_2 - result_2.objective <= 1e-6, (
             f"N=2 gap {grid_best_2 - result_2.objective:.2e}"

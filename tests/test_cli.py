@@ -7,10 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import grid_transfer
 from rislink import (
-    LoadVector,
     __version__,
-    objective,
     read_scenario,
     read_touchstone,
 )
@@ -121,12 +120,10 @@ class TestOptimize:
         ris = _build_ris(cfg)
         full = assemble_full_matrix(cfg.scenario, ris, _build_patterns(cfg, ris))
         axis = np.linspace(cfg.bounds.c_min_f, cfg.bounds.c_max_f, 300)
-        best, best_caps = -1.0, None
-        for c1 in axis:
-            for c2 in axis:
-                v = objective(full, LoadVector.of([c1, c2]), cfg.bounds)
-                if v > best:
-                    best, best_caps = v, (c1, c2)
+        c1, c2 = np.meshgrid(axis, axis, indexing="ij")
+        grid = np.column_stack((c1.ravel(), c2.ravel()))
+        values = grid_transfer(full, grid, cfg.varactor)
+        best, best_caps = values.max(), grid[np.argmax(values)]
         assert abs(caps[1] * 1e-12 - best_caps[0]) <= 0.005e-12
         assert abs(caps[2] * 1e-12 - best_caps[1]) <= 0.005e-12
 
@@ -210,11 +207,13 @@ class TestSweep:
         cfg_path.write_text(text)
         assert main(["sweep", str(cfg_path)]) == 2
 
-    def test_caps_out_of_bounds_exit_2(self, toy_cfg, tmp_path, capsys):
+    @pytest.mark.parametrize("c_pf", ["5.0", "nan", "inf", "0", "-1"])
+    def test_caps_out_of_bounds_exit_2(self, toy_cfg, tmp_path, capsys, c_pf):
         caps = tmp_path / "caps.csv"
-        caps.write_text("m,c_pf,gamma_re,gamma_im\n1,5.0,0,0\n2,1.0,0,0\n")
+        caps.write_text(f"m,c_pf,gamma_re,gamma_im\n1,{c_pf},0,0\n2,1.0,0,0\n")
         assert main(["sweep", str(toy_cfg), str(caps), "--out", str(tmp_path / "o")]) == 2
-        assert "outside" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "element 1" in err and "outside" in err
 
     def test_caps_missing_element_exit_2(self, toy_cfg, tmp_path):
         caps = tmp_path / "caps.csv"

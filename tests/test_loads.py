@@ -1,9 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_passive
+from conftest import grid_transfer, random_full_link, random_passive
 from rislink import (
     ElementGeometry,
     LoadBounds,
@@ -15,6 +16,7 @@ from rislink import (
     SPEED_OF_LIGHT,
     UnoptimizableError,
     VaractorModel,
+    assemble_full_matrix,
     cap_to_gamma,
     load_gammas,
     objective,
@@ -22,12 +24,16 @@ from rislink import (
     optimize,
     phase_gradient_seed,
     power_transfer,
+    read_scenario,
     reduce_loaded,
 )
-from rislink.loads import _nelder_mead
+from rislink import loads
+from rislink.cli import _build_patterns, _build_ris
 
+REPO = Path(__file__).resolve().parents[1]
 F_CARRIER = 3.55e9
 BOUNDS = LoadBounds(0.23e-12, 2.1e-12)
+MODELS = (VaractorModel(), VaractorModel(2.0, 0.5e-9))
 
 
 def link_n1():
@@ -196,8 +202,7 @@ class TestOptimize:
     def test_n1_matches_exhaustive_grid(self):
         full = link_n1()
         grid = np.linspace(BOUNDS.c_min_f, BOUNDS.c_max_f, 100_000)
-        values = [objective(full, LoadVector.of([c]), BOUNDS) for c in grid]
-        grid_best = max(values)
+        grid_best = grid_transfer(full, grid[:, np.newaxis]).max()
         result = optimize(full, BOUNDS)
         assert grid_best - result.objective <= 1e-8
 
@@ -212,10 +217,8 @@ class TestOptimize:
     def test_n2_matches_exhaustive_grid(self):
         full = link_n2()
         axis = np.linspace(BOUNDS.c_min_f, BOUNDS.c_max_f, 300)
-        grid_best = -1.0
-        for c1 in axis:
-            for c2 in axis:
-                grid_best = max(grid_best, objective(full, LoadVector.of([c1, c2]), BOUNDS))
+        c1, c2 = np.meshgrid(axis, axis, indexing="ij")
+        grid_best = grid_transfer(full, np.column_stack((c1.ravel(), c2.ravel()))).max()
         result = optimize(full, BOUNDS)
         assert grid_best - result.objective <= 1e-6
 
@@ -260,92 +263,69 @@ class TestOptimize:
             optimize(full, BOUNDS)
 
 
-def _smooth_box_problem(rng, n):
-    """Random smooth non-convex function of n variables, a box [lo, hi] and starts in it."""
-    lo = rng.uniform(0.1, 1.0)
-    hi = lo + rng.uniform(0.5, 3.0)
-    centre = rng.uniform(lo - 0.5, hi + 0.5, n)
-    weight = rng.uniform(0.5, 2.0, n)
-    mix = 0.2 * rng.standard_normal((n, n))
-    freq = rng.uniform(1.0, 25.0, n)
-    ripple = rng.uniform(0.0, 5.0)
+class TestCoordinateAscent:
+    def test_grid_oracle_matches_objective(self, rng):
+        for case in range(40):
+            n = 1 + case % 8
+            full = random_full_link(rng, n)
+            model = MODELS[case % 2]
+            caps = rng.uniform(BOUNDS.c_min_f, BOUNDS.c_max_f, (5, n))
+            for row, value in zip(caps, grid_transfer(full, caps, model)):
+                assert value == pytest.approx(objective(full, LoadVector.of(row), BOUNDS, model), rel=1e-12)
 
-    def fun(x):
-        d = x - centre
-        return float(d @ (weight * d) + (d @ mix) @ d + ripple * np.sin(freq * x).sum())
+    def test_coordinate_maximum_beats_dense_grid(self, rng):
+        grid = np.linspace(BOUNDS.c_min_f, BOUNDS.c_max_f, 20_001)
+        for case in range(32):
+            n = 1 + case % 8
+            full = random_full_link(rng, n)
+            model = MODELS[case // 8 % 2]
+            caps = rng.uniform(BOUNDS.c_min_f, BOUNDS.c_max_f, n)
+            k = int(rng.integers(n))
+            stepped = caps.copy()
+            stepped[k] = loads._coordinate_max(full.kernel, full.kernel.gammas(caps, model), k, BOUNDS, model)
+            assert BOUNDS.c_min_f <= stepped[k] <= BOUNDS.c_max_f
+            rows = np.repeat(caps[np.newaxis], grid.size, axis=0)
+            rows[:, k] = grid
+            grid_best = grid_transfer(full, rows, model).max()
+            assert objective(full, LoadVector.of(stepped), BOUNDS, model) >= grid_best * (1 - 1e-12), case
 
-    interior = rng.uniform(lo, hi, n)
-    at_upper = np.where(rng.random(n) < 0.5, hi, interior)
-    return fun, lo, hi, (interior, at_upper, np.full(n, hi))
+    def test_objective_is_bitwise_objective_of_caps(self, rng):
+        for seed, model in enumerate(MODELS):
+            for full in (link_n2(), random_full_link(rng, 6)):
+                result = optimize(full, BOUNDS, model, OptimizerOptions(starts=3, seed=seed))
+                assert result.objective == objective(full, result.caps, BOUNDS, model)
 
+    def test_step_that_lowers_the_best_is_not_taken(self, monkeypatch):
+        full = link_n2()
+        optimum = optimize(full, BOUNDS)
+        assert all(BOUNDS.c_min_f < c < BOUNDS.c_max_f for c in optimum.caps.caps_f)
+        monkeypatch.setattr(loads, "_coordinate_max", lambda *args: BOUNDS.c_min_f)
+        again = optimize(full, BOUNDS, opts=OptimizerOptions(starts=1, initial=optimum.caps))
+        trace = again.trace[0]
+        assert trace.best_history == (trace.best_history[0],) * 3
+        assert again.objective == pytest.approx(optimum.objective, rel=1e-12)
+        assert again.caps.caps_f == pytest.approx(optimum.caps.caps_f, rel=1e-12)
 
-class _Logged:
-    """Objective wrapper that records every point it is evaluated at, and the value."""
+    def test_max_evals_caps_every_start(self, rng):
+        opts = OptimizerOptions(starts=4, max_evals=10, seed=1)
+        result = optimize(random_full_link(rng, 8), BOUNDS, opts=opts)
+        for trace in result.trace:
+            history = trace.best_history
+            assert trace.n_evals == len(history) <= 10
+            assert all(a <= b for a, b in zip(history, history[1:]))
+        assert any(trace.n_evals == 10 for trace in result.trace)
 
-    def __init__(self, fun):
-        self.fun, self.points, self.values = fun, [], []
+    # Best objectives of the earlier Nelder-Mead and golden-section search on the same inputs.
+    BOARD_PREVIOUS = {7: 1.5730685693420016e-05, 3: 1.5730737174230794e-05}
 
-    def __call__(self, x):
-        self.points.append(np.array(x, copy=True))
-        self.values.append(self.fun(x))
-        return self.values[-1]
-
-
-def _cut_budgets(values, iteration_ends, n):
-    """Budgets that run out inside the first expansion and inside the first shrink.
-
-    An iteration of 2 evaluations whose first point beats every earlier value is an
-    expansion; one of n + 2 evaluations is a contraction followed by a shrink.
-    """
-    expansion, shrink = [], []
-    before = n + 1
-    for end in iteration_ends:
-        if not expansion and end - before == 2 and values[before] < min(values[:before]):
-            expansion = [before + 1]
-        elif not shrink and end - before == n + 2:
-            shrink = [before + 2, before + 2 + n // 2]
-        before = end
-    return expansion, shrink
-
-
-class TestNelderMead:
-    def test_replays_scipy_bit_for_bit(self):
-        """Same points, values and result as scipy's bounded Nelder-Mead, including cut-off runs."""
-        from scipy.optimize import Bounds, minimize
-
-        rng = np.random.default_rng(1965)
-        seen = {"tolerance stop": 0, "reflected start": 0, "cut in expansion": 0, "cut in shrink": 0}
-        for n in range(1, 9):
-            fun, lo, hi, starts = _smooth_box_problem(rng, n)
-            for x0 in starts:
-                for xatol, fatol in ((1e-8, 1e-10), (1e-3, 1e-4)):
-
-                    def reference(f, maxfev, callback=None):
-                        return minimize(
-                            f, x0, method="Nelder-Mead", bounds=Bounds(lo, hi),
-                            options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol},
-                            callback=callback,
-                        )
-
-                    full, ends = _Logged(fun), []
-                    reference(full, 2000, lambda intermediate_result: ends.append(len(full.points)))
-                    seen["tolerance stop"] += len(full.points) < 2000
-                    expansion, shrink = _cut_budgets(full.values, ends, n)
-                    seen["reflected start"] += bool((x0 == hi).any())
-                    seen["cut in expansion"] += bool(expansion)
-                    seen["cut in shrink"] += bool(shrink)
-
-                    for maxfev in (n, 2000, *expansion, *shrink):
-                        want, got = _Logged(fun), _Logged(fun)
-                        result = reference(want, maxfev)
-                        x, fx = _nelder_mead(got, x0, lo, hi, maxfev, xatol, fatol)
-                        assert len(got.points) == len(want.points), (n, maxfev)
-                        for p, q in zip(got.points, want.points):
-                            assert np.array_equal(p, q), (n, maxfev)
-                            assert ((lo <= p) & (p <= hi)).all()
-                        assert got.values == want.values
-                        assert np.array_equal(x, result.x) and fx == result.fun
-        assert all(seen.values()), seen
+    @pytest.mark.parametrize("seed", BOARD_PREVIOUS)
+    def test_board_not_below_previous_optimizer(self, seed):
+        cfg = read_scenario(REPO / "scenarios" / "board_7x2" / "scenario.cfg")
+        ris = _build_ris(cfg)
+        full = assemble_full_matrix(cfg.scenario, ris, _build_patterns(cfg, ris))
+        initial = phase_gradient_seed(cfg.scenario, cfg.bounds, cfg.varactor)
+        opts = OptimizerOptions(cfg.optimizer.starts, cfg.optimizer.max_evals, seed, initial)
+        assert optimize(full, cfg.bounds, cfg.varactor, opts).objective >= self.BOARD_PREVIOUS[seed]
 
 
 class TestLoadTypes:

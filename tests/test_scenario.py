@@ -141,6 +141,8 @@ class TestConfigErrors:
             self.project(tmp_path, lambda t: t + "typo.key = 1\n")
         with pytest.raises(ConfigError, match="unknown configuration keys"):
             self.project(tmp_path, lambda t: t + "opt.gradient_refine = on\n")
+        with pytest.raises(ConfigError, match="unknown configuration keys"):
+            self.project(tmp_path, lambda t: t + "opt.polish = on\n")
 
     def test_duplicate_key(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate key"):
