@@ -24,7 +24,7 @@ from .farfield import (
     FarFieldValidityWarning,
     Scenario,
     assemble_full_matrix,
-    coupling_row,
+    coupling_rows,
     farfield_limit_distance,
 )
 from .loads import IDEAL_VARACTOR, LoadVector, VaractorModel
@@ -116,8 +116,8 @@ def sweep_rx_angle(
     row r(alpha) of the full matrix changes:
     S_RxTx(alpha) = S_RxTx + r(alpha) @ Gamma*(I - S_ii*Gamma)^-1 * t.
     The full matrix is assembled once, at the first angle, and its kernel
-    (``full.kernel``) solves for the loaded-port waves once; each angle is
-    then one coupling row and one dot product.
+    (``full.kernel``) solves for the loaded-port waves once; the coupling
+    rows of every angle then come from one call, each row dotted with them.
     """
     alphas = np.asarray(alphas_rad, dtype=float)
     if alphas.size == 0:
@@ -142,11 +142,9 @@ def sweep_rx_angle(
         raise ValueError(f"{len(caps)} loads for {kernel.n_ris} RIS ports")
     wave = kernel.tx_wave(kernel.gammas(caps.as_array, model))
 
-    sigma = []
-    for alpha in alphas:
-        r = coupling_row(replace(scn, alpha_rad=float(alpha)), patterns, "rx")
-        s21 = kernel.s_ee[1, 0] + r @ wave
-        sigma.append(brcs_from_coupling(s21, scn.r_m, scn.r_m, scn.g_tx_lin, scn.g_rx_lin, lam))
+    # One dot per row: a matrix-vector product sums in another order and moves sigma in its last bits.
+    s21 = kernel.s_ee[1, 0] + np.array([r @ wave for r in coupling_rows(scn, patterns, "rx", alphas)])
+    sigma = [brcs_from_coupling(s, scn.r_m, scn.r_m, scn.g_tx_lin, scn.g_rx_lin, lam) for s in s21.tolist()]
     fingerprint = (
         ("beta_deg", f"{math.degrees(scn.beta_rad):.6g}"),
         ("r_m", f"{scn.r_m:.6g}"),

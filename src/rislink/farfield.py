@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Sequence, Union
 
 import numpy as np
@@ -95,14 +95,17 @@ class ElementPattern:
     def coverage_rad(self) -> tuple[float, float]:
         return float(self.azimuth_rad[0]), float(self.azimuth_rad[-1])
 
-    def gain(self, azimuth_rad: float) -> float:
+    def gain(self, azimuth_rad: float | np.ndarray) -> float | np.ndarray:
+        az = np.asarray(azimuth_rad)
         lo, hi = self.coverage_rad
-        if azimuth_rad < lo - 1e-12 or azimuth_rad > hi + 1e-12:
+        outside = (az < lo - 1e-12) | (az > hi + 1e-12)
+        if outside.any():
             raise PatternCoverageError(
-                f"element {self.index_m}: azimuth {math.degrees(azimuth_rad):.3f} deg outside "
+                f"element {self.index_m}: azimuth {math.degrees(az[outside].flat[0]):.3f} deg outside "
                 f"sampled range [{math.degrees(lo):.3f}, {math.degrees(hi):.3f}] deg"
             )
-        return float(np.interp(azimuth_rad, self.azimuth_rad, self.gain_lin))
+        # Interpolation rounding can dip a hair below a null; gains are never negative.
+        return np.maximum(np.interp(az, self.azimuth_rad, self.gain_lin), 0.0)
 
 
 @dataclass(frozen=True)
@@ -149,84 +152,76 @@ class Scenario:
         raise KeyError(f"scenario has no element {m}")
 
 
-def _side_angle(scn: Scenario, side: Side) -> float:
-    if side == "tx":
-        return scn.beta_rad
-    if side == "rx":
-        return -scn.alpha_rad
-    raise ValueError(f"side must be 'tx' or 'rx', got {side!r}")
+def element_paths(
+    scn: Scenario, side: Side, angles_rad: Sequence[float] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distances d (m) and azimuths gamma (rad) from the side's antenna to each element.
 
-
-def _side_gain(scn: Scenario, side: Side) -> float:
-    return scn.g_tx_lin if side == "tx" else scn.g_rx_lin
+    ``angles_rad`` are antenna angles (beta for Tx, alpha for Rx), by default
+    the scenario's own; both results are (angles x elements) arrays. With
+    angle = beta for Tx and -alpha for Rx, d = sqrt(R^2 + x_m^2 + z_m^2 -
+    2*x_m*R*sin(angle)) and sin(gamma) = (R*sin(angle) - x_m) / d, so as
+    R -> infinity gamma - angle = -(x_m/R)*cos(angle) + O((x_m/R)^2) for any
+    z_m. An element at the origin sees d = R and gamma = angle exactly.
+    ``math.asin`` per entry keeps every entry bit-identical to the scalar formula.
+    """
+    if side not in ("tx", "rx"):
+        raise ValueError(f"side must be 'tx' or 'rx', got {side!r}")
+    own = scn.beta_rad if side == "tx" else scn.alpha_rad
+    angles = np.atleast_1d(np.asarray(own if angles_rad is None else angles_rad, dtype=float))
+    angles = angles if side == "tx" else -angles
+    r = scn.r_m
+    x = np.array([e.x_m for e in scn.elements], dtype=float)
+    base = np.array([r**2 + e.x_m**2 + e.z_m**2 for e in scn.elements], dtype=float)
+    sin = np.sin(angles)[:, np.newaxis]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d = np.sqrt(base - 2.0 * x * r * sin)
+        arg = (r * sin - x) / d
+    bad = ~(np.abs(arg) <= 1.0 + _ASIN_SLACK)
+    if bad.any():
+        raise GeometryError(f"azimuth sine argument {float(arg[bad][0])!r} outside [-1, 1]")
+    gamma = np.array([math.asin(v) for v in np.clip(arg, -1.0, 1.0).ravel().tolist()]).reshape(arg.shape)
+    origin = np.array([e.x_m == 0.0 and e.z_m == 0.0 for e in scn.elements], dtype=bool)
+    d[:, origin] = r
+    gamma[:, origin] = angles[:, np.newaxis]
+    return d, gamma
 
 
 def distance_to_element(scn: Scenario, m: int, side: Side) -> float:
-    """Distance in meters from the side's antenna to element ``m``.
-
-    d = sqrt(R^2 + x_m^2 + z_m^2 - 2*x_m*R*sin(angle)) with angle = beta for
-    the Tx side and -alpha for the Rx side.
-    """
-    return _distance(scn, scn.element(m), side)
-
-
-def _distance(scn: Scenario, el: ElementGeometry, side: Side) -> float:
-    if el.x_m == 0.0 and el.z_m == 0.0:
-        return scn.r_m
-    angle = _side_angle(scn, side)
-    return math.sqrt(
-        scn.r_m**2 + el.x_m**2 + el.z_m**2 - 2.0 * el.x_m * scn.r_m * math.sin(angle)
-    )
-
-
-def _safe_asin(arg: float) -> float:
-    if abs(arg) > 1.0 + _ASIN_SLACK:
-        raise GeometryError(f"azimuth sine argument {arg!r} outside [-1, 1]")
-    return math.asin(min(1.0, max(-1.0, arg)))
+    """Distance in meters from the side's antenna to element ``m`` (see :func:`element_paths`)."""
+    return float(element_paths(replace(scn, elements=(scn.element(m),)), side)[0][0, 0])
 
 
 def azimuth_to_element(scn: Scenario, m: int, side: Side) -> float:
-    """Azimuth of the side's antenna as seen from element ``m``, in radians.
-
-    sin(gamma) = (R*sin(angle) - x_m) / d; in the R -> infinity limit this
-    collapses to the parallel-ray result gamma -> angle at the rate
-    gamma - angle = -(x_m/R)*cos(angle) + O((x_m/R)^2) for any z_m, which
-    enters only at second order.
-    """
-    el = scn.element(m)
-    return _azimuth(scn, el, side, _distance(scn, el, side))
-
-
-def _azimuth(scn: Scenario, el: ElementGeometry, side: Side, d: float) -> float:
-    """Azimuth formula for element ``el`` at its distance ``d`` from the side's antenna."""
-    angle = _side_angle(scn, side)
-    if el.x_m == 0.0 and el.z_m == 0.0:
-        return angle
-    return _safe_asin((scn.r_m * math.sin(angle) - el.x_m) / d)
+    """Azimuth in radians of the side's antenna seen from element ``m`` (see :func:`element_paths`)."""
+    return float(element_paths(replace(scn, elements=(scn.element(m),)), side)[1][0, 0])
 
 
 def coupling_coefficient(scn: Scenario, pat: ElementPattern, m: int, side: Side) -> complex:
     """Complex antenna-to-element coupling entry for the full-link matrix."""
-    return _coupling(scn, pat, scn.element(m), side)
+    return complex(coupling_rows(replace(scn, elements=(scn.element(m),)), [pat], side)[0, 0])
 
 
-def _coupling(scn: Scenario, pat: ElementPattern, el: ElementGeometry, side: Side) -> complex:
-    if pat.index_m != el.index_m:
-        raise PatternError(f"pattern for element {pat.index_m} passed for element {el.index_m}")
-    d = _distance(scn, el, side)
-    gamma = _azimuth(scn, el, side, d)
-    lam = scn.wavelength_m
-    mismatch = math.sqrt(max(0.0, 1.0 - abs(pat.s_mm) ** 2))
-    magnitude = mismatch * math.sqrt(_side_gain(scn, side) * pat.gain(gamma)) / (4.0 * math.pi * d / lam)
+def coupling_rows(
+    scn: Scenario, patterns: Sequence[ElementPattern], side: Side, angles_rad: Sequence[float] | None = None
+) -> np.ndarray:
+    """The side's full-link matrix rows, its coupling to each of ``scn.elements``, one per angle.
+
+    ``angles_rad`` are antenna angles as in :func:`element_paths`.
+    """
+    for pat, el in zip(patterns, scn.elements, strict=True):
+        if pat.index_m != el.index_m:
+            raise PatternError(f"pattern for element {pat.index_m} passed for element {el.index_m}")
+    d, gamma = element_paths(scn, side, angles_rad)
+    gain = np.empty_like(gamma)
+    for k, pat in enumerate(patterns):
+        gain[:, k] = pat.gain(gamma[:, k])
+    # Python abs per element: np.abs rounds some |s_mm| differently.
+    mismatch = np.array([math.sqrt(max(0.0, 1.0 - abs(p.s_mm) ** 2)) for p in patterns], dtype=float)
+    lam, gain_side = scn.wavelength_m, scn.g_tx_lin if side == "tx" else scn.g_rx_lin
+    magnitude = mismatch * np.sqrt(gain_side * gain) / (4.0 * math.pi * d / lam)
     phase = -2.0 * math.pi * d / lam
-    return magnitude * complex(math.cos(phase), math.sin(phase))
-
-
-def coupling_row(scn: Scenario, patterns: Sequence[ElementPattern], side: Side) -> np.ndarray:
-    """The side's row of the full-link matrix: its coupling to each of ``scn.elements``."""
-    return np.array(
-        [_coupling(scn, pat, el, side) for pat, el in zip(patterns, scn.elements)], dtype=complex
-    )
+    return magnitude * (np.cos(phase) + 1j * np.sin(phase))
 
 
 def farfield_limit_distance(scn: Scenario) -> float:
@@ -241,9 +236,7 @@ def farfield_limit_distance(scn: Scenario) -> float:
 
 def _warn_if_nearfield(scn: Scenario) -> None:
     limit = farfield_limit_distance(scn)
-    if limit <= 0.0 or not scn.elements:
-        return
-    d_min = min(_distance(scn, e, side) for e in scn.elements for side in ("tx", "rx"))
+    d_min = min(float(element_paths(scn, side)[0].min(initial=math.inf)) for side in ("tx", "rx"))
     if d_min < limit:
         warnings.warn(
             FarFieldValidityWarning(
@@ -265,7 +258,7 @@ def assemble_full_matrix(
 
     The Tx port comes first, the RIS block (copied verbatim from ``ris``)
     in the middle and the Rx port last. Tx-RIS and Rx-RIS rows/columns are
-    filled with :func:`coupling_row`; the Tx and Rx self terms and
+    filled with :func:`coupling_rows`; the Tx and Rx self terms and
     the direct Tx-Rx term are zero (obstructed line of sight). The result
     is symmetric by construction.
     """
@@ -297,8 +290,8 @@ def assemble_full_matrix(
 
     full = np.zeros((n + 2, n + 2), dtype=complex)
     full[1 : n + 1, 1 : n + 1] = ris.entries
-    full[0, 1 : n + 1] = full[1 : n + 1, 0] = coupling_row(scn, patterns, "tx")
-    full[n + 1, 1 : n + 1] = full[1 : n + 1, n + 1] = coupling_row(scn, patterns, "rx")
+    full[0, 1 : n + 1] = full[1 : n + 1, 0] = coupling_rows(scn, patterns, "tx")[0]
+    full[n + 1, 1 : n + 1] = full[1 : n + 1, n + 1] = coupling_rows(scn, patterns, "rx")[0]
 
     roles = (TX_ROLE, *(ris_role(m) for m in scn.element_numbers), RX_ROLE)
     return ScatterMatrix(full, scn.freq_hz, roles, ris.z0_ohm)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnoptimizableError
-from .farfield import Scenario, _distance
+from .farfield import Scenario, element_paths
 from .network import LinkKernel, ReflectionVector, ScatterMatrix
 
 #: A start ends after a pass over every element that raises its best by no more than this, relatively.
@@ -183,8 +183,7 @@ def phase_gradient_seed(
     phase_hi = _ideal_phase(bounds.c_min_f, scn.freq_hz, z0_ohm)
 
     caps = []
-    for el in scn.elements:
-        path = _distance(scn, el, "tx") + _distance(scn, el, "rx")
+    for path in (element_paths(scn, "tx")[0][0] + element_paths(scn, "rx")[0][0]).tolist():
         target = _wrap(2.0 * math.pi * path / lam)
         if phase_lo <= target <= phase_hi:
             reactance = z0_ohm / math.tan(target / 2.0)

@@ -32,6 +32,10 @@ _EXTENSION_RE = re.compile(r"\.s([0-9]+)p$", re.IGNORECASE)
 
 #: Complex values written per line before wrapping (v1 readability limit).
 _VALUES_PER_LINE = 4
+#: The line boundaries of ``str.splitlines``.
+_EOL_RE = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+#: Characters of data converted per numpy call (about 2,000 lines), which bounds peak memory.
+_BLOCK_CHARS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -113,19 +117,14 @@ def _pairs_to_complex(pairs: np.ndarray, value_format: str) -> np.ndarray:
     return 10.0 ** (a / 20.0) * np.exp(1j * np.radians(b))
 
 
-def _arrange(values: np.ndarray, n: int) -> np.ndarray:
-    if n == 2:
-        # v1 two-port order is S11 S21 S12 S22 (column-major quirk).
-        return np.array([[values[0], values[2]], [values[1], values[3]]])
-    return values.reshape(n, n)
-
-
 def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> TouchstoneDocument:
     """Parse Touchstone v1 text into a :class:`TouchstoneDocument`.
 
     ``n_ports`` may be omitted for 1- and 2-port files, whose single-line
     points make the count unambiguous; larger files need the explicit count
-    (``read_touchstone`` derives it from the file extension).
+    (``read_touchstone`` derives it from the file extension). The data is
+    converted in blocks of lines; only a defect sends the text through a
+    line-by-line re-scan, which names its line. NaN and infinities are rejected.
     """
     if isinstance(text, bytes):
         try:
@@ -133,13 +132,69 @@ def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> Touchston
         except UnicodeDecodeError as exc:
             raise TouchstoneError(f"file is not valid UTF-8 text: {exc}") from None
 
-    options: TouchstoneOptions | None = None
-    values: list[float] = []
-    value_lines: list[int] = []
-    first_data_line_count: int | None = None
+    head, *comments = text.split("!")  # a comment runs from '!' to the end of its line
+    body = head + "".join(part[eol.start() :] if (eol := _EOL_RE.search(part)) else "" for part in comments)
+    start = body.find("#")
+    if start < 0 or body[:start].strip():
+        _rescan(body)
+        raise TouchstoneError("missing option line ('#')")
+    eol = _EOL_RE.search(body, start)
+    data = end = eol.start() if eol else len(body)
+    options = _parse_option_line(body[start + 1 : data].split(), len(body[: start + 1].splitlines()))
+    blocks = [np.empty(0)]
+    try:  # a '#' or '[' among the data fails the float conversion too
+        while end < len(body):
+            start, end = end, body.find("\n", end + _BLOCK_CHARS)
+            end = len(body) if end < 0 else end
+            blocks.append(np.array(body[start:end].split(), dtype=float))
+    except ValueError:
+        _rescan(body)
+        raise
+    values = np.concatenate(blocks)
+    if not values.size:
+        raise TouchstoneError("file contains no data")
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise TouchstoneError(f"non-finite value {float(values[k])!r}", _rescan(body, k))
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("!", 1)[0].strip()
+    if n_ports is None:
+        first_line = next(line.split() for line in body[data:].splitlines() if line.strip())
+        n_ports = {3: 1, 9: 2}.get(len(first_line))
+        if n_ports is None:
+            raise TouchstoneError(
+                "cannot infer port count from line shape; pass n_ports explicitly "
+                "or load via read_touchstone()"
+            )
+    per_point = 1 + 2 * n_ports * n_ports
+    if values.size % per_point != 0:
+        boundary = (values.size // per_point) * per_point
+        raise TouchstoneError(
+            f"wrong value count for {n_ports}-port data: {values.size} values is not "
+            f"a multiple of {per_point}",
+            _rescan(body, min(boundary, values.size - 1)),
+        )
+    table = values.reshape(-1, per_point)
+    freqs = table[:, 0] * options.freq_multiplier
+    falling = np.flatnonzero(freqs[1:] <= freqs[:-1])
+    if falling.size:
+        line = _rescan(body, per_point * (1 + falling[0]))
+        raise TouchstoneError("frequencies must be strictly increasing", line)
+    flat = _pairs_to_complex(table[:, 1:].reshape(-1, 2), options.value_format)
+    matrices = flat.reshape(len(table), n_ports, n_ports)
+    if n_ports == 2:  # v1 two-port order is S11 S21 S12 S22 (column-major quirk).
+        matrices = matrices.transpose(0, 2, 1)
+    return TouchstoneDocument(n_ports, options, tuple(zip(freqs, matrices)))
+
+
+def _rescan(body: str, index: int = -1) -> int:
+    """Raise the first grammar error with its line, else return the line of data value ``index``.
+
+    The error path only: the bulk conversion found a defect, and this line-by-line re-scan names its line.
+    """
+    options_seen, seen = False, 0
+    for line_no, raw in enumerate(body.splitlines(), start=1):
+        line = raw.strip()
         if not line:
             continue
         if line.startswith("["):
@@ -147,74 +202,21 @@ def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> Touchston
                 "Touchstone v2 keywords are not supported; export as Touchstone v1", line_no
             )
         if line.startswith("#"):
-            if options is not None:
+            if options_seen:
                 raise TouchstoneError("multiple option lines", line_no)
-            if values:
-                raise TouchstoneError("option line must precede the data", line_no)
-            options = _parse_option_line(line[1:].split(), line_no)
+            options_seen = True
             continue
-        if options is None:
+        if not options_seen:
             raise TouchstoneError("data before the option line", line_no)
-        tokens = line.split()
-        try:
-            numbers = [float(t) for t in tokens]
-        except ValueError:
-            bad = next(t for t in tokens if not _is_float(t))
-            raise TouchstoneError(f"invalid numeric token {bad!r}", line_no) from None
-        if first_data_line_count is None:
-            first_data_line_count = len(numbers)
-        values.extend(numbers)
-        value_lines.extend([line_no] * len(numbers))
-
-    if options is None:
-        raise TouchstoneError("missing option line ('#')")
-    if not values:
-        raise TouchstoneError("file contains no data")
-
-    if n_ports is None:
-        if first_data_line_count == 3:
-            n_ports = 1
-        elif first_data_line_count == 9:
-            n_ports = 2
-        else:
-            raise TouchstoneError(
-                "cannot infer port count from line shape; pass n_ports explicitly "
-                "or load via read_touchstone()"
-            )
-
-    per_point = 1 + 2 * n_ports * n_ports
-    if len(values) % per_point != 0:
-        boundary = (len(values) // per_point) * per_point
-        line = value_lines[min(boundary, len(values) - 1)]
-        raise TouchstoneError(
-            f"wrong value count for {n_ports}-port data: {len(values)} values is not "
-            f"a multiple of {per_point}",
-            line,
-        )
-
-    data = np.asarray(values, dtype=float)
-    points = []
-    previous = -np.inf
-    for k in range(len(values) // per_point):
-        chunk = data[k * per_point : (k + 1) * per_point]
-        freq_hz = chunk[0] * options.freq_multiplier
-        if freq_hz <= previous:
-            raise TouchstoneError(
-                "frequencies must be strictly increasing", value_lines[k * per_point]
-            )
-        previous = freq_hz
-        flat = _pairs_to_complex(chunk[1:].reshape(-1, 2), options.value_format)
-        points.append((freq_hz, _arrange(flat, n_ports)))
-
-    return TouchstoneDocument(n_ports, options, tuple(points))
-
-
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
+        for token in line.split():
+            try:
+                float(token)
+            except ValueError:
+                raise TouchstoneError(f"invalid numeric token {token!r}", line_no) from None
+            seen += 1
+            if seen > index >= 0:
+                return line_no
+    return 0
 
 
 def ports_from_filename(path: str | Path) -> int:

@@ -107,6 +107,66 @@ class TestSynthesize:
         assert "c_min" in capsys.readouterr().err
 
 
+FILE_CFG = "".join(
+    line + "\n" for line in TOY.splitlines() if not line.startswith(("ris.", "patterns.", "opt."))
+) + "ris.file = ris.s2p\npatterns.file = patterns.csv\n"
+RIS_S2P = "# GHz S RI R 50\n3.55 0.2 0 0.05 0 0.05 0 0.2 0\n"
+PATTERNS = """\
+m,azimuth_deg,gain_dbi
+1,-90,0
+1,90,0
+2,-90,0
+2,90,0
+m,smm_re,smm_im
+1,0.2,0
+2,0.2,0
+"""
+
+
+class TestInputFiles:
+    """A defect in the RIS or pattern file exits 2 with its line, never with a traceback."""
+
+    def write(self, tmp_path, ris=RIS_S2P, patterns=PATTERNS):
+        (tmp_path / "ris.s2p").write_text(ris)
+        (tmp_path / "patterns.csv").write_text(patterns)
+        (tmp_path / "caps.csv").write_text("m,c_pf\n1,1.0\n2,1.0\n")
+        cfg = tmp_path / "files.cfg"
+        cfg.write_text(FILE_CFG)
+        return cfg
+
+    def test_valid_files_run(self, tmp_path):
+        cfg = self.write(tmp_path)
+        assert main(["synthesize", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert main(["sweep", str(cfg), str(tmp_path / "caps.csv"), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("command", ["synthesize", "sweep"])
+    def test_non_finite_touchstone_value_exits_2(self, tmp_path, capsys, command):
+        cfg = self.write(tmp_path, ris=RIS_S2P.replace("0.05 0 0.05", "nan 0 0.05"))
+        args = [str(tmp_path / "caps.csv")] if command == "sweep" else []
+        assert main([command, str(cfg), *args, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: non-finite value nan" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,90,nan", "line 3: gain is not a number"),
+            ("1,nan,0", "line 3: azimuth nan deg is not finite"),
+        ],
+    )
+    def test_bad_gain_row_exits_2(self, tmp_path, capsys, row, message):
+        cfg = self.write(tmp_path, patterns=PATTERNS.replace("1,90,0", row))
+        assert main(["synthesize", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_smm_above_one_exits_2(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, patterns=PATTERNS.replace("1,0.2,0", "1,1.5,0"))
+        assert main(["synthesize", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "line 7: |s_mm| = 1.500000 exceeds 1" in err and "Traceback" not in err
+
+
 class TestOptimize:
     def test_caps_match_brute_force_grid(self, toy_cfg, tmp_path):
         out = tmp_path / "opt"

@@ -26,7 +26,6 @@ from rislink import (
     farfield_limit_distance,
     synth_ris_matrix,
 )
-from rislink.farfield import _safe_asin
 
 F_CARRIER = 3.55e9
 G_11DB = 10.0 ** 1.1
@@ -92,10 +91,12 @@ class TestAzimuth:
         assert abs(azimuth_to_element(scn, 1, "tx") - scn.beta_rad) < 1e-6
 
     def test_safe_asin_clamps_and_raises(self):
-        assert _safe_asin(1.0 + 5e-10) == math.pi / 2
-        assert _safe_asin(-1.0 - 5e-10) == -math.pi / 2
-        with pytest.raises(GeometryError):
-            _safe_asin(1.0 + 2e-9)
+        # Grazing incidence: the sine argument rounds to 1 + 1 ulp and is clamped to 1.
+        assert azimuth_to_element(scenario([ElementGeometry(1, 0.065, 0.0)], r_m=1.0, beta_deg=90.0), 1, "tx") == math.pi / 2
+        assert azimuth_to_element(scenario([ElementGeometry(1, 0.065, 0.0)], r_m=1.0, alpha_deg=-90.0), 1, "rx") == math.pi / 2
+        # An antenna 0.1 um from an element: cancellation in d pushes the argument past the slack.
+        with pytest.raises(GeometryError, match="outside"):
+            azimuth_to_element(scenario([ElementGeometry(1, 0.9999999, 0.0)], r_m=1.0, beta_deg=90.0), 1, "tx")
 
 
 class TestPattern:
@@ -108,6 +109,13 @@ class TestPattern:
         pat = ElementPattern(1, np.radians([-90.0, 90.0]), np.array([1.0, 1.0]))
         with pytest.raises(PatternCoverageError, match="outside"):
             pat.gain(math.radians(91.0))
+
+    def test_interpolation_never_dips_below_a_null(self):
+        # Linear interpolation next to a null rounds to -2.2e-16 here; the coupling once hit sqrt(-2.2e-16).
+        pat = ElementPattern(1, np.radians([-90.0, -45.0, 0.0, 45.0, 90.0]), np.array([0.0, 1.75, 0.0, 0.0, 0.0]))
+        assert pat.gain(-6.155052458486858e-20) == 0.0
+        scn = scenario([ElementGeometry(1, 6.155052458486858e-20, 0.0)], r_m=1.0, beta_deg=0.0)
+        assert coupling_coefficient(scn, pat, 1, "tx") == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -56,6 +56,18 @@ class TestParse:
         text = "# pattern export\n\n" + BASIC
         assert parse_pattern_table(text)[0].index_m == 1
 
+    def test_error_line_counts_comments_and_blanks(self):
+        text = "# export\n\n" + BASIC.replace("1,0,5", "1,0,nan").replace("m,smm_re", "# mid\n\nm,smm_re")
+        with pytest.raises(PatternError, match="^line 5: gain is not a number"):
+            parse_pattern_table(text)
+        text = "# export\n\n" + BASIC.replace("1,0.1,-0.05", "1,2,0").replace("m,smm_re", "# mid\n\nm,smm_re")
+        with pytest.raises(PatternError, match=r"^line 10: \|s_mm\|"):
+            parse_pattern_table(text)
+
+    def test_headers_are_case_and_space_insensitive(self):
+        text = BASIC.replace("m,azimuth_deg,gain_dbi", " M , Azimuth_Deg ,GAIN_DBI").replace("m,smm_re", "M ,smm_re")
+        assert parse_pattern_table(text)[0].s_mm == 0.1 - 0.05j
+
 
 class TestParseErrors:
     def test_coverage_gap(self):
@@ -66,6 +78,11 @@ class TestParseErrors:
     def test_duplicate_azimuth(self):
         text = "m,azimuth_deg,gain_dbi\n1,-90,0\n1,-90,1\n1,90,0\nm,smm_re,smm_im\n1,0,0\n"
         with pytest.raises(PatternError, match="duplicate azimuth"):
+            parse_pattern_table(text)
+
+    def test_azimuths_equal_in_radians_are_duplicates(self):
+        text = "m,azimuth_deg,gain_dbi\n1,-90,0\n1,0,0\n1,5e-324,0\n1,90,0\nm,smm_re,smm_im\n1,0,0\n"
+        with pytest.raises(PatternError, match="element 1: duplicate azimuth sample"):
             parse_pattern_table(text)
 
     def test_missing_smm(self):
@@ -91,6 +108,33 @@ class TestParseErrors:
         text = "m,azimuth_deg,gain_dbi\n1,-90,inf\n1,90,0\nm,smm_re,smm_im\n1,0,0\n"
         with pytest.raises(PatternError, match="inf"):
             parse_pattern_table(text)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,0,nan", "line 3: gain is not a number"),
+            ("1,nan,0", "line 3: azimuth nan deg is not finite"),
+            ("1,-inf,0", "line 3: azimuth -inf deg is not finite"),
+        ],
+    )
+    def test_non_finite_gain_row_names_its_line(self, row, message):
+        with pytest.raises(PatternError, match=f"^{message}$"):
+            parse_pattern_table(BASIC.replace("1,0,5", row))
+
+    @pytest.mark.parametrize("smm", ["1.2,0", "0.8,0.8", "nan,0", "0,inf"])
+    def test_smm_outside_unit_disk_names_its_line(self, smm):
+        with pytest.raises(PatternError, match=r"^line 6: \|s_mm\| = .* exceeds 1$"):
+            parse_pattern_table(BASIC.replace("1,0.1,-0.05", f"1,{smm}"))
+
+    def test_smm_on_unit_circle_accepted(self):
+        assert parse_pattern_table(BASIC.replace("1,0.1,-0.05", "1,0.6,0.8"))[0].s_mm == 0.6 + 0.8j
+
+    def test_element_number_keeps_int_semantics(self):
+        with pytest.raises(PatternError, match="line 3: invalid numeric value"):
+            parse_pattern_table(BASIC.replace("1,0,5", "1.0,0,5"))
+        with pytest.raises(PatternError, match="line 3: element number .* is out of range"):
+            parse_pattern_table(BASIC.replace("1,0,5", f"{2**63},0,5"))
+        assert parse_pattern_table(BASIC.replace("1,0,5", " +1 ,0,5"))[0].gain(0.0) == pytest.approx(10**0.5)
 
     def test_bad_cell(self):
         text = "m,azimuth_deg,gain_dbi\n1,abc,0\nm,smm_re,smm_im\n1,0,0\n"

@@ -131,6 +131,25 @@ class TestParseErrors:
         with pytest.raises(TouchstoneError, match="invalid numeric token"):
             parse_touchstone("# GHz S RI R 50\n1.0 0.5 zz\n")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
+    def test_rejects_non_finite_value_with_line_number(self, token):
+        text = f"! c\n# GHz S RI R 50\n1.0 0.5 0.0\n2.0 0.5\n{token}\n"
+        with pytest.raises(TouchstoneError, match="^line 5: non-finite value"):
+            parse_touchstone(text)
+
+    def test_rejects_non_finite_frequency_with_line_number(self):
+        with pytest.raises(TouchstoneError, match="^line 3: non-finite value nan"):
+            parse_touchstone("# GHz S RI R 50\n1.0 0.5 0.0\nnan 0.5 0.0\n")
+
+    def test_error_lines_count_crlf_and_comment_lines(self):
+        text = "! a\r\n\r\n# GHz S RI R 50 ! b\r\n! c\r\n1.0 0.5 0.0\r\n2.0 0.5 zz\r\n"
+        with pytest.raises(TouchstoneError, match="^line 6: invalid numeric token 'zz'$"):
+            parse_touchstone(text)
+        with pytest.raises(TouchstoneError, match="^line 6: multiple option lines$"):
+            parse_touchstone(text.replace("2.0 0.5 zz", "# GHz"))
+        with pytest.raises(TouchstoneError, match="^line 3: unknown value format 'xx'$"):
+            parse_touchstone(text.replace("RI", "XX"))
+
     def test_token_removal_fuzz(self):
         """Removing any single data token must make the file unparseable."""
         lines = GOLDEN.read_text().splitlines()
