@@ -6,7 +6,10 @@ coefficient; ``optimize`` searches the box-bounded capacitance space for
 maximum Tx -> Rx power transfer by deterministic multi-start coordinate
 ascent. With every other load held, the link is a Moebius function of one
 load, so each coordinate step maximizes its capacitance exactly in closed
-form (``_coordinate_max``); the package needs numpy only.
+form (``_coordinate_max``). Each pass factorizes the loaded system once;
+a step reads its Moebius coefficients from that factorization and a taken
+step updates it by one outer product (``_terms``), so a step costs O(N^2),
+not a solve. The package needs numpy only.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import UnoptimizableError
 from .farfield import Scenario, element_paths
-from .network import LinkKernel, ReflectionVector, ScatterMatrix
+from .network import LinkKernel, ReflectionVector, ScatterMatrix, series_gamma
 
 #: A start ends after a pass over every element that raises its best by no more than this, relatively.
 _PASS_RTOL = 1e-12
@@ -104,9 +107,7 @@ def cap_to_gamma(
         raise ValueError(f"capacitance must be positive, got {c_f}")
     if not (freq_hz > 0 and z0_ohm > 0):
         raise ValueError("frequency and reference impedance must be positive")
-    w = 2.0 * math.pi * freq_hz
-    z_load = complex(model.series_resistance_ohm, w * model.series_inductance_h - 1.0 / (w * c_f))
-    return (z_load - z0_ohm) / (z_load + z0_ohm)
+    return series_gamma(c_f, freq_hz, z0_ohm, model)
 
 
 def load_gammas(
@@ -214,13 +215,15 @@ class OptimizerOptions:
 
 @dataclass(frozen=True)
 class StartTrace:
-    """Evaluation record of one multi-start run (objectives, best-so-far)."""
+    """Record of one start; ``n_solves`` counts the first point, one factorization per pass and the final transfer."""
 
     start_index: int
     initial_pf: tuple[float, ...]
     n_evals: int
     best_objective: float
     best_history: tuple[float, ...]
+    n_passes: int
+    n_solves: int
 
 
 @dataclass(frozen=True)
@@ -242,18 +245,19 @@ def _real_roots(a: float, b: float, c: float) -> tuple[float, ...]:
 
 
 def _coordinate_max(
-    kernel: LinkKernel, gam: np.ndarray, k: int, bounds: LoadBounds, model: VaractorModel
-) -> float:
-    """Capacitance of element k, in farads, that maximizes the transfer with every other load held.
+    terms: tuple[complex, complex, complex], kernel: LinkKernel, bounds: LoadBounds, model: VaractorModel
+) -> tuple[float, float]:
+    """Capacitance of one element, in farads, that maximizes the transfer with every other load held, and that transfer.
 
-    S_RxTx = A + B*g/(1 - C*g) (``LinkKernel.coordinate``), and with
-    z = R_s + jX the load's g = (z - z0)/(z + z0), so S = (p0 + p1*X)/(q0 + q1*X)
-    and |S|^2 = N(X)/D(X) is a ratio of real quadratics in the reactance X.
-    Its maximum over [X(c_min), X(c_max)] lies at an endpoint or at a real
-    root of the derivative's numerator, a quadratic; X increases with C, so
+    ``terms`` are (A, B, C) with S_RxTx = A + B*g/(1 - C*g) for the element's
+    load g (``_terms``), and with z = R_s + jX the load's
+    g = (z - z0)/(z + z0), so S = (p0 + p1*X)/(q0 + q1*X) and
+    |S|^2 = N(X)/D(X) is a ratio of real quadratics in the reactance X. Its
+    maximum over [X(c_min), X(c_max)] lies at an endpoint or at a real root of
+    the derivative's numerator, a quadratic; X increases with C, so
     C = 1/(w*(w*L_s - X)).
     """
-    a, b, c = kernel.coordinate(gam, k)
+    a, b, c = terms
     w = 2.0 * math.pi * kernel.freq_hz
     wl, rs, z0 = w * model.series_inductance_h, model.series_resistance_ohm, kernel.z0_ohm
     p0, p1 = a * (rs + z0) + (b - a * c) * (rs - z0), 1j * (a + b - a * c)
@@ -271,7 +275,26 @@ def _coordinate_max(
     x_lo, x_hi = reactance(bounds.c_min_f), reactance(bounds.c_max_f)
     roots = _real_roots(n2 * d1 - n1 * d2, 2.0 * (n2 * d0 - n0 * d2), n1 * d0 - n0 * d1)
     inside = [bounds.clip(1.0 / (w * (wl - x))) for x in roots if x_lo < x < x_hi]
-    return max((bounds.c_min_f, bounds.c_max_f, *inside), key=power)
+    best = max((bounds.c_min_f, bounds.c_max_f, *inside), key=power)
+    return best, power(best)
+
+
+def _terms(
+    kernel: LinkKernel, q: np.ndarray, gam: np.ndarray, rg: np.ndarray, k: int
+) -> tuple[complex, complex, complex]:
+    """(A, B, C) with S_RxTx = A + B*g/(1 - C*g) when load k is g and every other load is ``gam``.
+
+    From q = [P | w] = (I - S_ii*Gamma)^-1 [S_ii | t] (Tx column t) and rg = r*Gamma (Rx row r), Sherman-Morrison
+    on matching load k gives v = P[:, k]/(1 + gamma_k*P_kk) and u = w - v*gamma_k*w_k, so A = S_ee[1, 0] + rg'*u,
+    B = (r_k + rg'*v)*u_k and C = v_k, where rg' is rg with entry k zeroed: O(N), no solve.
+    """
+    if kernel.checks_conditioning:
+        kernel.system(np.where(np.arange(gam.size) == k, 0.0, gam))
+    v = q[:, k] / (1.0 + gam[k] * q[k, k])
+    u = q[:, -1] - v * (gam[k] * q[k, -1])
+    held = rg.copy()
+    held[k] = 0.0
+    return kernel.s_ee[1, 0] + held @ u, (kernel.s_ei[1, k] + held @ v) * u[k], v[k]
 
 
 def optimize(
@@ -286,16 +309,21 @@ def optimize(
     physics-informed first start via ``opts.initial``, the remaining starts
     are seeded-random. Each step sets one element's capacitance to the exact
     maximum of the transfer over that coordinate (``_coordinate_max``) and
-    keeps it unless the evaluated transfer falls below the best so far.
-    Passes run over the elements in port order until a pass raises the
+    keeps it unless that maximum, in closed form, falls below the best so
+    far. Passes run over the elements in port order until a pass raises the
     best by no more than ``_PASS_RTOL`` relatively, or the start has
     recorded ``opts.max_evals`` evaluations (its first point and one per
-    step). The best start wins, exact objective ties break to the lowest
-    start index, so results are reproducible bit-for-bit for a fixed seed.
+    step). A pass solves (I - S_ii*Gamma) once against [S_ii | t]; its steps
+    read (A, B, C) from those columns (``_terms``) and a taken step updates
+    them by one outer product. A start's objective is one exact
+    ``LinkKernel.transfer`` of its final loads. The best start wins, exact
+    objective ties break to the lowest start index, so results are
+    reproducible bit-for-bit for a fixed seed.
 
-    Inputs are checked once here; every evaluation then runs the matrix's
-    ``LinkKernel`` on capacitances inside the bounds, with no per-call
-    validation, and every solve keeps the kernel's conditioning check.
+    Inputs are checked once here; the kernel then runs on capacitances
+    inside the bounds, with no per-call validation. For a non-passive S_ii
+    every solve, and every step's held and stepped loads, keep the kernel's
+    conditioning check.
 
     Raises
     ------
@@ -331,21 +359,28 @@ def optimize(
         gam = kernel.gammas(caps, model)
         best = kernel.transfer(caps, model)
         history = [best]
+        passes = 0
         while len(history) < opts.max_evals:
             before = best
+            passes += 1
+            q, rg = kernel.columns(gam), kernel.s_ei[1] * gam
             for k in range(n):
                 if len(history) == opts.max_evals:
                     break
-                trial = caps.copy()
-                trial[k] = _coordinate_max(kernel, gam, k, bounds, model)
-                value = kernel.transfer(trial, model)
+                c_k, value = _coordinate_max(_terms(kernel, q, gam, rg, k), kernel, bounds, model)
+                g = series_gamma(c_k, kernel.freq_hz, kernel.z0_ohm, model)
+                if kernel.checks_conditioning:
+                    kernel.system(np.where(np.arange(n) == k, g, gam))
                 if value >= best:
-                    best, caps = value, trial
-                    gam[k] = kernel.gammas(trial[k : k + 1], model)[0]
+                    # Gamma_k += delta changes I - S_ii*Gamma by -delta*S_ii[:, k]*e_k^T: one outer product updates q.
+                    delta = g - gam[k]
+                    q += np.outer(q[:, k] * (delta / (1.0 - delta * q[k, k])), q[k])
+                    best, caps[k], gam[k], rg[k] = value, c_k, g, kernel.s_ei[1, k] * g
                 history.append(best)
             if best - before <= _PASS_RTOL * before:
                 break
-        return StartTrace(index, tuple(x0_pf), len(history), best, tuple(history)), caps
+        best = kernel.transfer(caps, model)
+        return StartTrace(index, tuple(x0_pf), len(history), best, tuple(history), passes, passes + 2), caps
 
     outcomes = [run_start(index, x0) for index, x0 in enumerate(start_points)]
 

@@ -211,13 +211,10 @@ class LinkKernel:
         self.checks_conditioning = self.cond_bound >= 0.5 / RCOND_LIMIT
 
     def gammas(self, caps_f: np.ndarray, model: VaractorModel) -> np.ndarray:
-        """Reflection coefficients of series R-L-C loads, bit-identical to ``cap_to_gamma``."""
-        w = 2.0 * math.pi * self.freq_hz
-        x = w * model.series_inductance_h - 1.0 / (w * caps_f)
-        r, z0 = model.series_resistance_ohm, self.z0_ohm
-        return np.array([(complex(r, xi) - z0) / (complex(r, xi) + z0) for xi in x.tolist()], dtype=complex)
+        """``series_gamma`` of every capacitance."""
+        return np.array([series_gamma(c, self.freq_hz, self.z0_ohm, model) for c in caps_f.tolist()], dtype=complex)
 
-    def _system(self, gam: np.ndarray) -> np.ndarray:
+    def system(self, gam: np.ndarray) -> np.ndarray:
         """I - S_ii*Gamma, rejected if ill-conditioned (see the class docstring)."""
         # gam[np.newaxis, :], not gam: numpy picks its complex-multiply loop
         # by operand shape, and only this spelling matches the reference bits.
@@ -232,25 +229,15 @@ class LinkKernel:
         """2x2 (Tx, Rx) matrix with the RIS ports terminated by ``gam``."""
         if not self.n_ris:
             return self.s_ee.copy()
-        return self.s_ee + self.s_ei @ (gam[:, np.newaxis] * np.linalg.solve(self._system(gam), self.s_ie))
+        return self.s_ee + self.s_ei @ (gam[:, np.newaxis] * np.linalg.solve(self.system(gam), self.s_ie))
 
     def tx_wave(self, gam: np.ndarray) -> np.ndarray:
         """Gamma*(I - S_ii*Gamma)^-1*t for the Tx column t; S_RxTx = S_ee[1, 0] + r @ this for Rx row r."""
-        return gam * np.linalg.solve(self._system(gam), self.s_ie[:, 0])
+        return gam * np.linalg.solve(self.system(gam), self.s_ie[:, 0])
 
-    def coordinate(self, gam: np.ndarray, k: int) -> tuple[complex, complex, complex]:
-        """(A, B, C) with S_RxTx = A + B*g/(1 - C*g) when load k is g and every other load is ``gam``.
-
-        With load k matched, u and v solve (I - S_ii*Gamma) against the Tx
-        column t and S_ii[:, k]; Sherman-Morrison on the rank-one change of
-        load k gives A = S_ee[1, 0] + r*Gamma*u, B = (r_k + r*Gamma*v)*u_k and
-        C = v_k for the Rx row r. One factorization serves both right-hand sides.
-        """
-        held = gam.copy()
-        held[k] = 0.0
-        u, v = np.linalg.solve(self._system(held), np.column_stack((self.s_ie[:, 0], self.s_ii[:, k]))).T
-        row = self.s_ei[1]
-        return self.s_ee[1, 0] + row @ (held * u), (row[k] + row @ (held * v)) * u[k], v[k]
+    def columns(self, gam: np.ndarray) -> np.ndarray:
+        """(I - S_ii*Gamma)^-1 [S_ii | t] for the Tx column t: one factorization, N + 1 right-hand sides."""
+        return np.linalg.solve(self.system(gam), np.column_stack((self.s_ii, self.s_ie[:, 0])))
 
     def transfer(self, caps_f: np.ndarray, model: VaractorModel) -> float:
         """|S_RxTx|^2 under the given load capacitances (farads)."""
@@ -260,7 +247,7 @@ class LinkKernel:
         """d(transfer)/dC in 1/farad, from one forward and one adjoint solve."""
         gam = self.gammas(caps_f, model)
         row, col = self.s_ei[1], self.s_ie[:, 0]
-        system = self._system(gam)
+        system = self.system(gam)
         p = np.linalg.solve(system, col)
         s21 = self.s_ee[1, 0] + row @ (gam * p)
         y = np.linalg.solve(system.T, row * gam)
@@ -270,6 +257,13 @@ class LinkKernel:
         z_load = model.series_resistance_ohm + 1j * (w * model.series_inductance_h - 1.0 / (w * caps_f))
         dgamma_dc = 2.0 * self.z0_ohm / (z_load + self.z0_ohm) ** 2 * (1j / (w * caps_f**2))
         return 2.0 * np.real(np.conj(s21) * ds_dgamma * dgamma_dc)
+
+
+def series_gamma(c_f: float, freq_hz: float, z0_ohm: float, model: VaractorModel) -> complex:
+    """gamma = (Z_L - Z0)/(Z_L + Z0) of a series R-L-C load, Z_L = R_s + j*(w*L_s - 1/(w*C)); no input checks."""
+    w = 2.0 * math.pi * freq_hz
+    z_load = complex(model.series_resistance_ohm, w * model.series_inductance_h - 1.0 / (w * c_f))
+    return (z_load - z0_ohm) / (z_load + z0_ohm)
 
 
 def _passive_cond_bound(s_ii: np.ndarray) -> float:

@@ -72,6 +72,8 @@ def parse_pattern_table(text: str | bytes) -> list[ElementPattern]:
             or np.any(~np.isfinite(az_deg) | ~(gain_db < math.inf))
         ):
             raise ValueError("a row's values are out of range")
+        # Python's pow per sample: numpy's power rounds some samples differently.
+        gain_lin = np.array(list(map(pow, repeat(10.0), (gain_db / 10.0).tolist())))
     except (ValueError, OverflowError):
         _rescan(lines, numbers)
         raise
@@ -87,8 +89,6 @@ def parse_pattern_table(text: str | bytes) -> list[ElementPattern]:
         raise PatternError(f"s_mm rows for elements without gain data: {orphaned}")
 
     order = np.lexsort((az_deg, gain_m))
-    # Python's pow per sample: numpy's power rounds some samples differently.
-    gain_lin = np.array(list(map(pow, repeat(10.0), (gain_db / 10.0).tolist())))
     patterns = []
     for m, idx in zip(elements, np.split(order, np.flatnonzero(np.diff(gain_m[order])) + 1)):
         azimuths, az_rad = az_deg[idx], np.radians(az_deg[idx])
@@ -140,6 +140,11 @@ def _rescan(lines: list[str], numbers: Sequence[int]) -> None:
         if section == "gain" and not b < math.inf:
             what = "+inf dBi is not physical" if b > 0 else "is not a number"
             raise PatternError(f"line {line_no}: gain {what}")
+        if section == "gain":
+            try:
+                pow(10.0, b / 10.0)
+            except OverflowError:
+                raise PatternError(f"line {line_no}: gain {b:g} dBi overflows a float") from None
         if section == "smm" and m in smm:
             raise PatternError(f"line {line_no}: duplicate s_mm row for element {m}")
         if section == "smm" and not abs(complex(a, b)) <= _MAX_SMM:

@@ -124,7 +124,8 @@ def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> Touchston
     points make the count unambiguous; larger files need the explicit count
     (``read_touchstone`` derives it from the file extension). The data is
     converted in blocks of lines; only a defect sends the text through a
-    line-by-line re-scan, which names its line. NaN and infinities are rejected.
+    line-by-line re-scan, which names its line. NaN and infinities are rejected,
+    and so are values that overflow when converted to hertz or to a linear magnitude.
     """
     if isinstance(text, bytes):
         try:
@@ -175,12 +176,18 @@ def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> Touchston
             _rescan(body, min(boundary, values.size - 1)),
         )
     table = values.reshape(-1, per_point)
-    freqs = table[:, 0] * options.freq_multiplier
+    with np.errstate(over="ignore", invalid="ignore"):
+        freqs = table[:, 0] * options.freq_multiplier
+        flat = _pairs_to_complex(table[:, 1:].reshape(-1, 2), options.value_format)
+    # A finite token can overflow in conversion: a frequency times its unit, or a DB magnitude.
+    finite = np.column_stack((np.isfinite(freqs), np.isfinite(flat).reshape(len(table), -1).repeat(2, axis=1)))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise TouchstoneError(f"value {float(values[k])!r} overflows in conversion", _rescan(body, k))
     falling = np.flatnonzero(freqs[1:] <= freqs[:-1])
     if falling.size:
         line = _rescan(body, per_point * (1 + falling[0]))
         raise TouchstoneError("frequencies must be strictly increasing", line)
-    flat = _pairs_to_complex(table[:, 1:].reshape(-1, 2), options.value_format)
     matrices = flat.reshape(len(table), n_ports, n_ports)
     if n_ports == 2:  # v1 two-port order is S11 S21 S12 S22 (column-major quirk).
         matrices = matrices.transpose(0, 2, 1)

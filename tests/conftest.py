@@ -82,6 +82,21 @@ def grid_transfer(full, caps_f, model=IDEAL_VARACTOR):
     return np.abs(reduced[:, 1, 0]) ** 2
 
 
+def coordinate_terms(kernel, gam, k):
+    """(A, B, C) with S_RxTx = A + B*g/(1 - C*g) when load k is g and every other load is ``gam``, by a fresh solve.
+
+    With load k matched, u and v solve (I - S_ii*Gamma) against the Tx column
+    t and S_ii[:, k]; Sherman-Morrison on the rank-one change of load k gives
+    A = S_ee[1, 0] + r*Gamma*u, B = (r_k + r*Gamma*v)*u_k and C = v_k for the Rx row r.
+    """
+    held = np.array(gam, dtype=complex)
+    held[k] = 0.0
+    system = np.eye(kernel.n_ris) - kernel.s_ii * held[np.newaxis, :]
+    u, v = np.linalg.solve(system, np.column_stack((kernel.s_ie[:, 0], kernel.s_ii[:, k]))).T
+    row = kernel.s_ei[1]
+    return kernel.s_ee[1, 0] + row @ (held * u), (row[k] + row @ (held * v)) * u[k], v[k]
+
+
 def scalar_coupling(scn, pat, el, side):
     """One coupling entry by the scalar formula, one ``math`` call at a time.
 
@@ -208,6 +223,10 @@ def line_parse_pattern_table(text):
         if section == "gain":
             if math.isinf(b) and b > 0:
                 raise PatternError(f"line {line_no}: gain +inf dBi is not physical")
+            try:
+                10.0 ** (b / 10.0)
+            except OverflowError:
+                raise PatternError(f"line {line_no}: gain {b:g} dBi overflows a float") from None
             gain_rows.setdefault(m, []).append((a, b))
         else:
             if m in smm:

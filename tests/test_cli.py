@@ -148,10 +148,25 @@ class TestInputFiles:
         assert "line 2: non-finite value nan" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "ris, message",
+        [
+            ("# GHz S DB R 50\n3.55 -14 0 -26 0 -26 0 7000 0\n", "line 2: value 7000.0 overflows in conversion"),
+            ("# GHz S RI R 50\n1e300 0.2 0 0.05 0 0.05 0 0.2 0\n", "line 2: value 1e+300 overflows in conversion"),
+        ],
+    )
+    def test_touchstone_value_overflowing_in_conversion_exits_2(self, tmp_path, capsys, ris, message):
+        cfg = self.write(tmp_path, ris=ris)
+        assert main(["synthesize", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "row, message",
         [
             ("1,90,nan", "line 3: gain is not a number"),
             ("1,nan,0", "line 3: azimuth nan deg is not finite"),
+            ("1,90,4000", "line 3: gain 4000 dBi overflows a float"),
         ],
     )
     def test_bad_gain_row_exits_2(self, tmp_path, capsys, row, message):

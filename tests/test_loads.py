@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import grid_transfer, random_full_link, random_passive
+from conftest import coordinate_terms, grid_transfer, random_full_link, random_passive
 from rislink import (
     ElementGeometry,
     LoadBounds,
@@ -282,7 +282,8 @@ class TestCoordinateAscent:
             caps = rng.uniform(BOUNDS.c_min_f, BOUNDS.c_max_f, n)
             k = int(rng.integers(n))
             stepped = caps.copy()
-            stepped[k] = loads._coordinate_max(full.kernel, full.kernel.gammas(caps, model), k, BOUNDS, model)
+            terms = coordinate_terms(full.kernel, full.kernel.gammas(caps, model), k)
+            stepped[k], _ = loads._coordinate_max(terms, full.kernel, BOUNDS, model)
             assert BOUNDS.c_min_f <= stepped[k] <= BOUNDS.c_max_f
             rows = np.repeat(caps[np.newaxis], grid.size, axis=0)
             rows[:, k] = grid
@@ -299,7 +300,13 @@ class TestCoordinateAscent:
         full = link_n2()
         optimum = optimize(full, BOUNDS)
         assert all(BOUNDS.c_min_f < c < BOUNDS.c_max_f for c in optimum.caps.caps_f)
-        monkeypatch.setattr(loads, "_coordinate_max", lambda *args: BOUNDS.c_min_f)
+        g_min = cap_to_gamma(BOUNDS.c_min_f, full.freq_hz, full.z0_ohm)
+
+        def to_c_min(terms, *args):
+            a, b, c = terms
+            return BOUNDS.c_min_f, abs(a + b * g_min / (1 - c * g_min)) ** 2
+
+        monkeypatch.setattr(loads, "_coordinate_max", to_c_min)
         again = optimize(full, BOUNDS, opts=OptimizerOptions(starts=1, initial=optimum.caps))
         trace = again.trace[0]
         assert trace.best_history == (trace.best_history[0],) * 3
@@ -314,6 +321,19 @@ class TestCoordinateAscent:
             assert trace.n_evals == len(history) <= 10
             assert all(a <= b for a, b in zip(history, history[1:]))
         assert any(trace.n_evals == 10 for trace in result.trace)
+
+    @pytest.mark.parametrize("max_evals", [2000, 10])
+    def test_one_factorization_per_pass(self, rng, monkeypatch, max_evals):
+        full = random_full_link(rng, 6)
+        assert not full.kernel.checks_conditioning
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args) or solve(*args))
+        result = optimize(full, BOUNDS, opts=OptimizerOptions(starts=3, max_evals=max_evals, seed=4))
+        assert len(solves) == sum(trace.n_solves for trace in result.trace)
+        for trace in result.trace:
+            assert trace.n_solves == trace.n_passes + 2
+            assert trace.n_passes == -(-(trace.n_evals - 1) // 6)
 
     # Best objectives of the earlier Nelder-Mead and golden-section search on the same inputs.
     BOARD_PREVIOUS = {7: 1.5730685693420016e-05, 3: 1.5730737174230794e-05}

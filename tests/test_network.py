@@ -15,6 +15,7 @@ from rislink import (
     check_passivity,
     check_reciprocity,
     load_gammas,
+    objective,
     objective_gradient,
     optimize,
     power_transfer,
@@ -196,6 +197,24 @@ class TestLinkKernel:
             optimize(full, bounds, opts=opts)
         with pytest.raises(IllConditionedLoadError, match="condition number"):
             objective_gradient(full, LoadVector.of([c0, c0]), bounds)
+
+    def test_non_passive_s_ii_raises_at_the_step_whose_held_system_is_singular(self):
+        # |S_22| = 1 resonates with load 2 at c0; port 1 couples to it, so the
+        # start point is regular but matching load 1 for its step is not.
+        bounds = LoadBounds(0.23e-12, 2.1e-12)
+        c0 = 1e-12
+        s = np.zeros((4, 4), dtype=complex)
+        s[0, 1] = s[1, 0] = s[0, 2] = s[2, 0] = 0.3
+        s[3, 1] = s[1, 3] = s[3, 2] = s[2, 3] = 0.3
+        s[1, 2] = s[2, 1] = 0.3
+        s[1, 1] = 0.2
+        s[2, 2] = np.conj(cap_to_gamma(c0, 3.55e9))
+        full = ScatterMatrix.full_link(s, 3.55e9, [1, 2])
+        assert full.kernel.checks_conditioning
+        start = LoadVector.of([c0, c0])
+        objective(full, start, bounds)
+        with pytest.raises(IllConditionedLoadError, match="condition number"):
+            optimize(full, bounds, opts=OptimizerOptions(starts=1, initial=start))
 
 
 class TestPowerTransfer:

@@ -115,11 +115,16 @@ class TestParseErrors:
             ("1,0,nan", "line 3: gain is not a number"),
             ("1,nan,0", "line 3: azimuth nan deg is not finite"),
             ("1,-inf,0", "line 3: azimuth -inf deg is not finite"),
+            ("1,0,4000", "line 3: gain 4000 dBi overflows a float"),
         ],
     )
     def test_non_finite_gain_row_names_its_line(self, row, message):
         with pytest.raises(PatternError, match=f"^{message}$"):
             parse_pattern_table(BASIC.replace("1,0,5", row))
+
+    def test_largest_gain_short_of_overflow_accepted(self):
+        (pattern,) = parse_pattern_table(BASIC.replace("1,0,5", "1,0,3082"))
+        assert pattern.gain_lin.max() == pow(10.0, 308.2)
 
     @pytest.mark.parametrize("smm", ["1.2,0", "0.8,0.8", "nan,0", "0,inf"])
     def test_smm_outside_unit_disk_names_its_line(self, smm):

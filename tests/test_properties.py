@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_reduce,
+    coordinate_terms,
     line_parse_pattern_table,
     line_parse_touchstone,
+    random_full_link,
     random_passive,
     scalar_coupling,
 )
@@ -20,24 +22,30 @@ from rislink import (
     BrcsCurve,
     ElementGeometry,
     ElementPattern,
+    LoadBounds,
     LoadVector,
+    OptimizerOptions,
     PatternError,
     ScatterMatrix,
     Scenario,
     TouchstoneDocument,
     TouchstoneError,
     TouchstoneOptions,
+    VaractorModel,
     assemble_full_matrix,
     azimuth_to_element,
+    cap_to_gamma,
     brcs_from_coupling,
     coupling_coefficient,
     distance_to_element,
     dumps_touchstone,
     load_gammas,
+    optimize,
     parse_pattern_table,
     parse_touchstone,
     sweep_rx_angle,
 )
+from rislink import loads
 from rislink.farfield import coupling_rows, element_paths
 
 PROPERTY = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -206,7 +214,7 @@ def test_non_finite_token_names_its_line(layout, token, data):
 
 
 _ROW_MUTANTS = ("1,zz,0", "1,0", "1,0,0,0", "1.0,0,0", "1,0,inf", "2,0,0", "1,,0", "m,azimuth_deg,gain_dbi",
-                "M, SMM_RE ,smm_im", "x,1,2", "1_0,0,0", "1,0,nan", "1,nan,0", "1,1.2,0")
+                "M, SMM_RE ,smm_im", "x,1,2", "1_0,0,0", "1,0,nan", "1,nan,0", "1,1.2,0", "1,0,4000")
 
 
 @st.composite
@@ -258,3 +266,57 @@ def test_bulk_pattern_parser_equals_row_parser(text):
     assert not abs(complex(a, b)) <= 1.0 + 1e-9 if "s_mm" in new_check[2] else not (math.isfinite(a) and b < math.inf)
     earlier = re.match("line ([0-9]+)", expected) if isinstance(expected, str) else None
     assert earlier is None or int(earlier[1]) >= line
+
+
+def _assert_rel(got, want, what):
+    assert abs(got - want) <= 1e-10 * abs(want), (what, got, want)
+
+
+def _assert_fresh(kernel, q, gam):
+    """[P | w] against a fresh solve of (I - S_ii*Gamma) for the loads ``gam``."""
+    rhs = np.column_stack((kernel.s_ii, kernel.s_ie[:, 0]))
+    fresh = np.linalg.solve(np.eye(kernel.n_ris) - kernel.s_ii * gam[np.newaxis, :], rhs)
+    assert np.abs(q - fresh).max() <= 1e-10 * np.abs(fresh).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([*range(1, 9), 48]),
+    st.sampled_from([VaractorModel(), VaractorModel(2.0, 0.5e-9)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_rank_one_updates_match_fresh_solves_over_a_start(n, model, seed):
+    """Each (A, B, C) and stepped value of a start, and [P | w] at each step and pass end, against fresh solves."""
+    rng = np.random.default_rng(seed)
+    full = random_full_link(rng, n)
+    bounds = LoadBounds(0.23e-12, 2.1e-12)
+    steps = []  # (q, gam, k) per step; q and gam are the optimizer's own arrays, updated in place
+    terms, coordinate_max = loads._terms, loads._coordinate_max
+
+    def checked_terms(kernel, q, gam, rg, k):
+        if steps and steps[-1][0] is not q:  # a new pass: the last one's q after its last step
+            _assert_fresh(kernel, *steps[-1][:2])
+        _assert_fresh(kernel, q, gam)
+        np.testing.assert_allclose(rg, kernel.s_ei[1] * gam, rtol=1e-14)
+        got = terms(kernel, q, gam, rg, k)
+        for value, want, what in zip(got, coordinate_terms(kernel, gam, k), "ABC"):
+            _assert_rel(value, want, what)
+        steps.append((q, gam, k))
+        return got
+
+    def checked_max(abc, kernel, *args):
+        c_k, value = coordinate_max(abc, kernel, *args)
+        _, gam, k = steps[-1]
+        stepped = gam.copy()
+        stepped[k] = cap_to_gamma(c_k, full.freq_hz, full.z0_ohm, model)
+        s21 = brute_force_reduce(full.entries, (full.tx_index, full.rx_index), full.ris_indices, stepped)[1, 0]
+        _assert_rel(value, abs(s21) ** 2, "value")
+        return c_k, value
+
+    initial = LoadVector.of(rng.uniform(bounds.c_min_f, bounds.c_max_f, n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(loads, "_terms", checked_terms)
+        patch.setattr(loads, "_coordinate_max", checked_max)
+        (trace,) = optimize(full, bounds, model, OptimizerOptions(starts=1, initial=initial)).trace
+    _assert_fresh(full.kernel, *steps[-1][:2])
+    assert len({id(q) for q, _, _ in steps}) == trace.n_passes and len(steps) == trace.n_evals - 1

@@ -141,6 +141,17 @@ class TestParseErrors:
         with pytest.raises(TouchstoneError, match="^line 3: non-finite value nan"):
             parse_touchstone("# GHz S RI R 50\n1.0 0.5 0.0\nnan 0.5 0.0\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# GHz S DB R 50\n1.0 3 0\n2.0 7000 0\n", "^line 3: value 7000.0 overflows in conversion$"),
+            ("# GHz S RI R 50\n1.0 0.5 0\n1e300 0.5 0\n", "^line 3: value 1e\\+300 overflows in conversion$"),
+        ],
+    )
+    def test_rejects_value_overflowing_in_conversion_with_line_number(self, text, message):
+        with pytest.raises(TouchstoneError, match=message):
+            parse_touchstone(text)
+
     def test_error_lines_count_crlf_and_comment_lines(self):
         text = "! a\r\n\r\n# GHz S RI R 50 ! b\r\n! c\r\n1.0 0.5 0.0\r\n2.0 0.5 zz\r\n"
         with pytest.raises(TouchstoneError, match="^line 6: invalid numeric token 'zz'$"):
