@@ -92,7 +92,7 @@ def parse_pattern_table(text: str | bytes) -> list[ElementPattern]:
     patterns = []
     for m, idx in zip(elements, np.split(order, np.flatnonzero(np.diff(gain_m[order])) + 1)):
         azimuths, az_rad = az_deg[idx], np.radians(az_deg[idx])
-        if np.any(az_rad[1:] == az_rad[:-1]):  # in radians: distinct tiny degrees can round together
+        if np.any(azimuths[1:] == azimuths[:-1]):
             raise PatternError(f"element {m}: duplicate azimuth sample")
         lo, hi = azimuths[0], azimuths[-1]
         if lo > -_REQUIRED_COVERAGE_DEG + _COVERAGE_SLACK_DEG or hi < _REQUIRED_COVERAGE_DEG - _COVERAGE_SLACK_DEG:
@@ -100,6 +100,9 @@ def parse_pattern_table(text: str | bytes) -> list[ElementPattern]:
                 f"element {m}: pattern covers [{lo:g}, {hi:g}] deg, "
                 f"needs at least [-90, 90] deg"
             )
+        # Distinct tiny degrees can round together in radians; checked after coverage, as for exact duplicates.
+        if np.any(az_rad[1:] == az_rad[:-1]):
+            raise PatternError(f"element {m}: duplicate azimuth sample")
         patterns.append(ElementPattern(m, az_rad, gain_lin[idx], smm[m]))
     return patterns
 
