@@ -11,22 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import RislinkError
-from .farfield import (
-    ElementPattern,
-    FarFieldValidityWarning,
-    Scenario,
-    assemble_full_matrix,
-    coupling_rows,
-    farfield_limit_distance,
-)
+from .farfield import MAX_ANGLE_RAD, ElementPattern, Scenario, assemble_full_matrix, coupling_rows
 from .loads import IDEAL_VARACTOR, LoadVector, VaractorModel
 from .network import ScatterMatrix
 
@@ -115,28 +107,19 @@ def sweep_rx_angle(
     The loads stay fixed while the receiver moves, so only the Rx coupling
     row r(alpha) of the full matrix changes:
     S_RxTx(alpha) = S_RxTx + r(alpha) @ Gamma*(I - S_ii*Gamma)^-1 * t.
-    The full matrix is assembled once, at the first angle, and its kernel
-    (``full.kernel``) solves for the loaded-port waves once; the coupling
-    rows of every angle then come from one call, each row dotted with them.
+    The full matrix is assembled once, at the scenario's own angles (which
+    gives the one far-field warning), and its kernel (``full.kernel``) solves
+    for the loaded-port waves once; the coupling rows of every angle then
+    come from one call, each row dotted with them.
     """
     alphas = np.asarray(alphas_rad, dtype=float)
     if alphas.size == 0:
         raise ValueError("alpha grid is empty")
+    if not np.all(np.abs(alphas) <= MAX_ANGLE_RAD):
+        raise ValueError("sweep angles must lie within [-90, 90] deg (front halfspace)")
     lam = scn.wavelength_m
 
-    limit = farfield_limit_distance(scn)
-    if scn.r_m < limit:
-        warnings.warn(
-            FarFieldValidityWarning(
-                f"range {scn.r_m:.3f} m is below the far-field limit {limit:.3f} m; "
-                "coupling accuracy degrades"
-            ),
-            stacklevel=2,
-        )
-
-    full = assemble_full_matrix(
-        replace(scn, alpha_rad=float(alphas[0])), ris, patterns, nearfield_warning=False
-    )
+    full = assemble_full_matrix(scn, ris, patterns)
     kernel = full.kernel
     if len(caps) != kernel.n_ris:
         raise ValueError(f"{len(caps)} loads for {kernel.n_ris} RIS ports")

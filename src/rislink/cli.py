@@ -83,6 +83,8 @@ def _build_ris(cfg: ScenarioConfig) -> ScatterMatrix:
     scn = cfg.scenario
     if isinstance(cfg.ris, RisFile):
         doc = read_touchstone(cfg.ris.path)
+        if doc.n_ports != len(scn.elements):
+            raise InputError(f"{cfg.ris.path}: {doc.n_ports} ports for {len(scn.elements)} scenario elements")
         return matrix_at_frequency(
             doc, scn.freq_hz, cfg.ris.freq_tol_hz, element_numbers=scn.element_numbers
         )
@@ -191,6 +193,9 @@ def _read_caps_csv(path: Path, cfg: ScenarioConfig) -> LoadVector:
     missing = [m for m in numbers if m not in caps_by_m]
     if missing:
         raise InputError(f"{path}: missing capacitances for elements {missing}")
+    unknown = sorted(set(caps_by_m) - set(numbers))
+    if unknown:
+        raise InputError(f"{path}: capacitances for elements {unknown} the scenario lacks")
     for m in numbers:
         if not cfg.bounds.contains(caps_by_m[m]):
             raise InputError(

@@ -23,13 +23,16 @@ from typing import Iterable, Literal, Sequence, Union
 import numpy as np
 
 from .errors import GeometryError, PatternCoverageError, PatternError
-from .network import ScatterMatrix, TX_ROLE, RX_ROLE, ris_role
+from .network import ScatterMatrix
 
 SPEED_OF_LIGHT = 299_792_458.0
 
 Side = Literal["tx", "rx"]
 
 _ASIN_SLACK = 1e-9
+
+#: Largest |angle| from the surface normal: +-90 deg, closed, with rounding slack.
+MAX_ANGLE_RAD = math.pi / 2 + 1e-12
 
 
 class FarFieldValidityWarning(UserWarning):
@@ -128,8 +131,7 @@ class Scenario:
         if not (self.g_tx_lin > 0 and self.g_rx_lin > 0):
             raise ValueError("antenna gains must be positive (linear scale)")
         # Closed interval: +-90 deg is needed by full-hemisphere BRCS sweeps.
-        half_pi = math.pi / 2 + 1e-12
-        if abs(self.alpha_rad) > half_pi or abs(self.beta_rad) > half_pi:
+        if abs(self.alpha_rad) > MAX_ANGLE_RAD or abs(self.beta_rad) > MAX_ANGLE_RAD:
             raise ValueError("alpha and beta must lie within [-90, 90] deg (front halfspace)")
         elements = tuple(self.elements)
         numbers = [e.index_m for e in elements]
@@ -251,8 +253,6 @@ def assemble_full_matrix(
     scn: Scenario,
     ris: ScatterMatrix,
     patterns: Sequence[ElementPattern],
-    *,
-    nearfield_warning: bool = True,
 ) -> ScatterMatrix:
     """Assemble the (N+2)x(N+2) link matrix from a RIS-only matrix.
 
@@ -260,13 +260,12 @@ def assemble_full_matrix(
     in the middle and the Rx port last. Tx-RIS and Rx-RIS rows/columns are
     filled with :func:`coupling_rows`; the Tx and Rx self terms and
     the direct Tx-Rx term are zero (obstructed line of sight). The result
-    is symmetric by construction.
+    is symmetric by construction. Warns with :class:`FarFieldValidityWarning`
+    when an antenna is closer to an element than 2*D^2/lambda.
     """
     if not ris.is_ris_only:
         raise PatternError("assemble_full_matrix expects a RIS-only scatter matrix")
     n = len(scn.elements)
-    if ris.n_ports != n:
-        raise PatternError(f"{n} scenario elements but ris matrix has {ris.n_ports} ports")
     if ris.element_numbers != scn.element_numbers:
         raise PatternError(
             f"ris port numbering {ris.element_numbers} does not match "
@@ -285,16 +284,14 @@ def assemble_full_matrix(
                 f"ris diagonal {ris.entries[i, i]:.8f}"
             )
 
-    if nearfield_warning:
-        _warn_if_nearfield(scn)
+    _warn_if_nearfield(scn)
 
     full = np.zeros((n + 2, n + 2), dtype=complex)
     full[1 : n + 1, 1 : n + 1] = ris.entries
     full[0, 1 : n + 1] = full[1 : n + 1, 0] = coupling_rows(scn, patterns, "tx")[0]
     full[n + 1, 1 : n + 1] = full[1 : n + 1, n + 1] = coupling_rows(scn, patterns, "rx")[0]
 
-    roles = (TX_ROLE, *(ris_role(m) for m in scn.element_numbers), RX_ROLE)
-    return ScatterMatrix(full, scn.freq_hz, roles, ris.z0_ohm)
+    return ScatterMatrix.full_link(full, scn.freq_hz, scn.element_numbers, ris.z0_ohm)
 
 
 def _check_self_term(s_mm: complex) -> None:

@@ -1,20 +1,21 @@
 """Complex scatter-matrix data model and loaded-port network algebra.
 
-Ports are identified by role tokens: ``"tx"``, ``"rx"`` and ``"ris<m>"``
-where ``m`` is the 1-based element number. A full link matrix is laid out
-with the Tx port first, the RIS element ports in the middle and the Rx
-port last. All operations are pure functions on effectively immutable
-values (entry arrays are locked after construction), so instances can be
-shared freely across threads.
+Every matrix has one fixed port layout: the N RIS element ports in the
+middle, numbered by their 1-based element numbers, with the Tx port before
+them and the Rx port after them. A matrix with N ports is RIS-only; one
+with N + 2 ports is a link, Tx at port 0 and Rx at the last port. All
+operations are pure functions on effectively immutable values (entry arrays
+are locked after construction), so instances can be shared freely across
+threads.
 """
 
 from __future__ import annotations
 
 import math
-import re
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -22,11 +23,6 @@ from .errors import IllConditionedLoadError
 
 if TYPE_CHECKING:
     from .loads import VaractorModel
-
-TX_ROLE = "tx"
-RX_ROLE = "rx"
-
-_RIS_ROLE_RE = re.compile(r"^ris([1-9][0-9]*)$")
 
 #: Reciprocal condition numbers of (I - S_ii*Gamma) below this are rejected;
 #: physical loaded passive networks never reach exact singularity, so a
@@ -37,41 +33,9 @@ RCOND_LIMIT = 1e-12
 GAMMA_SLACK = 1e-9
 
 
-def ris_role(element_number: int) -> str:
-    """Role token for the RIS element with the given 1-based number."""
-    if element_number < 1:
-        raise ValueError(f"element number must be >= 1, got {element_number}")
-    return f"ris{element_number}"
-
-
-def role_element(role: str) -> int | None:
-    """Element number encoded in a role token, or None for tx/rx."""
-    match = _RIS_ROLE_RE.match(role)
-    return int(match.group(1)) if match else None
-
-
-def _validate_roles(roles: Sequence[str]) -> None:
-    seen_elements: set[int] = set()
-    n_tx = n_rx = 0
-    for role in roles:
-        if role == TX_ROLE:
-            n_tx += 1
-        elif role == RX_ROLE:
-            n_rx += 1
-        else:
-            m = role_element(role)
-            if m is None:
-                raise ValueError(f"invalid port role {role!r}")
-            if m in seen_elements:
-                raise ValueError(f"duplicate RIS element number {m} in port roles")
-            seen_elements.add(m)
-    if n_tx > 1 or n_rx > 1:
-        raise ValueError("at most one Tx and one Rx port are allowed")
-
-
 @dataclass(frozen=True, eq=False)
 class ScatterMatrix:
-    """Square complex scatter matrix with port roles at one frequency.
+    """Square complex scatter matrix at one frequency, in the Tx | RIS | Rx layout.
 
     Parameters
     ----------
@@ -79,34 +43,34 @@ class ScatterMatrix:
         P x P complex wave ratios.
     freq_hz : float
         Frequency the matrix is valid at, in Hz.
-    port_roles : tuple of str
-        One role token per port, same order as the matrix rows.
+    element_numbers : tuple of int
+        Unique 1-based numbers of the RIS element ports, in port order. Their
+        count N is P (RIS-only) or P - 2 (link, Tx first and Rx last).
     z0_ohm : float
         Real reference impedance, identical for every port.
     """
 
     entries: np.ndarray
     freq_hz: float
-    port_roles: tuple[str, ...]
+    element_numbers: tuple[int, ...]
     z0_ohm: float = 50.0
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
-        roles = tuple(self.port_roles)
-        if len(roles) != entries.shape[0]:
-            raise ValueError(
-                f"{len(roles)} port roles for a {entries.shape[0]}-port matrix"
-            )
-        _validate_roles(roles)
+        numbers = tuple(operator.index(m) for m in self.element_numbers)
+        if entries.shape[0] - len(numbers) not in (0, 2):
+            raise ValueError(f"{len(numbers)} element numbers for a {entries.shape[0]}-port matrix")
+        if len(set(numbers)) != len(numbers) or min(numbers, default=1) < 1:
+            raise ValueError(f"element numbers must be unique and >= 1, got {numbers}")
         if not self.freq_hz > 0:
             raise ValueError(f"freq_hz must be positive, got {self.freq_hz}")
         if not self.z0_ohm > 0:
             raise ValueError(f"z0_ohm must be positive, got {self.z0_ohm}")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "port_roles", roles)
+        object.__setattr__(self, "element_numbers", numbers)
 
     # -- constructors ------------------------------------------------------
 
@@ -119,10 +83,11 @@ class ScatterMatrix:
         z0_ohm: float = 50.0,
     ) -> "ScatterMatrix":
         """N-port matrix whose ports are all RIS elements (default numbering 1..N)."""
-        entries = np.asarray(entries, dtype=complex)
-        n = entries.shape[0] if entries.ndim == 2 else 0
-        numbers = tuple(element_numbers) if element_numbers is not None else tuple(range(1, n + 1))
-        return cls(entries, freq_hz, tuple(ris_role(m) for m in numbers), z0_ohm)
+        numbers = range(1, len(entries) + 1) if element_numbers is None else element_numbers
+        matrix = cls(entries, freq_hz, tuple(numbers), z0_ohm)
+        if not matrix.is_ris_only:
+            raise ValueError(f"{matrix.n_ports - 2} element numbers for a {matrix.n_ports}-port RIS-only matrix")
+        return matrix
 
     @classmethod
     def full_link(
@@ -133,43 +98,37 @@ class ScatterMatrix:
         z0_ohm: float = 50.0,
     ) -> "ScatterMatrix":
         """(N+2)-port matrix ordered Tx, RIS elements, Rx."""
-        roles = (TX_ROLE, *(ris_role(m) for m in element_numbers), RX_ROLE)
-        return cls(entries, freq_hz, roles, z0_ohm)
+        matrix = cls(entries, freq_hz, tuple(element_numbers), z0_ohm)
+        if matrix.is_ris_only:
+            raise ValueError(f"a link needs a Tx and an Rx port beside its {matrix.n_ports} element ports")
+        return matrix
 
-    # -- port bookkeeping --------------------------------------------------
+    # -- port layout -------------------------------------------------------
 
     @property
     def n_ports(self) -> int:
         return self.entries.shape[0]
 
     @property
+    def is_ris_only(self) -> bool:
+        return len(self.element_numbers) == self.n_ports
+
+    @property
     def tx_index(self) -> int:
-        try:
-            return self.port_roles.index(TX_ROLE)
-        except ValueError:
-            raise ValueError("matrix has no Tx port") from None
+        if self.is_ris_only:
+            raise ValueError("RIS-only matrix has no Tx port")
+        return 0
 
     @property
     def rx_index(self) -> int:
-        try:
-            return self.port_roles.index(RX_ROLE)
-        except ValueError:
-            raise ValueError("matrix has no Rx port") from None
+        if self.is_ris_only:
+            raise ValueError("RIS-only matrix has no Rx port")
+        return self.n_ports - 1
 
     @property
     def ris_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.port_roles) if role_element(r) is not None)
-
-    @property
-    def element_numbers(self) -> tuple[int, ...]:
-        return tuple(role_element(self.port_roles[i]) for i in self.ris_indices)
-
-    @property
-    def is_ris_only(self) -> bool:
-        return len(self.ris_indices) == self.n_ports
-
-    def has_link_ports(self) -> bool:
-        return TX_ROLE in self.port_roles and RX_ROLE in self.port_roles
+        first = 0 if self.is_ris_only else 1
+        return tuple(range(first, first + len(self.element_numbers)))
 
     @cached_property
     def kernel(self) -> "LinkKernel":
@@ -181,7 +140,7 @@ class LinkKernel:
     """Loaded-link transfer of one Tx/RIS/Rx matrix, on plain arrays.
 
     The matrix is split once into its external (Tx, Rx) and RIS blocks, so an
-    evaluation is the linear solve plus a few array operations: no role
+    evaluation is the linear solve plus a few array operations: no index
     lookups, no fancy indexing and no validation. Callers check their inputs
     at their own boundary; get the kernel through ``ScatterMatrix.kernel``,
     which builds it once per matrix.
@@ -332,7 +291,7 @@ def reduce_loaded(full: ScatterMatrix, loads: ReflectionVector) -> ScatterMatrix
     kernel = full.kernel
     if len(loads) != kernel.n_ris:
         raise ValueError(f"{len(loads)} loads for {kernel.n_ris} RIS ports")
-    return ScatterMatrix(kernel.reduce(loads.as_array), full.freq_hz, (TX_ROLE, RX_ROLE), full.z0_ohm)
+    return ScatterMatrix.full_link(kernel.reduce(loads.as_array), full.freq_hz, (), full.z0_ohm)
 
 
 def power_transfer(reduced: ScatterMatrix) -> float:
@@ -340,9 +299,9 @@ def power_transfer(reduced: ScatterMatrix) -> float:
 
     With matched terminations this lies in [0, 1] for any passive network.
     """
-    if reduced.n_ports != 2 or not reduced.has_link_ports():
-        raise ValueError("power_transfer expects a 2x2 matrix with Tx and Rx roles")
-    return float(abs(reduced.entries[reduced.rx_index, reduced.tx_index]) ** 2)
+    if reduced.n_ports != 2 or reduced.element_numbers:
+        raise ValueError("power_transfer expects a 2x2 matrix of Tx and Rx ports")
+    return float(abs(reduced.entries[1, 0]) ** 2)
 
 
 def check_passivity(s: ScatterMatrix, tol: float = 1e-6) -> bool:

@@ -58,7 +58,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError
-from .farfield import ElementGeometry, ExpDecayCoupling, IsolatedCoupling, Scenario
+from .farfield import MAX_ANGLE_RAD, ElementGeometry, ExpDecayCoupling, IsolatedCoupling, Scenario
 from .loads import LoadBounds, OptimizerOptions, VaractorModel
 
 _LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "cm": 1e-2}
@@ -131,14 +131,19 @@ class SweepGrid:
     step_rad: float
 
     def __post_init__(self):
-        if self.step_rad <= 0:
-            raise ConfigError("sweep.step must be positive")
+        for key, angle in (("sweep.start", self.start_rad), ("sweep.stop", self.stop_rad)):
+            if not abs(angle) <= MAX_ANGLE_RAD:
+                raise ConfigError(f"{key} must lie within [-90, 90] deg, got {math.degrees(angle):g} deg")
+        if not 0 < self.step_rad < math.inf:
+            raise ConfigError("sweep.step must be positive and finite")
         if self.stop_rad < self.start_rad:
             raise ConfigError("sweep grid is empty (stop < start)")
 
     def alphas_rad(self) -> np.ndarray:
+        """start, start + step, ... up to stop; a last step that would pass stop is dropped."""
         count = int(round((self.stop_rad - self.start_rad) / self.step_rad)) + 1
-        return self.start_rad + self.step_rad * np.arange(count)
+        alphas = self.start_rad + self.step_rad * np.arange(count)
+        return alphas[alphas <= self.stop_rad + 1e-12]
 
 
 @dataclass(frozen=True)

@@ -284,14 +284,12 @@ def matrix_at_frequency(
     doc: TouchstoneDocument,
     f_hz: float,
     tol_hz: float,
-    roles: Sequence[str] | None = None,
     element_numbers: Sequence[int] | None = None,
 ) -> ScatterMatrix:
-    """Pick the point within ``tol_hz`` of ``f_hz`` as a :class:`ScatterMatrix`.
+    """Pick the point within ``tol_hz`` of ``f_hz`` as a RIS-only :class:`ScatterMatrix`.
 
     No interpolation is performed; the model is single-frequency by design.
-    Ports default to RIS-element roles numbered 1..N unless ``roles`` or
-    ``element_numbers`` says otherwise.
+    Ports are RIS elements numbered 1..N unless ``element_numbers`` says otherwise.
     """
     if not doc.points:
         raise FrequencyNotFoundError("document contains no frequency points")
@@ -303,6 +301,4 @@ def matrix_at_frequency(
             f"no point within {tol_hz:g} Hz of {f_hz / 1e9:.9g} GHz; available: {available}"
         )
     freq_hz, matrix = doc.points[best]
-    if roles is not None:
-        return ScatterMatrix(matrix, freq_hz, tuple(roles), doc.options.z0_ohm)
     return ScatterMatrix.ris_only(matrix, freq_hz, element_numbers, doc.options.z0_ohm)

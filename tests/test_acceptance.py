@@ -120,6 +120,7 @@ def test_criterion_2_coupling_magnitude_and_phase_law():
             assert abs(diff) < 1e-10, f"phase error {diff:.2e} rad at d={r}"
 
 
+@pytest.mark.filterwarnings("ignore::rislink.FarFieldValidityWarning")
 def test_criterion_3_assembly_contracts(rng):
     with criterion(3, "full-matrix assembly contracts", budget_s=10.0):
         for trial in range(100):
@@ -150,7 +151,7 @@ def test_criterion_3_assembly_contracts(rng):
                                          s_mm=complex(ris.entries[m, m]))
                 for m in range(n)
             ]
-            full = assemble_full_matrix(scn, ris, patterns, nearfield_warning=False)
+            full = assemble_full_matrix(scn, ris, patterns)
             assert check_reciprocity(full, tol=1e-12)
             assert check_passivity(full, tol=1e-6)
             assert np.array_equal(full.entries[1 : n + 1, 1 : n + 1], ris.entries)

@@ -11,6 +11,7 @@ from rislink import (
     ElementGeometry,
     ElementPattern,
     ExpDecayCoupling,
+    FarFieldValidityWarning,
     IDEAL_VARACTOR,
     IllConditionedLoadError,
     LoadVector,
@@ -171,6 +172,7 @@ class TestSweep:
         assert keys["r_m"] == "2"
         assert "caps_sha256" in keys
 
+    @pytest.mark.filterwarnings("ignore::rislink.FarFieldValidityWarning")
     def test_matches_per_angle_reduction(self, rng):
         # Reference: the full matrix assembled at each alpha, then reduce_loaded.
         alphas = np.radians(np.arange(-80.0, 81.0, 4.0))
@@ -193,7 +195,7 @@ class TestSweep:
                 oracle = []
                 for alpha in alphas:
                     local = replace(scn, alpha_rad=float(alpha))
-                    full = assemble_full_matrix(local, ris, patterns, nearfield_warning=False)
+                    full = assemble_full_matrix(local, ris, patterns)
                     s21 = reduce_loaded(full, gammas).entries[1, 0]
                     oracle.append(
                         brcs_from_coupling(s21, scn.r_m, scn.r_m, scn.g_tx_lin, scn.g_rx_lin, LAM)
@@ -227,6 +229,22 @@ class TestSweep:
         ris, patterns = setup_pair(scn)
         with pytest.raises(ValueError, match="empty"):
             sweep_rx_angle(scn, ris, patterns, LoadVector.uniform(1e-12, 2), np.array([]))
+
+    @pytest.mark.parametrize("alpha_deg", [-150.0, -90.001, 90.001, 270.0, math.nan])
+    def test_angle_beyond_front_halfspace_rejected(self, alpha_deg):
+        scn = pair_scenario()
+        ris, patterns = setup_pair(scn)
+        with pytest.raises(ValueError, match=r"within \[-90, 90\] deg"):
+            sweep_rx_angle(scn, ris, patterns, LoadVector.uniform(1e-12, 2), np.radians([0.0, alpha_deg]))
+
+    def test_nearfield_scenario_warns_once(self):
+        # 2*D^2/lambda is about 2.8 m for elements 0.6 m apart: R = 2 m is too close.
+        els = (ElementGeometry(1, -0.3, 0.0), ElementGeometry(2, 0.3, 0.0))
+        scn = replace(pair_scenario(), elements=els)
+        ris, patterns = setup_pair(scn)
+        with pytest.warns(FarFieldValidityWarning) as record:
+            sweep_rx_angle(scn, ris, patterns, LoadVector.uniform(1e-12, 2), np.radians([-30.0, 0.0, 30.0]))
+        assert len(record) == 1
 
 
 class TestExportCsv:

@@ -10,8 +10,10 @@ import pytest
 from conftest import grid_transfer
 from rislink import (
     __version__,
+    document_from_matrix,
     read_scenario,
     read_touchstone,
+    write_touchstone,
 )
 from rislink.cli import _build_patterns, _build_ris, main
 from rislink.farfield import assemble_full_matrix
@@ -94,6 +96,29 @@ class TestSynthesize:
         assert doc.n_ports == 16
         assert doc.points[0][0] == 3.55e9
 
+    def test_board_from_touchstone_file_matches_synthesized_model(self, tmp_path):
+        board = Path(__file__).resolve().parents[1] / "scenarios" / "board_7x2"
+        text = (board / "scenario.cfg").read_text()
+        outputs = {}
+        for source in ("model", "file"):
+            run = tmp_path / source
+            run.mkdir()
+            (run / "patterns.csv").write_bytes((board / "patterns.csv").read_bytes())
+            if source == "file":
+                ris = _build_ris(read_scenario(board / "scenario.cfg"))
+                write_touchstone(document_from_matrix(ris), run / "board.s14p")
+                lines = [ln for ln in text.splitlines() if not ln.startswith("ris.")]
+                text = "\n".join(lines) + "\nris.file = board.s14p\n"
+            cfg = run / "scenario.cfg"
+            cfg.write_text(text)
+            out = str(run / "out")
+            assert main(["synthesize", str(cfg), "--out", out]) == 0
+            assert main(["optimize", str(cfg), "--seed", "7", "--out", out]) == 0
+            assert main(["sweep", str(cfg), str(run / "out" / "caps.csv"), "--out", out]) == 0
+            outputs[source] = {name: (run / "out" / name).read_bytes() for name in ("full.s16p", "caps.csv", "brcs.csv")}
+        assert "ris.file" in json.loads((tmp_path / "file" / "out" / "manifest.sweep.json").read_text())["config"]
+        assert outputs["file"] == outputs["model"]
+
     def test_missing_pattern_file_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(TOY.replace("patterns.gain_db = 5 dB", "patterns.file = absent.csv"))
@@ -174,6 +199,14 @@ class TestInputFiles:
         assert main(["synthesize", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    def test_touchstone_port_count_not_matching_scenario_exits_2(self, tmp_path, capsys):
+        cfg = self.write(tmp_path)
+        cfg.write_text(FILE_CFG.replace("ris.s2p", "ris.s3p"))
+        (tmp_path / "ris.s3p").write_text("# GHz S RI R 50\n3.55" + " 0.2 0 0 0 0 0 0 0" * 2 + " 0.2 0\n")
+        assert main(["synthesize", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "3 ports for 2 scenario elements" in err and "Traceback" not in err
 
     def test_smm_above_one_exits_2(self, tmp_path, capsys):
         cfg = self.write(tmp_path, patterns=PATTERNS.replace("1,0.2,0", "1,1.5,0"))
@@ -276,11 +309,33 @@ class TestSweep:
         assert main(["sweep", str(cfg_path)]) == 2
         assert "reflector" in capsys.readouterr().err
 
-    def test_empty_alpha_grid_exits_2(self, tmp_path):
-        text = TOY.replace("sweep.stop = 90 deg", "sweep.stop = -95 deg")
+    def test_empty_alpha_grid_exits_2(self, tmp_path, capsys):
+        text = TOY.replace("sweep.start = -90 deg", "sweep.start = 10 deg")
+        text = text.replace("sweep.stop = 90 deg", "sweep.stop = -10 deg")
         cfg_path = tmp_path / "empty.cfg"
         cfg_path.write_text(text)
         assert main(["sweep", str(cfg_path)]) == 2
+        assert "empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, old, new",
+        [("sweep.start", "-90 deg", "-150 deg"), ("sweep.stop", "90 deg", "120 deg"),
+         ("sweep.start", "-90 deg", "-1.6 rad")],
+    )
+    def test_sweep_bound_beyond_90_deg_exits_2(self, tmp_path, capsys, key, old, new):
+        cfg_path = tmp_path / "wide.cfg"
+        cfg_path.write_text(TOY.replace(f"{key} = {old}", f"{key} = {new}"))
+        assert main(["sweep", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must lie within [-90, 90] deg" in err and "Traceback" not in err
+
+    def test_sweep_grid_stops_at_its_last_step_inside_stop(self, toy_cfg, tmp_path):
+        cfg_path = tmp_path / "step7.cfg"
+        cfg_path.write_text(toy_cfg.read_text().replace("sweep.step = 5 deg", "sweep.step = 7 deg"))
+        assert main(["sweep", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        rows = (tmp_path / "o" / "brcs.csv").read_text().splitlines()
+        assert [rows[1].split(",")[0], rows[-1].split(",")[0]] == ["-90", "85"]
+        assert len(rows) == 1 + 26
 
     @pytest.mark.parametrize("c_pf", ["5.0", "nan", "inf", "0", "-1"])
     def test_caps_out_of_bounds_exit_2(self, toy_cfg, tmp_path, capsys, c_pf):
@@ -294,6 +349,14 @@ class TestSweep:
         caps = tmp_path / "caps.csv"
         caps.write_text("m,c_pf,gamma_re,gamma_im\n1,1.0,0,0\n")
         assert main(["sweep", str(toy_cfg), str(caps), "--out", str(tmp_path / "o")]) == 2
+
+    def test_caps_unknown_element_exit_2(self, toy_cfg, tmp_path, capsys):
+        caps = tmp_path / "caps.csv"
+        caps.write_text("m,c_pf,gamma_re,gamma_im\n1,1.0,0,0\n2,1.0,0,0\n99,1.0,0,0\n")
+        assert main(["sweep", str(toy_cfg), str(caps), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "elements [99]" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestOverrides:

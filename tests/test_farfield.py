@@ -210,7 +210,8 @@ class TestAssemble:
         full = assemble_full_matrix(scn, empty, [])
         assert full.n_ports == 2
         assert np.array_equal(full.entries, np.zeros((2, 2)))
-        assert full.port_roles == ("tx", "rx")
+        assert full.element_numbers == ()
+        assert (full.tx_index, full.rx_index) == (0, 1)
 
     def test_single_isotropic_element_oracle(self):
         # Direct coupling-law evaluation for a unit-gain element at the origin.

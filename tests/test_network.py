@@ -36,32 +36,38 @@ def three_port_link():
 class TestScatterMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            ScatterMatrix(np.zeros((2, 3)), 1e9, ("tx", "rx"))
+            ScatterMatrix(np.zeros((2, 3)), 1e9, ())
 
-    def test_rejects_role_count_mismatch(self):
-        with pytest.raises(ValueError, match="port roles"):
-            ScatterMatrix(np.zeros((3, 3)), 1e9, ("tx", "rx"))
+    def test_rejects_element_count_mismatch(self):
+        # P - N must be 0 (RIS-only) or 2 (link).
+        for numbers in ((), (1, 2), (1, 2, 3, 4)):
+            with pytest.raises(ValueError, match="element numbers for a 3-port matrix"):
+                ScatterMatrix(np.zeros((3, 3)), 1e9, numbers)
+        with pytest.raises(ValueError, match="RIS-only"):
+            ScatterMatrix.ris_only(np.zeros((3, 3)), 1e9, (1,))
+        with pytest.raises(ValueError, match="Tx and an Rx port"):
+            ScatterMatrix.full_link(np.zeros((2, 2)), 1e9, (1, 2))
 
-    def test_rejects_bad_role_token(self):
-        with pytest.raises(ValueError, match="invalid port role"):
-            ScatterMatrix(np.zeros((2, 2)), 1e9, ("tx", "ris0"))
+    def test_rejects_element_number_below_one(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            ScatterMatrix(np.zeros((3, 3)), 1e9, (0,))
+        with pytest.raises(ValueError, match=">= 1"):
+            ScatterMatrix.ris_only(np.zeros((2, 2)), 1e9, (-1, 2))
 
     def test_rejects_duplicate_element(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ScatterMatrix(np.zeros((2, 2)), 1e9, ("ris3", "ris3"))
-
-    def test_rejects_two_tx(self):
-        with pytest.raises(ValueError, match="at most one"):
-            ScatterMatrix(np.zeros((2, 2)), 1e9, ("tx", "tx"))
+        with pytest.raises(ValueError, match="unique"):
+            ScatterMatrix(np.zeros((2, 2)), 1e9, (3, 3))
+        with pytest.raises(ValueError, match="unique"):
+            ScatterMatrix.full_link(np.zeros((4, 4)), 1e9, (3, 3))
 
     def test_rejects_nonpositive_frequency_and_impedance(self):
         with pytest.raises(ValueError, match="freq"):
-            ScatterMatrix(np.zeros((1, 1)), 0.0, ("tx",))
+            ScatterMatrix(np.zeros((1, 1)), 0.0, (1,))
         with pytest.raises(ValueError, match="z0"):
-            ScatterMatrix(np.zeros((1, 1)), 1e9, ("tx",), z0_ohm=-50)
+            ScatterMatrix(np.zeros((1, 1)), 1e9, (1,), z0_ohm=-50)
 
     def test_entries_are_locked(self):
-        sm = ScatterMatrix(np.zeros((2, 2)), 1e9, ("tx", "rx"))
+        sm = ScatterMatrix(np.zeros((2, 2)), 1e9, ())
         with pytest.raises(ValueError):
             sm.entries[0, 0] = 1.0
 
@@ -72,7 +78,14 @@ class TestScatterMatrix:
         assert sm.ris_indices == (1, 2, 3)
         assert sm.element_numbers == (1, 2, 3)
         assert not sm.is_ris_only
-        assert ScatterMatrix.ris_only(np.zeros((2, 2)), 1e9).is_ris_only
+        ris = ScatterMatrix.ris_only(np.zeros((2, 2)), 1e9, (7, 3))
+        assert ris.is_ris_only
+        assert ris.ris_indices == (0, 1)
+        assert ris.element_numbers == (7, 3)
+        with pytest.raises(ValueError, match="no Tx port"):
+            ris.tx_index
+        with pytest.raises(ValueError, match="no Rx port"):
+            ris.rx_index
 
 
 class TestReflectionVector:
@@ -90,7 +103,8 @@ class TestReduceLoaded:
         reduced = reduce_loaded(full, ReflectionVector.of([0.0] * 4))
         expected = full.entries[np.ix_((0, 5), (0, 5))]
         assert np.array_equal(reduced.entries, expected)
-        assert reduced.port_roles == ("tx", "rx")
+        assert reduced.element_numbers == ()
+        assert (reduced.tx_index, reduced.rx_index) == (0, 1)
 
     def test_single_loaded_port_scalar_oracle(self):
         # Direct scalar evaluation of the reduction chain.
@@ -219,13 +233,13 @@ class TestLinkKernel:
 
 class TestPowerTransfer:
     def test_zero_coupling(self):
-        reduced = ScatterMatrix(np.zeros((2, 2)), 1e9, ("tx", "rx"))
+        reduced = ScatterMatrix(np.zeros((2, 2)), 1e9, ())
         assert power_transfer(reduced) == 0.0
 
     def test_magnitude_squared_is_phase_independent(self):
         entries = np.zeros((2, 2), dtype=complex)
         entries[1, 0] = 0.1 * np.exp(1j * np.pi / 3)
-        reduced = ScatterMatrix(entries, 1e9, ("tx", "rx"))
+        reduced = ScatterMatrix(entries, 1e9, ())
         assert power_transfer(reduced) == pytest.approx(0.01, rel=1e-12)
 
     def test_composition_with_reduction(self):
@@ -235,6 +249,8 @@ class TestPowerTransfer:
     def test_requires_two_port_link(self):
         with pytest.raises(ValueError):
             power_transfer(three_port_link())
+        with pytest.raises(ValueError):
+            power_transfer(ScatterMatrix.ris_only(np.zeros((2, 2)), 1e9))
 
     def test_unit_interval_for_passive_network_and_loads(self, rng):
         for _ in range(50):

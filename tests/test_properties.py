@@ -113,7 +113,7 @@ def test_sweep_equals_per_angle_reduction(link, seed, alphas):
     gammas = load_gammas(caps, scn.freq_hz, ris.z0_ohm).as_array
     oracle = []
     for alpha in alphas:
-        full = assemble_full_matrix(replace(scn, alpha_rad=alpha), ris, patterns, nearfield_warning=False)
+        full = assemble_full_matrix(replace(scn, alpha_rad=alpha), ris, patterns)
         s21 = brute_force_reduce(full.entries, (full.tx_index, full.rx_index), full.ris_indices, gammas)[1, 0]
         oracle.append(brcs_from_coupling(s21, scn.r_m, scn.r_m, scn.g_tx_lin, scn.g_rx_lin, scn.wavelength_m))
     curve = sweep_rx_angle(scn, ris, patterns, caps, alphas)

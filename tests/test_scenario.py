@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rislink import (
@@ -9,6 +10,7 @@ from rislink import (
     PatternsUniform,
     RisFile,
     RisSynthesis,
+    SweepGrid,
     load_scenario,
     read_scenario,
 )
@@ -118,6 +120,17 @@ class TestLoadScenario:
         assert alphas[-1] == pytest.approx(math.pi / 2)
         assert cfg.out_dir == board_dir
 
+    def test_default_sweep_grid_is_181_exact_steps(self):
+        alphas = SweepGrid(-math.pi / 2, math.pi / 2, math.radians(1.0)).alphas_rad()
+        assert np.array_equal(alphas, -math.pi / 2 + math.radians(1.0) * np.arange(181))
+
+    @pytest.mark.parametrize("step_deg, last_deg", [(7.0, 85.0), (5.0, 90.0), (100.0, 10.0), (200.0, -90.0)])
+    def test_sweep_grid_never_passes_stop(self, step_deg, last_deg):
+        alphas = SweepGrid(-math.pi / 2, math.pi / 2, math.radians(step_deg)).alphas_rad()
+        assert alphas[-1] <= math.pi / 2
+        assert math.degrees(alphas[-1]) == pytest.approx(last_deg, abs=1e-9)
+        np.testing.assert_allclose(np.diff(alphas), math.radians(step_deg), rtol=1e-12)
+
 
 class TestConfigErrors:
     def project(self, tmp_path, mutate):
@@ -173,6 +186,18 @@ class TestConfigErrors:
     def test_empty_sweep(self, tmp_path):
         with pytest.raises(ConfigError, match="empty"):
             self.project(tmp_path, lambda t: t + "sweep.start = 10 deg\nsweep.stop = -10 deg\n")
+
+    @pytest.mark.parametrize("value", ["0 deg", "-1 deg", "nan deg", "inf deg"])
+    def test_sweep_step_not_positive_and_finite(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="sweep.step must be positive and finite"):
+            self.project(tmp_path, lambda t: t + f"sweep.step = {value}\n")
+
+    @pytest.mark.parametrize(
+        "key, value", [("sweep.start", "-150 deg"), ("sweep.stop", "90.001 deg"), ("sweep.stop", "4 rad")]
+    )
+    def test_sweep_bound_outside_front_halfspace(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=rf"{key} must lie within \[-90, 90\] deg"):
+            self.project(tmp_path, lambda t: t + f"{key} = {value}\n")
 
     def test_bad_line(self, tmp_path):
         with pytest.raises(ConfigError, match="key = value"):

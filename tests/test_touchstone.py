@@ -231,7 +231,8 @@ class TestMatrixAtFrequency:
         sm = matrix_at_frequency(self.make_doc(), 3.55e9, tol_hz=1.0)
         assert isinstance(sm, ScatterMatrix)
         assert sm.freq_hz == 3.55e9
-        assert sm.port_roles == ("ris1",)
+        assert sm.is_ris_only
+        assert sm.element_numbers == (1,)
 
     def test_outside_tolerance_lists_available(self):
         with pytest.raises(FrequencyNotFoundError, match="3.55 GHz"):
@@ -241,9 +242,12 @@ class TestMatrixAtFrequency:
         sm = matrix_at_frequency(self.make_doc(), 3.5500001e9, tol_hz=1e3)
         assert sm.freq_hz == 3.55e9
 
-    def test_roles_override(self):
-        sm = matrix_at_frequency(self.make_doc(), 3.55e9, tol_hz=1.0, roles=("tx",))
-        assert sm.port_roles == ("tx",)
+    def test_element_numbers_override(self):
+        sm = matrix_at_frequency(self.make_doc(), 3.55e9, tol_hz=1.0, element_numbers=(5,))
+        assert sm.is_ris_only
+        assert sm.element_numbers == (5,)
+        with pytest.raises(ValueError, match="2 element numbers for a 1-port matrix"):
+            matrix_at_frequency(self.make_doc(), 3.55e9, tol_hz=1.0, element_numbers=(1, 2))
 
 
 def test_document_from_matrix_round_trip(rng):
