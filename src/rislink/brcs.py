@@ -9,16 +9,14 @@ already contained in the reduced coupling.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import RislinkError
-from .farfield import MAX_ANGLE_RAD, ElementPattern, Scenario, assemble_full_matrix, coupling_rows
+from .farfield import MAX_ANGLE_RAD, ElementPattern, Scenario, assemble_full_matrix, coupling_rows, element_paths
 from .loads import IDEAL_VARACTOR, LoadVector, VaractorModel
 from .network import ScatterMatrix
 
@@ -33,7 +31,6 @@ class BrcsCurve:
     alphas_rad: np.ndarray
     sigma_dbsm: np.ndarray
     label: str
-    fingerprint: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         alphas = np.array(self.alphas_rad, dtype=float)
@@ -50,10 +47,10 @@ class BrcsCurve:
         object.__setattr__(self, "sigma_dbsm", sigma)
 
     @classmethod
-    def from_sigma_m2(cls, alphas_rad, sigma_m2, label: str, fingerprint=()) -> "BrcsCurve":
+    def from_sigma_m2(cls, alphas_rad, sigma_m2, label: str) -> "BrcsCurve":
         sigma = np.asarray(sigma_m2, dtype=float)
         dbsm = 10.0 * np.log10(np.maximum(sigma, _SIGMA_FLOOR_M2))
-        return cls(np.asarray(alphas_rad, dtype=float), dbsm, label, tuple(fingerprint))
+        return cls(np.asarray(alphas_rad, dtype=float), dbsm, label)
 
     @property
     def peak_alpha_rad(self) -> float:
@@ -89,10 +86,6 @@ def brcs_from_coupling(
     )
 
 
-def _caps_fingerprint(caps: LoadVector) -> str:
-    return hashlib.sha256(caps.as_array.tobytes()).hexdigest()[:16]
-
-
 def sweep_rx_angle(
     scn: Scenario,
     ris: ScatterMatrix,
@@ -100,17 +93,23 @@ def sweep_rx_angle(
     caps: LoadVector,
     alphas_rad: Sequence[float] | np.ndarray,
     model: VaractorModel = IDEAL_VARACTOR,
-    label: str = "ris",
 ) -> BrcsCurve:
     """sigma(alpha) of the loaded RIS link over a receiver-angle grid.
 
     The loads stay fixed while the receiver moves, so only the Rx coupling
     row r(alpha) of the full matrix changes:
     S_RxTx(alpha) = S_RxTx + r(alpha) @ Gamma*(I - S_ii*Gamma)^-1 * t.
-    The full matrix is assembled once, at the scenario's own angles (which
-    gives the one far-field warning), and its kernel (``full.kernel``) solves
+    S_ii, the Tx column and the zero direct term do not depend on alpha, so
+    the full matrix is assembled once and its kernel (``full.kernel``) solves
     for the loaded-port waves once; the coupling rows of every angle then
     come from one call, each row dotted with them.
+
+    Assembly takes alpha at the grid end that brings the Rx nearest an
+    element, so its one far-field warning covers every angle of the sweep.
+    An end suffices: the Rx at alpha lies d^2 = R^2 + x^2 + z^2 +
+    2*x*R*sin(alpha) from the element at (x, z) (:func:`element_paths`),
+    monotone in alpha on [-90, 90] deg, so each element is nearest at the
+    smallest or the largest grid angle.
     """
     alphas = np.asarray(alphas_rad, dtype=float)
     if alphas.size == 0:
@@ -119,7 +118,9 @@ def sweep_rx_angle(
         raise ValueError("sweep angles must lie within [-90, 90] deg (front halfspace)")
     lam = scn.wavelength_m
 
-    full = assemble_full_matrix(scn, ris, patterns)
+    ends = [float(alphas.min()), float(alphas.max())]
+    nearest = element_paths(scn, "rx", ends)[0].min(axis=1, initial=math.inf)
+    full = assemble_full_matrix(replace(scn, alpha_rad=ends[int(np.argmin(nearest))]), ris, patterns)
     kernel = full.kernel
     if len(caps) != kernel.n_ris:
         raise ValueError(f"{len(caps)} loads for {kernel.n_ris} RIS ports")
@@ -128,13 +129,7 @@ def sweep_rx_angle(
     # One dot per row: a matrix-vector product sums in another order and moves sigma in its last bits.
     s21 = kernel.s_ee[1, 0] + np.array([r @ wave for r in coupling_rows(scn, patterns, "rx", alphas)])
     sigma = [brcs_from_coupling(s, scn.r_m, scn.r_m, scn.g_tx_lin, scn.g_rx_lin, lam) for s in s21.tolist()]
-    fingerprint = (
-        ("beta_deg", f"{math.degrees(scn.beta_rad):.6g}"),
-        ("r_m", f"{scn.r_m:.6g}"),
-        ("freq_hz", f"{scn.freq_hz:.9g}"),
-        ("caps_sha256", _caps_fingerprint(caps)),
-    )
-    return BrcsCurve.from_sigma_m2(alphas, sigma, label, fingerprint)
+    return BrcsCurve.from_sigma_m2(alphas, sigma, "ris")
 
 
 def flat_reflector_reference(
@@ -143,7 +138,6 @@ def flat_reflector_reference(
     lambda_m: float,
     beta_rad: float,
     alphas_rad: Sequence[float] | np.ndarray,
-    label: str = "reflector",
 ) -> BrcsCurve:
     """Physical-optics BRCS of a flat rectangular plate of the same size.
 
@@ -158,12 +152,7 @@ def flat_reflector_reference(
     peak = 4.0 * math.pi * (area * math.cos(beta_rad)) ** 2 / lambda_m**2
     arg = 0.5 * k * width_m * (np.sin(alphas) - math.sin(beta_rad))
     sigma = peak * np.sinc(arg / math.pi) ** 2
-    fingerprint = (
-        ("beta_deg", f"{math.degrees(beta_rad):.6g}"),
-        ("width_m", f"{width_m:.6g}"),
-        ("height_m", f"{height_m:.6g}"),
-    )
-    return BrcsCurve.from_sigma_m2(alphas, sigma, label, fingerprint)
+    return BrcsCurve.from_sigma_m2(alphas, sigma, "reflector")
 
 
 def export_csv(curves: Sequence[BrcsCurve], path: str | Path) -> None:
@@ -184,7 +173,4 @@ def export_csv(curves: Sequence[BrcsCurve], path: str | Path) -> None:
         row = [f"{math.degrees(alpha):.6g}"]
         row.extend(f"{curve.sigma_dbsm[i]:.6g}" for curve in curves)
         lines.append(",".join(row))
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise RislinkError(f"failed to write {path}: {exc}") from exc
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,21 +1,23 @@
 """Command-line pipeline: synthesize | optimize | sweep.
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage/config/parse
-problem. Every command writes a manifest.<command>.json next to its
-outputs, so commands sharing one output directory keep their own
-provenance; runs with identical inputs and seed reproduce output files
-byte-identically (timestamps live only in the manifests).
+problem or a path the OS refuses (any ``OSError``). ``main`` reads the
+config and applies the overrides once. Every command writes
+manifest.<command>.json next to its outputs, a run's one provenance record
+(version, seed, config key/values, SHA-256 of each input file, outputs), so
+commands sharing one output directory keep their own; runs with identical
+inputs and seed reproduce output files byte-identically (timestamps live
+only in the manifests).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,33 +38,6 @@ from .scenario import (
 from .touchstone import document_from_matrix, matrix_at_frequency, read_touchstone, write_touchstone
 
 CAPS_HEADER = "m,c_pf,gamma_re,gamma_im"
-
-
-@dataclass
-class RunManifest:
-    """Provenance record written alongside every output."""
-
-    command: str
-    version: str
-    created_utc: str
-    seed: int | None
-    config: dict
-    input_hashes: dict
-    outputs: list[str]
-
-    def write(self, out_dir: Path) -> None:
-        """Write ``manifest.<command>.json`` into ``out_dir``."""
-        payload = dataclasses.asdict(self)
-        path = out_dir / f"manifest.{self.command}.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
@@ -106,34 +81,29 @@ def _build_patterns(cfg: ScenarioConfig, ris: ScatterMatrix) -> list[ElementPatt
     ]
 
 
-def _input_hashes(cfg: ScenarioConfig, config_path: Path, extra: dict[str, Path] | None = None) -> dict:
-    paths = {"config": config_path}
+def _write_manifest(cfg: ScenarioConfig, args: argparse.Namespace, outputs: list[str],
+                    seed: int | None = None, inputs: dict[str, Path] | None = None, **extra: str) -> None:
+    """Write ``manifest.<command>.json`` into ``cfg.out_dir``; ``extra`` joins the config."""
+    paths = {"config": Path(args.config)}
     if isinstance(cfg.ris, RisFile):
         paths["ris"] = cfg.ris.path
     if isinstance(cfg.patterns, PatternsFile):
         paths["patterns"] = cfg.patterns.path
-    paths.update(extra or {})
-    return {name: _sha256(path) for name, path in paths.items()}
+    paths.update(inputs or {})
+    manifest = {
+        "command": args.command,
+        "version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "seed": seed,
+        "config": {**cfg.raw, **extra},
+        "input_hashes": {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()},
+        "outputs": outputs,
+    }
+    path = cfg.out_dir / f"manifest.{args.command}.json"
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _manifest(command: str, cfg: ScenarioConfig, config_path: Path, outputs: list[str],
-              seed: int | None, extra_inputs: dict[str, Path] | None = None,
-              extra_config: dict | None = None) -> RunManifest:
-    config = dict(cfg.raw)
-    config.update(extra_config or {})
-    return RunManifest(
-        command=command,
-        version=__version__,
-        created_utc=_utc_now(),
-        seed=seed,
-        config=config,
-        input_hashes=_input_hashes(cfg, config_path, extra_inputs),
-        outputs=outputs,
-    )
-
-
-def cmd_synthesize(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(read_scenario(args.config), args)
+def cmd_synthesize(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     ris = _build_ris(cfg)
     patterns = _build_patterns(cfg, ris)
     full = assemble_full_matrix(cfg.scenario, ris, patterns)
@@ -141,13 +111,12 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / f"full.s{full.n_ports}p"
     write_touchstone(document_from_matrix(full), out_path)
-    _manifest("synthesize", cfg, Path(args.config), [out_path.name], seed=None).write(cfg.out_dir)
+    _write_manifest(cfg, args, [out_path.name])
     print(f"wrote {out_path} ({full.n_ports} ports at {full.freq_hz / 1e9:.9g} GHz)")
     return 0
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(read_scenario(args.config), args)
+def cmd_optimize(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     scn = cfg.scenario
     ris = _build_ris(cfg)
     patterns = _build_patterns(cfg, ris)
@@ -165,10 +134,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     caps_path = cfg.out_dir / "caps.csv"
     caps_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _manifest(
-        "optimize", cfg, Path(args.config), [caps_path.name], seed=opts.seed,
-        extra_config={"achieved_objective": f"{result.objective:.12g}"},
-    ).write(cfg.out_dir)
+    _write_manifest(cfg, args, [caps_path.name], seed=opts.seed, achieved_objective=f"{result.objective:.12g}")
     print(f"wrote {caps_path} (objective {result.objective:.6g})")
     return 0
 
@@ -204,18 +170,17 @@ def _read_caps_csv(path: Path, cfg: ScenarioConfig) -> LoadVector:
     return LoadVector.of(caps_by_m[m] for m in numbers)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(read_scenario(args.config), args)
+def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     scn = cfg.scenario
     if cfg.reflector is None:
         raise InputError("sweep needs reflector.width and reflector.height in the config")
     alphas = cfg.sweep.alphas_rad()
 
     curves = []
-    extra_inputs: dict[str, Path] = {}
+    inputs: dict[str, Path] = {}
     if args.caps is not None:
         caps = _read_caps_csv(Path(args.caps), cfg)
-        extra_inputs["caps"] = Path(args.caps)
+        inputs["caps"] = Path(args.caps)
         ris = _build_ris(cfg)
         patterns = _build_patterns(cfg, ris)
         curves.append(sweep_rx_angle(scn, ris, patterns, caps, alphas, model=cfg.varactor))
@@ -228,8 +193,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / "brcs.csv"
     export_csv(curves, out_path)
-    _manifest("sweep", cfg, Path(args.config), [out_path.name], seed=None,
-              extra_inputs=extra_inputs).write(cfg.out_dir)
+    _write_manifest(cfg, args, [out_path.name], inputs=inputs)
     print(f"wrote {out_path} ({len(curves)} curve(s), {alphas.size} angles)")
     return 0
 
@@ -268,8 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+        return args.func(_apply_overrides(read_scenario(args.config), args), args)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RislinkError as exc:

@@ -2,8 +2,8 @@
 
 The CLI maps these onto exit codes: input-side problems (config files,
 Touchstone/pattern parsing, frequency selection) are :class:`InputError`
-subclasses and exit with code 2, everything else derived from
-:class:`RislinkError` exits with code 1.
+subclasses and exit with code 2, as does an ``OSError`` from a file read or
+write; everything else derived from :class:`RislinkError` exits with code 1.
 """
 
 

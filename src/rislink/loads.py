@@ -40,8 +40,8 @@ class LoadBounds:
                 f"bounds require 0 < c_min < c_max, got [{self.c_min_f}, {self.c_max_f}]"
             )
 
-    def contains(self, c_f: float, rel_slack: float = 1e-9) -> bool:
-        slack = rel_slack * self.c_max_f
+    def contains(self, c_f: float) -> bool:
+        slack = 1e-9 * self.c_max_f
         return self.c_min_f - slack <= c_f <= self.c_max_f + slack
 
     def clip(self, c_f: float) -> float:

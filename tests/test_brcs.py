@@ -163,15 +163,6 @@ class TestSweep:
         curve = sweep_rx_angle(scn, ris, patterns, LoadVector.uniform(1e-12, 2), alphas)
         np.testing.assert_allclose(curve.sigma_dbsm, curve.sigma_dbsm[::-1], atol=1e-9)
 
-    def test_fingerprint_records_geometry_and_loads(self):
-        scn = pair_scenario()
-        ris, patterns = setup_pair(scn)
-        curve = sweep_rx_angle(scn, ris, patterns, LoadVector.uniform(1e-12, 2), np.radians([0.0]))
-        keys = dict(curve.fingerprint)
-        assert keys["beta_deg"] == "30"
-        assert keys["r_m"] == "2"
-        assert "caps_sha256" in keys
-
     @pytest.mark.filterwarnings("ignore::rislink.FarFieldValidityWarning")
     def test_matches_per_angle_reduction(self, rng):
         # Reference: the full matrix assembled at each alpha, then reduce_loaded.

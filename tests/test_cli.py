@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from conftest import grid_transfer
 from rislink import (
+    FarFieldValidityWarning,
     __version__,
     document_from_matrix,
     read_scenario,
@@ -337,6 +340,24 @@ class TestSweep:
         assert [rows[1].split(",")[0], rows[-1].split(",")[0]] == ["-90", "85"]
         assert len(rows) == 1 + 26
 
+    @pytest.mark.parametrize("range_, beta, n_warnings", [("2 m", "30 deg", 0), ("1.45 m", "0 deg", 1)])
+    def test_sweep_checks_far_field_over_its_whole_grid(self, tmp_path, range_, beta, n_warnings):
+        # At R = 1.45 m the Rx at alpha = 0 sits 1.45 m or more from every element, beyond
+        # 2*D^2/lambda = 1.416 m, but at +-90 deg it comes to 1.330 m of an end element.
+        board = Path(__file__).resolve().parents[1] / "scenarios" / "board_7x2"
+        text = (board / "scenario.cfg").read_text()
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(text.replace("range = 2 m", f"range = {range_}").replace("beta = 30 deg", f"beta = {beta}"))
+        (tmp_path / "patterns.csv").write_bytes((board / "patterns.csv").read_bytes())
+        caps = tmp_path / "caps.csv"
+        caps.write_text("m,c_pf\n" + "".join(f"{m},1.0\n" for m in range(1, 15)))
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(["optimize", str(cfg), "--out", str(tmp_path / "o")]) == 0
+            assert record == []
+            assert main(["sweep", str(cfg), str(caps), "--out", str(tmp_path / "o")]) == 0
+        assert [type(w.message) for w in record] == [FarFieldValidityWarning] * n_warnings
+
     @pytest.mark.parametrize("c_pf", ["5.0", "nan", "inf", "0", "-1"])
     def test_caps_out_of_bounds_exit_2(self, toy_cfg, tmp_path, capsys, c_pf):
         caps = tmp_path / "caps.csv"
@@ -373,8 +394,54 @@ class TestOverrides:
         assert main(["synthesize", str(tmp_path / "none.cfg")]) == 2
         assert "does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, output", [("synthesize", "full.s4p"), ("optimize", "caps.csv"),
+                                                 ("sweep", "brcs.csv")])
+    @pytest.mark.parametrize("target", ["file", "through_file", "output_is_directory"])
+    def test_unwritable_output_exits_2(self, toy_cfg, tmp_path, capsys, command, output, target):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / {"file": "file", "through_file": "file/sub", "output_is_directory": "o"}[target]
+        if target == "output_is_directory":
+            (out / output).mkdir(parents=True)
+        assert main([command, str(toy_cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestManifests:
+    @pytest.mark.parametrize("from_files", [False, True], ids=["model", "files"])
+    def test_schema_and_same_inputs_give_same_manifest(self, tmp_path, from_files):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(FILE_CFG if from_files else TOY)
+        (tmp_path / "ris.s2p").write_text(RIS_S2P)
+        (tmp_path / "patterns.csv").write_text(PATTERNS)
+        runs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["synthesize", str(cfg), "--out", str(out)]) == 0
+            assert main(["optimize", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+            assert main(["sweep", str(cfg), str(out / "caps.csv"), "--out", str(out)]) == 0
+            assert main(["sweep", str(cfg), "--out", str(out / "reflector")]) == 0
+            runs.append({p.relative_to(out).as_posix(): json.loads(p.read_text()) for p in out.rglob("manifest.*")})
+        expected = {  # manifest: command, seed, outputs, inputs beyond the config and its files
+            "manifest.synthesize.json": ("synthesize", None, ["full.s4p"], []),
+            "manifest.optimize.json": ("optimize", 7, ["caps.csv"], []),
+            "manifest.sweep.json": ("sweep", None, ["brcs.csv"], ["caps"]),
+            "reflector/manifest.sweep.json": ("sweep", None, ["brcs.csv"], []),
+        }
+        a, b = runs
+        assert set(a) == set(b) == set(expected)
+        files = ["patterns", "ris"] if from_files else []
+        for name, (command, seed, outputs, inputs) in expected.items():
+            manifest = a[name]
+            assert set(manifest) == {"command", "config", "created_utc", "input_hashes", "outputs", "seed", "version"}
+            assert (manifest["command"], manifest["seed"], manifest["outputs"]) == (command, seed, outputs)
+            assert manifest["version"] == __version__
+            assert sorted(manifest["input_hashes"]) == sorted(["config", *files, *inputs])
+            assert manifest["input_hashes"]["config"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+            assert ("achieved_objective" in manifest["config"]) == (command == "optimize")
+            del a[name]["created_utc"], b[name]["created_utc"]
+            assert a[name] == b[name]
+
     def test_optimize_then_sweep_keep_both_manifests(self, toy_cfg, tmp_path):
         out = tmp_path / "shared"
         assert main(["optimize", str(toy_cfg), "--seed", "7", "--out", str(out)]) == 0
