@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 runtime/numeric failure, 2 usage/config/parse
 problem or a path the OS refuses (any ``OSError``). ``main`` reads the
 config and applies the overrides once. Every command writes
 manifest.<command>.json next to its outputs, a run's one provenance record
-(version, seed, config key/values, SHA-256 of each input file, outputs), so
+(version, seed, config key/values with the ``--alpha``/``--beta`` values
+the run used, SHA-256 of each input file, outputs), so
 commands sharing one output directory keep their own; runs with identical
 inputs and seed reproduce output files byte-identically (timestamps live
 only in the manifests).
@@ -83,7 +84,12 @@ def _build_patterns(cfg: ScenarioConfig, ris: ScatterMatrix) -> list[ElementPatt
 
 def _write_manifest(cfg: ScenarioConfig, args: argparse.Namespace, outputs: list[str],
                     seed: int | None = None, inputs: dict[str, Path] | None = None, **extra: str) -> None:
-    """Write ``manifest.<command>.json`` into ``cfg.out_dir``; ``extra`` joins the config."""
+    """Write ``manifest.<command>.json`` into ``cfg.out_dir``; ``extra`` and the angle overrides join the config.
+
+    ``--out`` stays out of it, so two runs that differ only in where they write keep equal manifests.
+    """
+    angles = (("alpha", args.alpha), ("beta", args.beta))
+    overrides = {key: f"{value!r} deg" for key, value in angles if value is not None}
     paths = {"config": Path(args.config)}
     if isinstance(cfg.ris, RisFile):
         paths["ris"] = cfg.ris.path
@@ -95,7 +101,7 @@ def _write_manifest(cfg: ScenarioConfig, args: argparse.Namespace, outputs: list
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "seed": seed,
-        "config": {**cfg.raw, **extra},
+        "config": {**cfg.raw, **overrides, **extra},
         "input_hashes": {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()},
         "outputs": outputs,
     }

@@ -36,6 +36,8 @@ _REQUIRED_COVERAGE_DEG = 90.0
 _COVERAGE_SLACK_DEG = 1e-9
 #: Largest |s_mm| accepted, as in :class:`ElementPattern`.
 _MAX_SMM = 1.0 + 1e-9
+#: Every byte but ',' and '\n', which the row check deletes.
+_NOT_COMMA_OR_EOL = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 def _header(line: str) -> tuple[str, ...]:
@@ -46,9 +48,10 @@ def parse_pattern_table(text: str | bytes) -> list[ElementPattern]:
     """Parse a pattern CSV into per-element patterns, sorted by element number.
 
     Each column of a section is converted in one call and checked as an
-    array. A defective row sends the table through a row-by-row re-scan that
-    raises the error of the first one, with its line. NaN or infinite
-    azimuths, NaN gains and |s_mm| > 1 are defects too.
+    array, and every element's azimuths are checked at once. A defective
+    row sends the table through a row-by-row re-scan that raises the error
+    of the first one, with its line. NaN or infinite azimuths, NaN gains and
+    |s_mm| > 1 are defects too.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -73,14 +76,18 @@ def parse_pattern_table(text: str | bytes) -> list[ElementPattern]:
         ):
             raise ValueError("a row's values are out of range")
         # Python's pow per sample: numpy's power rounds some samples differently.
-        gain_lin = np.array(list(map(pow, repeat(10.0), (gain_db / 10.0).tolist())))
+        gain_lin = np.fromiter(map(pow, repeat(10.0), (gain_db / 10.0).tolist()), float, gain_db.size)
     except (ValueError, OverflowError):
         _rescan(lines, numbers)
         raise
 
     if not gain_m.size:
         raise PatternError("pattern table contains no gain rows")
-    elements = sorted(set(gain_m.tolist()))
+    order = np.lexsort((az_deg, gain_m))
+    m_sorted, azimuths = gain_m[order], az_deg[order]
+    cuts = np.flatnonzero(m_sorted[1:] != m_sorted[:-1]) + 1
+    starts, stops = np.r_[0, cuts], np.r_[cuts, order.size]
+    elements = m_sorted[starts].tolist()
     missing = sorted(set(elements) - set(smm))
     if missing:
         raise PatternError(f"missing s_mm rows for elements {missing}")
@@ -88,30 +95,38 @@ def parse_pattern_table(text: str | bytes) -> list[ElementPattern]:
     if orphaned:
         raise PatternError(f"s_mm rows for elements without gain data: {orphaned}")
 
-    order = np.lexsort((az_deg, gain_m))
-    patterns = []
-    for m, idx in zip(elements, np.split(order, np.flatnonzero(np.diff(gain_m[order])) + 1)):
-        azimuths, az_rad = az_deg[idx], np.radians(az_deg[idx])
-        if np.any(azimuths[1:] == azimuths[:-1]):
-            raise PatternError(f"element {m}: duplicate azimuth sample")
-        lo, hi = azimuths[0], azimuths[-1]
-        if lo > -_REQUIRED_COVERAGE_DEG + _COVERAGE_SLACK_DEG or hi < _REQUIRED_COVERAGE_DEG - _COVERAGE_SLACK_DEG:
+    # Every element at once, each in the row parser's order: exact duplicates in degrees, then
+    # coverage, then distinct tiny degrees that round together in radians.
+    az_rad, within = np.radians(azimuths), m_sorted[1:] == m_sorted[:-1]
+    duplicate = within & (azimuths[1:] == azimuths[:-1])
+    lo, hi = azimuths[starts], azimuths[stops - 1]
+    reach = _REQUIRED_COVERAGE_DEG - _COVERAGE_SLACK_DEG
+    uncovered = (lo > -reach) | (hi < reach)
+    defective = uncovered.copy()
+    # Rows p and p + 1 of one element collide in radians (a duplicate does too): that element is defective.
+    defective[np.searchsorted(stops, np.flatnonzero(within & (az_rad[1:] == az_rad[:-1])), side="right")] = True
+    if defective.any():
+        k = int(np.argmax(defective))
+        if uncovered[k] and not duplicate[starts[k] : stops[k] - 1].any():
             raise PatternError(
-                f"element {m}: pattern covers [{lo:g}, {hi:g}] deg, "
+                f"element {elements[k]}: pattern covers [{lo[k]:g}, {hi[k]:g}] deg, "
                 f"needs at least [-90, 90] deg"
             )
-        # Distinct tiny degrees can round together in radians; checked after coverage, as for exact duplicates.
-        if np.any(az_rad[1:] == az_rad[:-1]):
-            raise PatternError(f"element {m}: duplicate azimuth sample")
-        patterns.append(ElementPattern(m, az_rad, gain_lin[idx], smm[m]))
-    return patterns
+        raise PatternError(f"element {elements[k]}: duplicate azimuth sample")
+    gain_lin = gain_lin[order]
+    return [
+        ElementPattern(m, az_rad[a:b], gain_lin[a:b], smm[m])
+        for m, a, b in zip(elements, starts.tolist(), stops.tolist())
+    ]
 
 
 def _columns(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Element numbers and the two float columns of data rows, parsed as ``int()`` and ``float()`` do."""
-    if set(map(str.count, lines, repeat(","))) - {2}:
+    section = "\n".join(lines)
+    # Two commas on every row: the section's commas and line breaks alone read ",,\n,,\n...,,".
+    if section.encode().translate(None, _NOT_COMMA_OR_EOL) != b"\n".join(repeat(b",,", len(lines))):
         raise ValueError("expected 3 comma-separated values")
-    cells = ",".join(lines).split(",") if lines else []
+    cells = section.replace("\n", ",").split(",") if lines else []
     return np.array(cells[0::3], dtype=np.int64), *(np.array(cells[k::3], dtype=float) for k in (1, 2))
 
 

@@ -16,9 +16,10 @@ document exactly.
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ _EXTENSION_RE = re.compile(r"\.s([0-9]+)p$", re.IGNORECASE)
 _VALUES_PER_LINE = 4
 #: The line boundaries of ``str.splitlines``.
 _EOL_RE = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
-#: Characters of data converted per numpy call (about 2,000 lines), which bounds peak memory.
+#: Characters of data per block of the exact conversion (about 2,000 lines), which bounds its peak memory.
 _BLOCK_CHARS = 1 << 18
 
 
@@ -122,10 +123,13 @@ def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> Touchston
 
     ``n_ports`` may be omitted for 1- and 2-port files, whose single-line
     points make the count unambiguous; larger files need the explicit count
-    (``read_touchstone`` derives it from the file extension). The data is
-    converted in blocks of lines; only a defect sends the text through a
-    line-by-line re-scan, which names its line. NaN and infinities are rejected,
-    and so are values that overflow when converted to hertz or to a linear magnitude.
+    (``read_touchstone`` derives it from the file extension). The data after
+    the option line is converted in one ``np.fromstring`` call; where that
+    call may disagree with ``float()`` (see ``_fast_values``), the exact
+    conversion runs instead, in blocks of lines with one ``float()`` per token.
+    Only a defect sends the text through a line-by-line re-scan, which names
+    its line. NaN and infinities are rejected, and so are values that
+    overflow when converted to hertz or to a linear magnitude.
     """
     if isinstance(text, bytes):
         try:
@@ -133,8 +137,13 @@ def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> Touchston
         except UnicodeDecodeError as exc:
             raise TouchstoneError(f"file is not valid UTF-8 text: {exc}") from None
 
-    head, *comments = text.split("!")  # a comment runs from '!' to the end of its line
-    body = head + "".join(part[eol.start() :] if (eol := _EOL_RE.search(part)) else "" for part in comments)
+    pieces, pos = [], 0
+    while (bang := text.find("!", pos)) >= 0:  # a comment runs from '!' to the end of its line
+        pieces.append(text[pos:bang])
+        eol = _EOL_RE.search(text, bang)
+        pos = eol.start() if eol else len(text)
+    pieces.append(text[pos:])
+    body = "".join(filter(None, pieces))  # one piece is joined without a copy
     start = body.find("#")
     if start < 0 or body[:start].strip():
         _rescan(body)
@@ -142,22 +151,24 @@ def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> Touchston
     eol = _EOL_RE.search(body, start)
     data = end = eol.start() if eol else len(body)
     options = _parse_option_line(body[start + 1 : data].split(), len(body[: start + 1].splitlines()))
-    blocks = [np.empty(0)]
-    try:  # a '#' or '[' among the data fails the float conversion too
-        while end < len(body):
-            start, end = end, body.find("\n", end + _BLOCK_CHARS)
-            end = len(body) if end < 0 else end
-            blocks.append(np.array(body[start:end].split(), dtype=float))
-    except ValueError:
-        _rescan(body)
-        raise
-    values = np.concatenate(blocks)
+    values = _fast_values(body[data:])
+    if values is None:  # the exact conversion, one float() per token: it decides every case the fast path leaves
+        blocks = [np.empty(0)]
+        try:  # a '#' or '[' among the data fails the float conversion too
+            while end < len(body):
+                start, end = end, body.find("\n", end + _BLOCK_CHARS)
+                end = len(body) if end < 0 else end
+                blocks.append(np.array(body[start:end].split(), dtype=float))
+        except ValueError:
+            _rescan(body)
+            raise
+        values = np.concatenate(blocks)
+        finite = np.isfinite(values)  # fast-path values are all finite
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise TouchstoneError(f"non-finite value {float(values[k])!r}", _rescan(body, k))
     if not values.size:
         raise TouchstoneError("file contains no data")
-    finite = np.isfinite(values)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise TouchstoneError(f"non-finite value {float(values[k])!r}", _rescan(body, k))
 
     if n_ports is None:
         first_line = next(line.split() for line in body[data:].splitlines() if line.strip())
@@ -180,8 +191,8 @@ def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> Touchston
         freqs = table[:, 0] * options.freq_multiplier
         flat = _pairs_to_complex(table[:, 1:].reshape(-1, 2), options.value_format)
     # A finite token can overflow in conversion: a frequency times its unit, or a DB magnitude.
-    finite = np.column_stack((np.isfinite(freqs), np.isfinite(flat).reshape(len(table), -1).repeat(2, axis=1)))
-    if not finite.all():
+    if not (np.isfinite(freqs).all() and np.isfinite(flat).all()):
+        finite = np.column_stack((np.isfinite(freqs), np.isfinite(flat).reshape(len(table), -1).repeat(2, axis=1)))
         k = int(np.argmin(finite))
         raise TouchstoneError(f"value {float(values[k])!r} overflows in conversion", _rescan(body, k))
     falling = np.flatnonzero(freqs[1:] <= freqs[:-1])
@@ -192,6 +203,24 @@ def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> Touchston
     if n_ports == 2:  # v1 two-port order is S11 S21 S12 S22 (column-major quirk).
         matrices = matrices.transpose(0, 2, 1)
     return TouchstoneDocument(n_ports, options, tuple(zip(freqs, matrices)))
+
+
+def _fast_values(data: str) -> np.ndarray | None:
+    """The data values in one ``np.fromstring`` call, or None where it may disagree with ``float()``.
+
+    ``fromstring`` refuses some tokens ``float()`` takes (``1_0``, non-ASCII
+    digits and spaces), reads NaN from some it refuses (``nan(abc)``) and
+    reads whitespace alone as -1; None sends each of these to the exact conversion.
+    """
+    if data.isspace():
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # older numpy only warns on an unread token
+        try:
+            values = np.fromstring(data, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    return values if np.isfinite(values).all() else None
 
 
 def _rescan(body: str, index: int = -1) -> int:
@@ -244,24 +273,16 @@ def read_touchstone(path: str | Path) -> TouchstoneDocument:
 def dumps_touchstone(doc: TouchstoneDocument) -> str:
     """Serialize to normalized v1 text (# HZ S RI R z0, exact decimals)."""
     lines = [f"# HZ S RI R {doc.options.z0_ohm!r}"]
-    n = doc.n_ports
+    per_line = 2 * _VALUES_PER_LINE
     for freq_hz, matrix in doc.points:
-        if n == 2:
-            row = [matrix[0, 0], matrix[1, 0], matrix[0, 1], matrix[1, 1]]
-            lines.append(f"{freq_hz!r} " + _format_values(row))
-        else:
-            for i in range(n):
-                row = list(matrix[i])
-                for j in range(0, n, _VALUES_PER_LINE):
-                    text = _format_values(row[j : j + _VALUES_PER_LINE])
-                    if i == 0 and j == 0:
-                        text = f"{freq_hz!r} {text}"
-                    lines.append(text)
+        # One row per matrix row; a 2-port point is one row in v1 order S11 S21 S12 S22 (column-major quirk).
+        rows = matrix.T.reshape(1, 4) if doc.n_ports == 2 else matrix
+        prefix = f"{freq_hz!r} "
+        for row in np.ascontiguousarray(rows).view(float).tolist():
+            for j in range(0, len(row), per_line):
+                lines.append(prefix + " ".join(map(repr, row[j : j + per_line])))
+                prefix = ""
     return "\n".join(lines) + "\n"
-
-
-def _format_values(values: Iterable[complex]) -> str:
-    return " ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in values)
 
 
 def write_touchstone(doc: TouchstoneDocument, path: str | Path) -> None:

@@ -124,7 +124,7 @@ def scalar_coupling(scn, pat, el, side):
 def line_parse_touchstone(text, n_ports=None):
     """Touchstone v1 read line by line, one ``float()`` per token: the oracle of ``parse_touchstone``.
 
-    Same grammar and messages, except that NaN and infinite values pass.
+    Same grammar, messages and check order.
     """
     options = None
     values, value_lines = [], []
@@ -159,6 +159,9 @@ def line_parse_touchstone(text, n_ports=None):
         raise TouchstoneError("missing option line ('#')")
     if not values:
         raise TouchstoneError("file contains no data")
+    for value, line_no in zip(values, value_lines):
+        if not math.isfinite(value):
+            raise TouchstoneError(f"non-finite value {value!r}", line_no)
     if n_ports is None:
         n_ports = {3: 1, 9: 2}.get(first_data_line_count)
         if n_ports is None:
@@ -188,6 +191,21 @@ def line_parse_touchstone(text, n_ports=None):
         matrix = np.array([[flat[0], flat[2]], [flat[1], flat[3]]]) if n_ports == 2 else flat.reshape(n_ports, n_ports)
         points.append((freq_hz, matrix))
     return TouchstoneDocument(n_ports, options, tuple(points))
+
+
+def line_dumps_touchstone(doc):
+    """Touchstone text written one value at a time, ``repr`` of each part: the oracle of ``dumps_touchstone``."""
+    lines = [f"# HZ S RI R {doc.options.z0_ohm!r}"]
+    n = doc.n_ports
+    for freq_hz, matrix in doc.points:
+        if n == 2:  # v1 two-port order is S11 S21 S12 S22 (column-major quirk), on one line.
+            rows = [[matrix[0, 0], matrix[1, 0], matrix[0, 1], matrix[1, 1]]]
+        else:  # four values to a line, wrapping within each matrix row.
+            rows = [list(matrix[i, j : j + 4]) for i in range(n) for j in range(0, n, 4)]
+        for k, row in enumerate(rows):
+            text = " ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in row)
+            lines.append(f"{freq_hz!r} {text}" if k == 0 else text)
+    return "\n".join(lines) + "\n"
 
 
 def line_parse_pattern_table(text):

@@ -442,6 +442,33 @@ class TestManifests:
             del a[name]["created_utc"], b[name]["created_utc"]
             assert a[name] == b[name]
 
+    def test_angle_overrides_are_recorded_and_out_is_not(self, tmp_path):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(TOY)
+        keys = {"command", "config", "created_utc", "input_hashes", "outputs", "seed", "version"}
+        runs = {}
+        for run, overrides in (("plain", []), ("alpha", ["--alpha", "15"]),
+                               ("a", ["--alpha", "15", "--beta", "-20.5"]), ("b", ["--beta", "-20.5", "--alpha", "15"])):
+            out = tmp_path / run
+            assert main(["synthesize", str(cfg), "--out", str(out), *overrides]) == 0
+            assert main(["optimize", str(cfg), "--seed", "7", "--out", str(out), *overrides]) == 0
+            assert main(["sweep", str(cfg), str(out / "caps.csv"), "--out", str(out), *overrides]) == 0
+            runs[run] = {p.name: json.loads(p.read_text()) for p in out.glob("manifest.*")}
+        expected = {"plain": ("0 deg", "30 deg"), "alpha": ("15.0 deg", "30 deg"), "a": ("15.0 deg", "-20.5 deg")}
+        for run, (alpha, beta) in expected.items():
+            assert len(runs[run]) == 3
+            for manifest in runs[run].values():
+                assert set(manifest) == keys
+                assert (manifest["config"]["alpha"], manifest["config"]["beta"]) == (alpha, beta)
+                assert "out" not in manifest["config"] and str(tmp_path) not in json.dumps(manifest)
+        assert runs["plain"]["manifest.optimize.json"]["config"]["achieved_objective"] != (
+            runs["alpha"]["manifest.optimize.json"]["config"]["achieved_objective"]
+        )
+        for manifests in (runs["a"], runs["b"]):  # same run into another --out
+            for manifest in manifests.values():
+                del manifest["created_utc"]
+        assert runs["a"] == runs["b"]
+
     def test_optimize_then_sweep_keep_both_manifests(self, toy_cfg, tmp_path):
         out = tmp_path / "shared"
         assert main(["optimize", str(toy_cfg), "--seed", "7", "--out", str(out)]) == 0

@@ -85,6 +85,24 @@ class TestParseErrors:
         with pytest.raises(PatternError, match="element 1: duplicate azimuth sample"):
             parse_pattern_table(text)
 
+    def test_duplicate_named_before_coverage_gap_of_the_same_element(self):
+        text = "m,azimuth_deg,gain_dbi\n1,-90,0\n1,90,0\n2,0,0\n2,0,1\n2,90,0\nm,smm_re,smm_im\n1,0,0\n2,0,0\n"
+        with pytest.raises(PatternError, match="^element 2: duplicate azimuth sample$"):
+            parse_pattern_table(text)
+        with pytest.raises(PatternError, match=r"^element 2: pattern covers \[0, 90\] deg"):
+            parse_pattern_table(text.replace("2,0,1", "2,1,1"))
+
+    def test_first_defective_element_is_named(self):
+        text = "m,azimuth_deg,gain_dbi\n3,-90,0\n3,-90,1\n3,90,0\n2,-45,0\n2,90,0\nm,smm_re,smm_im\n2,0,0\n3,0,0\n"
+        with pytest.raises(PatternError, match="^element 2: pattern covers"):
+            parse_pattern_table(text)
+
+    def test_row_counts_of_cells_that_balance_still_name_the_row(self):
+        # Four cells, then two: the section still holds 3 cells per row, and every cell is an integer.
+        text = "m,azimuth_deg,gain_dbi\n1,-90,0,5\n1,90\nm,smm_re,smm_im\n1,0,0\n"
+        with pytest.raises(PatternError, match="^line 2: expected 3 comma-separated values$"):
+            parse_pattern_table(text)
+
     def test_missing_smm(self):
         text = "m,azimuth_deg,gain_dbi\n1,-90,0\n1,90,0\nm,smm_re,smm_im\n"
         with pytest.raises(PatternError, match="missing s_mm"):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_reduce,
     coordinate_terms,
+    line_dumps_touchstone,
     line_parse_pattern_table,
     line_parse_touchstone,
     random_full_link,
@@ -149,8 +150,28 @@ def test_parse_of_dumps_is_identity(doc):
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(again.points, doc.points))
 
 
+_EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, -1.7976931348623157e308)
+
+
+@PROPERTY
+@given(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9]), st.booleans(), st.data())
+def test_dumps_equals_value_by_value_writer(n, fortran, data):
+    """Row-wise text equals the per-value oracle, for rows that wrap and rows that do not, in either memory order."""
+    value = st.one_of(st.sampled_from(_EDGE_VALUES), finite)
+    freqs = sorted(data.draw(st.sets(st.floats(1.0, 1e12), min_size=2, max_size=3)))
+    points = []
+    for f in freqs:
+        matrix = np.array(data.draw(st.lists(value, min_size=2 * n * n, max_size=2 * n * n))).view(complex).reshape(n, n)
+        points.append((f, np.asfortranarray(matrix) if fortran else matrix))
+    doc = TouchstoneDocument(n, TouchstoneOptions("hz", "s", "ri", data.draw(st.floats(1e-3, 1e6))), tuple(points))
+    assert dumps_touchstone(doc) == line_dumps_touchstone(doc)
+
+
 _FORMATS = (repr, "{:.6e}".format, "{:g}".format, "{:+.3f}".format)
-_MUTANTS = ("zz", "1.2.3", "#", "[x]", "1e5x", None)
+# The last eight probe the fast reader's fallback: tokens that only one of ``np.fromstring``
+# and ``float()`` reads, and their neighbours.
+_MUTANTS = ("zz", "1.2.3", "#", "[x]", "1e5x", None,
+            "1_0", "NaN(1)", "nan(abc)", "\u0661", "1\xa02", "0x1p3", "1d0", "infinity")
 
 
 @st.composite

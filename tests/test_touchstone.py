@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,25 @@ class TestParseErrors:
         path.write_text("# GHz S RI R 50\n1.0 0.5 0.0\n")
         with pytest.raises(TouchstoneError, match="port count"):
             read_touchstone(path)
+
+    @pytest.mark.parametrize("data", ["", "\n", "  \n\t\n", " ! only a comment\n! another\n   "])
+    def test_no_data_after_option_line(self, data):
+        with pytest.raises(TouchstoneError, match="^file contains no data$"):
+            parse_touchstone("# GHz S RI R 50" + data)
+
+    @pytest.mark.parametrize(
+        "line, values",
+        [("1_0 0.5 0", (10.0, 0.5, 0.0)), ("\u0661 0.5 0", (1.0, 0.5, 0.0)), ("1\xa00.5 0", (1.0, 0.5, 0.0))],
+    )
+    def test_tokens_only_float_reads_are_read_as_float_does(self, line, values):
+        doc = parse_touchstone(f"# Hz S RI R 50\n{line}\n")
+        assert (doc.frequencies_hz[0], doc.points[0][1][0, 0]) == (values[0], complex(*values[1:]))
+
+    @pytest.mark.parametrize("token", ["NaN(1)", "nan(abc)", "-nan(ind)", "0x1p3", "1d0"])
+    def test_token_float_refuses_is_named_even_after_a_nan(self, token):
+        # fromstring reads the first three as NaN: the error is still the bad token's, not the earlier NaN's.
+        with pytest.raises(TouchstoneError, match=f"^line 4: invalid numeric token '{re.escape(token)}'$"):
+            parse_touchstone(f"# GHz S RI R 50\n1.0 0.5 0\n2.0 nan 0\n3.0 {token} 0\n")
 
     def test_inference_needs_explicit_ports_for_large_files(self):
         text = "# Hz S RI R 50\n1.0 1 0 2 0 3 0\n4 0 5 0 6 0\n7 0 8 0 9 0\n"
