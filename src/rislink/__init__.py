@@ -38,9 +38,6 @@ from .farfield import (
     SPEED_OF_LIGHT,
     Scenario,
     assemble_full_matrix,
-    azimuth_to_element,
-    coupling_coefficient,
-    distance_to_element,
     farfield_limit_distance,
     synth_ris_matrix,
 )
@@ -63,13 +60,11 @@ from .network import (
     ReflectionVector,
     ScatterMatrix,
     check_passivity,
-    check_reciprocity,
     power_transfer,
     reduce_loaded,
 )
-from .patterns import format_pattern_table, parse_pattern_table
+from .patterns import parse_pattern_table
 from .scenario import (
-    GridLayout,
     PatternsFile,
     PatternsUniform,
     ReflectorSpec,

@@ -52,16 +52,6 @@ class BrcsCurve:
         dbsm = 10.0 * np.log10(np.maximum(sigma, _SIGMA_FLOOR_M2))
         return cls(np.asarray(alphas_rad, dtype=float), dbsm, label)
 
-    @property
-    def peak_alpha_rad(self) -> float:
-        return float(self.alphas_rad[int(np.argmax(self.sigma_dbsm))])
-
-    def value_at(self, alpha_rad: float) -> float:
-        idx = int(np.argmin(np.abs(self.alphas_rad - alpha_rad)))
-        if abs(self.alphas_rad[idx] - alpha_rad) > 1e-9:
-            raise KeyError(f"alpha {math.degrees(alpha_rad):.3f} deg is not on the curve grid")
-        return float(self.sigma_dbsm[idx])
-
 
 def brcs_from_coupling(
     s_rx_tx: complex,

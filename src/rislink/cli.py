@@ -48,10 +48,10 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
             scenario = replace(scenario, alpha_rad=math.radians(args.alpha))
         if args.beta is not None:
             scenario = replace(scenario, beta_rad=math.radians(args.beta))
+        optimizer = cfg.optimizer if args.seed is None else replace(cfg.optimizer, seed=args.seed)
     except ValueError as exc:
-        raise InputError(f"--alpha/--beta: {exc}") from None
+        raise InputError(f"--alpha/--beta/--seed: {exc}") from None
     out_dir = Path(args.out) if args.out is not None else cfg.out_dir
-    optimizer = cfg.optimizer if args.seed is None else replace(cfg.optimizer, seed=args.seed)
     return replace(cfg, scenario=scenario, out_dir=out_dir, optimizer=optimizer)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence, Union
 
 import numpy as np
@@ -131,7 +131,7 @@ class Scenario:
         if not (self.g_tx_lin > 0 and self.g_rx_lin > 0):
             raise ValueError("antenna gains must be positive (linear scale)")
         # Closed interval: +-90 deg is needed by full-hemisphere BRCS sweeps.
-        if abs(self.alpha_rad) > MAX_ANGLE_RAD or abs(self.beta_rad) > MAX_ANGLE_RAD:
+        if not (abs(self.alpha_rad) <= MAX_ANGLE_RAD and abs(self.beta_rad) <= MAX_ANGLE_RAD):
             raise ValueError("alpha and beta must lie within [-90, 90] deg (front halfspace)")
         elements = tuple(self.elements)
         numbers = [e.index_m for e in elements]
@@ -146,12 +146,6 @@ class Scenario:
     @property
     def element_numbers(self) -> tuple[int, ...]:
         return tuple(e.index_m for e in self.elements)
-
-    def element(self, m: int) -> ElementGeometry:
-        for e in self.elements:
-            if e.index_m == m:
-                return e
-        raise KeyError(f"scenario has no element {m}")
 
 
 def element_paths(
@@ -187,21 +181,6 @@ def element_paths(
     d[:, origin] = r
     gamma[:, origin] = angles[:, np.newaxis]
     return d, gamma
-
-
-def distance_to_element(scn: Scenario, m: int, side: Side) -> float:
-    """Distance in meters from the side's antenna to element ``m`` (see :func:`element_paths`)."""
-    return float(element_paths(replace(scn, elements=(scn.element(m),)), side)[0][0, 0])
-
-
-def azimuth_to_element(scn: Scenario, m: int, side: Side) -> float:
-    """Azimuth in radians of the side's antenna seen from element ``m`` (see :func:`element_paths`)."""
-    return float(element_paths(replace(scn, elements=(scn.element(m),)), side)[1][0, 0])
-
-
-def coupling_coefficient(scn: Scenario, pat: ElementPattern, m: int, side: Side) -> complex:
-    """Complex antenna-to-element coupling entry for the full-link matrix."""
-    return complex(coupling_rows(replace(scn, elements=(scn.element(m),)), [pat], side)[0, 0])
 
 
 def coupling_rows(

@@ -211,6 +211,8 @@ class OptimizerOptions:
             raise ValueError("starts must be >= 1")
         if self.max_evals < 10:
             raise ValueError("max_evals must be >= 10")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -310,10 +310,3 @@ def check_passivity(s: ScatterMatrix, tol: float = 1e-6) -> bool:
         return True
     singular = np.linalg.svd(s.entries, compute_uv=False)
     return bool(singular.max() <= 1.0 + tol)
-
-
-def check_reciprocity(s: ScatterMatrix, tol: float = 1e-12) -> bool:
-    """True iff max |S_ij - S_ji| is <= tol."""
-    if s.n_ports == 0:
-        return True
-    return bool(np.abs(s.entries - s.entries.T).max() <= tol)

@@ -169,16 +169,3 @@ def _rescan(lines: list[str], numbers: Sequence[int]) -> None:
             raise PatternError(f"line {line_no}: |s_mm| = {abs(complex(a, b)):.6f} exceeds 1")
         if section == "smm":
             smm.add(m)
-
-
-def format_pattern_table(patterns: list[ElementPattern]) -> str:
-    """Serialize patterns back to the CSV layout documented above."""
-    lines = [",".join(GAIN_HEADER)]
-    for pat in sorted(patterns, key=lambda p: p.index_m):
-        for az, g in zip(pat.azimuth_rad, pat.gain_lin):
-            dbi = 10.0 * math.log10(g) if g > 0 else float("-inf")
-            lines.append(f"{pat.index_m},{math.degrees(az)!r},{dbi!r}")
-    lines.append(",".join(SMM_HEADER))
-    for pat in sorted(patterns, key=lambda p: p.index_m):
-        lines.append(f"{pat.index_m},{pat.s_mm.real!r},{pat.s_mm.imag!r}")
-    return "\n".join(lines) + "\n"

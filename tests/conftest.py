@@ -1,6 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rislink import (
     TouchstoneDocument,
     TouchstoneError,
 )
+from rislink.farfield import coupling_rows, element_paths
 from rislink.patterns import GAIN_HEADER, SMM_HEADER
 from rislink.touchstone import _pairs_to_complex, _parse_option_line
 
@@ -119,6 +121,62 @@ def scalar_coupling(scn, pat, el, side):
     magnitude = mismatch * math.sqrt(gain_side * gain) / (4.0 * math.pi * d / lam)
     phase = -2.0 * math.pi * d / lam
     return d, gamma, magnitude * complex(math.cos(phase), math.sin(phase))
+
+
+def _only_element(scn, m):
+    """``scn`` reduced to its element ``m``."""
+    for el in scn.elements:
+        if el.index_m == m:
+            return replace(scn, elements=(el,))
+    raise KeyError(f"scenario has no element {m}")
+
+
+def distance_to_element(scn, m, side):
+    """Distance in meters from the side's antenna to element ``m``, through ``element_paths``."""
+    return float(element_paths(_only_element(scn, m), side)[0][0, 0])
+
+
+def azimuth_to_element(scn, m, side):
+    """Azimuth in radians of the side's antenna seen from element ``m``, through ``element_paths``."""
+    return float(element_paths(_only_element(scn, m), side)[1][0, 0])
+
+
+def coupling_coefficient(scn, pat, m, side):
+    """Complex antenna-to-element coupling entry of element ``m``, through ``coupling_rows``."""
+    return complex(coupling_rows(_only_element(scn, m), [pat], side)[0, 0])
+
+
+def check_reciprocity(s, tol=1e-12):
+    """True iff max |S_ij - S_ji| is <= tol."""
+    if s.n_ports == 0:
+        return True
+    return bool(np.abs(s.entries - s.entries.T).max() <= tol)
+
+
+def peak_alpha_rad(curve):
+    """Receiver angle of a BRCS curve's largest sigma."""
+    return float(curve.alphas_rad[int(np.argmax(curve.sigma_dbsm))])
+
+
+def value_at(curve, alpha_rad):
+    """Sigma (dBsm) of a BRCS curve at a grid angle; KeyError off the grid."""
+    idx = int(np.argmin(np.abs(curve.alphas_rad - alpha_rad)))
+    if abs(curve.alphas_rad[idx] - alpha_rad) > 1e-9:
+        raise KeyError(f"alpha {math.degrees(alpha_rad):.3f} deg is not on the curve grid")
+    return float(curve.sigma_dbsm[idx])
+
+
+def format_pattern_table(patterns):
+    """Patterns serialized to the pattern-table CSV layout, the writer side of round-trip tests."""
+    lines = [",".join(GAIN_HEADER)]
+    for pat in sorted(patterns, key=lambda p: p.index_m):
+        for az, g in zip(pat.azimuth_rad, pat.gain_lin):
+            dbi = 10.0 * math.log10(g) if g > 0 else float("-inf")
+            lines.append(f"{pat.index_m},{math.degrees(az)!r},{dbi!r}")
+    lines.append(",".join(SMM_HEADER))
+    for pat in sorted(patterns, key=lambda p: p.index_m):
+        lines.append(f"{pat.index_m},{pat.s_mm.real!r},{pat.s_mm.imag!r}")
+    return "\n".join(lines) + "\n"
 
 
 def line_parse_touchstone(text, n_ports=None):

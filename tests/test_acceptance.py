@@ -13,7 +13,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import brute_force_reduce, grid_transfer, random_full_link, random_reciprocal_passive
+from conftest import (
+    azimuth_to_element,
+    brute_force_reduce,
+    check_reciprocity,
+    coupling_coefficient,
+    grid_transfer,
+    peak_alpha_rad,
+    random_full_link,
+    random_reciprocal_passive,
+    value_at,
+)
 from rislink import (
     ElementGeometry,
     ElementPattern,
@@ -24,11 +34,8 @@ from rislink import (
     ScatterMatrix,
     Scenario,
     SPEED_OF_LIGHT,
-    azimuth_to_element,
     brcs_from_coupling,
     check_passivity,
-    check_reciprocity,
-    coupling_coefficient,
     assemble_full_matrix,
     dumps_touchstone,
     flat_reflector_reference,
@@ -212,14 +219,14 @@ def test_criterion_6_steering_behavior():
             cfg.reflector.width_m, cfg.reflector.height_m, scn.wavelength_m, scn.beta_rad, alphas
         )
 
-        peak_deg = math.degrees(optimized_curve.peak_alpha_rad)
+        peak_deg = math.degrees(peak_alpha_rad(optimized_curve))
         assert abs(peak_deg) <= 2.0, f"peak at {peak_deg:.2f} deg"
-        at_zero = optimized_curve.value_at(0.0)
-        assert at_zero >= uniform_curve.value_at(0.0) + 3.0, (
-            f"only {at_zero - uniform_curve.value_at(0.0):.2f} dB above uniform loads"
+        at_zero = value_at(optimized_curve, 0.0)
+        assert at_zero >= value_at(uniform_curve, 0.0) + 3.0, (
+            f"only {at_zero - value_at(uniform_curve, 0.0):.2f} dB above uniform loads"
         )
-        assert at_zero > reflector.value_at(0.0), (
-            f"RIS {at_zero:.2f} dBsm vs reflector {reflector.value_at(0.0):.2f} dBsm"
+        assert at_zero > value_at(reflector, 0.0), (
+            f"RIS {at_zero:.2f} dBsm vs reflector {value_at(reflector, 0.0):.2f} dBsm"
         )
 
 

@@ -263,6 +263,21 @@ class TestOptimize:
         "range = -2 m",
         "alpha = 120 deg",
         "ris.smm_re = 2",
+        # Non-finite values and keys that used to end in a traceback.
+        "alpha = nan deg",
+        "freq = inf GHz",
+        "gain_tx_db = 1e6 dB",
+        "patterns.gain_db = 1e6 dB",
+        "element.a.x = 0 mm",
+        "element.x = 0 mm",
+        "reflector.width = nan mm",
+        "patterns.gain_db = nan dB",
+        "ris.c0 = nan",
+        "ris.smm_re = nan",
+        "varactor.rs = nan ohm",
+        "varactor.ls = inf nH",
+        "opt.seed = -1",
+        "out.dir = a\0b",
     ])
     def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line):
         key = line.split(" = ")[0]
@@ -389,6 +404,12 @@ class TestOverrides:
     def test_out_of_range_alpha_override_exits_2(self, toy_cfg, tmp_path, capsys):
         assert main(["optimize", str(toy_cfg), "--alpha", "120", "--out", str(tmp_path / "o")]) == 2
         assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--seed", "-1")])
+    def test_non_finite_angle_or_negative_seed_override_exits_2(self, toy_cfg, tmp_path, capsys, flag, value):
+        assert main(["optimize", str(toy_cfg), flag, value, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and "Traceback" not in err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["synthesize", str(tmp_path / "none.cfg")]) == 2

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_reciprocal_passive
+from conftest import (
+    azimuth_to_element,
+    check_reciprocity,
+    coupling_coefficient,
+    distance_to_element,
+    random_reciprocal_passive,
+)
 from rislink import (
     ElementGeometry,
     ElementPattern,
@@ -18,11 +24,7 @@ from rislink import (
     ScatterMatrix,
     Scenario,
     assemble_full_matrix,
-    azimuth_to_element,
     check_passivity,
-    check_reciprocity,
-    coupling_coefficient,
-    distance_to_element,
     farfield_limit_distance,
     synth_ris_matrix,
 )

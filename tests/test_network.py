@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_reduce, random_full_link, random_passive
+from conftest import brute_force_reduce, check_reciprocity, random_full_link, random_passive
 from rislink import (
     IDEAL_VARACTOR,
     IllConditionedLoadError,
@@ -13,7 +13,6 @@ from rislink import (
     VaractorModel,
     cap_to_gamma,
     check_passivity,
-    check_reciprocity,
     load_gammas,
     objective,
     objective_gradient,

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rislink import ElementPattern, PatternError, format_pattern_table, parse_pattern_table
+from conftest import format_pattern_table
+from rislink import ElementPattern, PatternError, parse_pattern_table
 
 BASIC = """\
 m,azimuth_deg,gain_dbi

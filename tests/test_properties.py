@@ -10,8 +10,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    azimuth_to_element,
     brute_force_reduce,
     coordinate_terms,
+    coupling_coefficient,
+    distance_to_element,
     line_dumps_touchstone,
     line_parse_pattern_table,
     line_parse_touchstone,
@@ -21,6 +24,7 @@ from conftest import (
 )
 from rislink import (
     BrcsCurve,
+    ConfigError,
     ElementGeometry,
     ElementPattern,
     LoadBounds,
@@ -34,13 +38,11 @@ from rislink import (
     TouchstoneOptions,
     VaractorModel,
     assemble_full_matrix,
-    azimuth_to_element,
     cap_to_gamma,
     brcs_from_coupling,
-    coupling_coefficient,
-    distance_to_element,
     dumps_touchstone,
     load_gammas,
+    load_scenario,
     optimize,
     parse_pattern_table,
     parse_touchstone,
@@ -48,6 +50,7 @@ from rislink import (
 )
 from rislink import loads
 from rislink.farfield import coupling_rows, element_paths
+from rislink.scenario import _UNITS, KEYS
 
 PROPERTY = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -341,3 +344,99 @@ def test_rank_one_updates_match_fresh_solves_over_a_start(n, model, seed):
         (trace,) = optimize(full, bounds, model, OptimizerOptions(starts=1, initial=initial)).trace
     _assert_fresh(full.kernel, *steps[-1][:2])
     assert len({id(q) for q, _, _ in steps}) == trace.n_passes and len(steps) == trace.n_evals - 1
+
+
+# A valid document is one pick from each group; the fuzz then overwrites, drops, repeats and adds lines.
+_CONFIG_GROUPS = (
+    [{"freq": "3.55 GHz", "range": "2 m", "alpha": "0 deg", "beta": "30 deg", "gain_tx_db": "11 dB",
+      "gain_rx_db": "11 dB", "bounds.c_min": "0.23 pF", "bounds.c_max": "2.1 pF"}],
+    [{"grid.rows": "2", "grid.cols": "7", "grid.pitch_x": "40 mm", "grid.pitch_z": "46.8 mm"},
+     {"element.1.x": "-20 mm", "element.1.z": "0 mm", "element.2.x": "20 mm", "element.2.z": "12 mm"}],
+    [{"ris.model": "exp_decay", "ris.c0": "0.1", "ris.rolloff": "50 mm"}, {"ris.model": "isolated"},
+     {"ris.file": "ris.s2p"}],
+    [{"patterns.file": "patterns.csv"}, {"patterns.gain_db": "5 dB"}],
+    [{}, {"reflector.width": "308 mm", "reflector.height": "96 mm"}],
+)
+_VALID = {key: value for group in _CONFIG_GROUPS for pick in group for key, value in pick.items()} | {
+    "grid.offset_x": "1 cm", "grid.offset_z": "-2 mm", "ris.freq_tol": "2 kHz", "ris.smm_re": "0.3",
+    "ris.smm_im": "-0.2", "varactor.rs": "1.5 ohm", "varactor.ls": "0.2 nH", "sweep.start": "-30 deg",
+    "sweep.stop": "1 rad", "sweep.step": "2.5 deg", "opt.starts": "3", "opt.max_evals": "50", "opt.seed": "4",
+    "out.dir": "out",
+}
+_TEXTS = {
+    "ris.file": ["ris.s2p", "absent.s2p", "x" * 5000, "/", "patterns.csv"],
+    "ris.model": ["isolated", "exp_decay", "EXP_DECAY", "other"],
+    "patterns.file": ["patterns.csv", "absent.csv", "x" * 5000, "."],
+    "out.dir": ["out", "/", "a b"],
+}
+_BAD_ELEMENT_KEYS = ["element.a.x", "element.x", "element.1.y", "element.1", "element..x", "element.1.x.z",
+                     "element.0.x", "element.-1.x", "element.01.x", "element.\u0661.x", "element.1234567890.x"]
+_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10, 10).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e6", "-1e6", "1e308", "-0.0", "5e-324", "abc", "1_0", "0x10", ""]),
+)
+
+
+def _config_value(key):
+    """Values for ``key`` drawn from its :data:`KEYS` kind: valid ones, wrong units, non-finite and junk."""
+    return st.one_of(st.just(_VALID[key]), _bad_config_value(key))
+
+
+def _bad_config_value(key):
+    kind = KEYS[key if key in KEYS else "element.<m>.x"][0]
+    if kind == "text":
+        return st.one_of(st.sampled_from(_TEXTS[key]), st.text(max_size=8))
+    if kind == "int":  # grid.rows/cols stay small, so no example builds a huge grid
+        return st.one_of(st.integers(-2, 64).map(str), st.sampled_from(["1.5", "nan", "x", "1e3"]))
+    if key == "sweep.step":  # at least 0.01 deg, so no sweep grid is huge
+        number = st.one_of(st.floats(0.01, 400.0).map(repr), st.sampled_from(["0", "-1", "nan", "inf", "x"]))
+    else:
+        number = _NUMBERS
+    units = list(_UNITS.get(kind, {"": 1.0})) + ["MM", "furlong", "m m"]
+    return st.tuples(number, st.sampled_from(units)).map(lambda nu: f"{nu[0]} {nu[1]}".strip())
+
+
+@st.composite
+def config_documents(draw):
+    lines = {}
+    for group in _CONFIG_GROUPS:
+        lines.update(draw(st.sampled_from(group)))
+    for key in draw(st.lists(st.sampled_from([k for k in KEYS if "<m>" not in k] + ["element.1.x"]), max_size=3)):
+        lines[key] = draw(_config_value(key))
+    if draw(st.integers(0, 4)) == 0:
+        del lines[draw(st.sampled_from(sorted(lines)))]
+    text = [f"{key} = {value}" for key, value in lines.items()]
+    if draw(st.integers(0, 4)) == 0:
+        text.append(f"{draw(st.sampled_from(_BAD_ELEMENT_KEYS))} = {draw(_config_value('element.1.x'))}")
+    if text and draw(st.integers(0, 4)) == 0:
+        text.append(draw(st.sampled_from(text)))  # a duplicate key
+    if draw(st.integers(0, 4)) == 0:
+        junk = st.one_of(st.text(max_size=12), st.sampled_from(["= 1", "freq =", "no equals sign", "# comment"]))
+        text.append(draw(junk))
+    return "\n".join(draw(st.permutations(text))) + "\n"
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("config")
+    (base / "ris.s2p").write_text("")
+    (base / "patterns.csv").write_text("")
+    return base
+
+
+@settings(max_examples=500, deadline=None)
+@given(config_documents())
+def test_config_fuzz_raises_only_config_error(config_dir, text):
+    """Any document either loads, with every number finite, or raises ConfigError naming the problem."""
+    try:
+        cfg = load_scenario(text, config_dir)
+    except ConfigError as exc:
+        assert str(exc)
+        return
+    scn = cfg.scenario
+    numbers = [scn.r_m, scn.alpha_rad, scn.beta_rad, scn.freq_hz, scn.g_tx_lin, scn.g_rx_lin,
+               cfg.bounds.c_min_f, cfg.bounds.c_max_f, cfg.varactor.series_resistance_ohm,
+               cfg.varactor.series_inductance_h, *(c for e in scn.elements for c in (e.x_m, e.z_m))]
+    assert all(math.isfinite(v) for v in numbers)
+    assert cfg.sweep.alphas_rad().size >= 1

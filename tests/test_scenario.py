@@ -1,11 +1,12 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rislink import (
     ConfigError,
-    GridLayout,
     PatternsFile,
     PatternsUniform,
     RisFile,
@@ -14,6 +15,7 @@ from rislink import (
     load_scenario,
     read_scenario,
 )
+from rislink.scenario import KEYS, _grid_elements
 
 MINIMAL_PATTERNS = (
     "m,azimuth_deg,gain_dbi\n"
@@ -55,8 +57,7 @@ def board_dir(tmp_path):
 
 class TestGrid:
     def test_paper_grid_dimensions(self):
-        grid = GridLayout(rows=2, cols=7, pitch_x_m=0.04, pitch_z_m=0.0468)
-        elements = grid.elements()
+        elements = _grid_elements(rows=2, cols=7, pitch_x_m=0.04, pitch_z_m=0.0468)
         assert len(elements) == 14
         xs = [e.x_m for e in elements]
         zs = [e.z_m for e in elements]
@@ -68,9 +69,9 @@ class TestGrid:
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
-            GridLayout(rows=0, cols=7, pitch_x_m=0.04, pitch_z_m=0.04)
+            _grid_elements(rows=0, cols=7, pitch_x_m=0.04, pitch_z_m=0.04)
         with pytest.raises(ConfigError):
-            GridLayout(rows=1, cols=1, pitch_x_m=-0.04, pitch_z_m=0.04)
+            _grid_elements(rows=1, cols=1, pitch_x_m=-0.04, pitch_z_m=0.04)
 
 
 class TestLoadScenario:
@@ -203,6 +204,22 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="key = value"):
             self.project(tmp_path, lambda t: t + "not a key value line\n")
 
+    @pytest.mark.parametrize("key, old", [
+        ("ris.file", "ris.model = exp_decay\nris.smm_re = 0.2\nris.c0 = 0.1\nris.rolloff = 50 mm"),
+        ("patterns.file", "patterns.file = patterns.csv"),
+    ])
+    def test_file_name_the_os_refuses_names_its_key(self, tmp_path, key, old):
+        with pytest.raises(ConfigError, match=key):
+            self.project(tmp_path, lambda t: t.replace(old, f"{key} = {'x' * 5000}"))
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             read_scenario(tmp_path / "absent.cfg")
+
+
+def test_readme_key_table_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Scenario config", 1)[1].split("\n### ", 1)[0]
+    rows = [row.split("|")[1] for row in section.splitlines() if row.startswith("| `")]
+    documented = [key for cell in rows for key in re.findall(r"`([^`]+)`", cell)]
+    assert sorted(documented) == sorted(KEYS)
