@@ -10,7 +10,6 @@ already contained in the reduced coupling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -24,17 +23,12 @@ DBSM_FLOOR = -100.0
 _SIGMA_FLOOR_M2 = 10.0 ** (DBSM_FLOOR / 10.0)
 
 
-@dataclass(frozen=True, eq=False)
 class BrcsCurve:
     """Sampled sigma(alpha) in dBsm over a receiver-angle sweep."""
 
-    alphas_rad: np.ndarray
-    sigma_dbsm: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        alphas = np.array(self.alphas_rad, dtype=float)
-        sigma = np.array(self.sigma_dbsm, dtype=float)
+    def __init__(self, alphas_rad, sigma_dbsm, label: str):
+        alphas = np.array(alphas_rad, dtype=float)
+        sigma = np.array(sigma_dbsm, dtype=float)
         if alphas.ndim != 1 or alphas.shape != sigma.shape or alphas.size == 0:
             raise ValueError("curve needs matching non-empty 1-d alpha/sigma arrays")
         if not np.all(np.diff(alphas) > 0):
@@ -43,8 +37,7 @@ class BrcsCurve:
             raise ValueError("sigma values must be finite (nulls are floored)")
         alphas.flags.writeable = False
         sigma.flags.writeable = False
-        object.__setattr__(self, "alphas_rad", alphas)
-        object.__setattr__(self, "sigma_dbsm", sigma)
+        self.alphas_rad, self.sigma_dbsm, self.label = alphas, sigma, label
 
     @classmethod
     def from_sigma_m2(cls, alphas_rad, sigma_m2, label: str) -> "BrcsCurve":
@@ -110,7 +103,7 @@ def sweep_rx_angle(
 
     ends = [float(alphas.min()), float(alphas.max())]
     nearest = element_paths(scn, "rx", ends)[0].min(axis=1, initial=math.inf)
-    full = assemble_full_matrix(replace(scn, alpha_rad=ends[int(np.argmin(nearest))]), ris, patterns)
+    full = assemble_full_matrix(scn.replace(alpha_rad=ends[int(np.argmin(nearest))]), ris, patterns)
     kernel = full.kernel
     if len(caps) != kernel.n_ris:
         raise ValueError(f"{len(caps)} loads for {kernel.n_ris} RIS ports")

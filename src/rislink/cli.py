@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -45,14 +44,14 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
     scenario = cfg.scenario
     try:
         if args.alpha is not None:
-            scenario = replace(scenario, alpha_rad=math.radians(args.alpha))
+            scenario = scenario.replace(alpha_rad=math.radians(args.alpha))
         if args.beta is not None:
-            scenario = replace(scenario, beta_rad=math.radians(args.beta))
-        optimizer = cfg.optimizer if args.seed is None else replace(cfg.optimizer, seed=args.seed)
+            scenario = scenario.replace(beta_rad=math.radians(args.beta))
+        optimizer = cfg.optimizer if args.seed is None else cfg.optimizer.replace(seed=args.seed)
     except ValueError as exc:
         raise InputError(f"--alpha/--beta/--seed: {exc}") from None
     out_dir = Path(args.out) if args.out is not None else cfg.out_dir
-    return replace(cfg, scenario=scenario, out_dir=out_dir, optimizer=optimizer)
+    return cfg._replace(scenario=scenario, out_dir=out_dir, optimizer=optimizer)
 
 
 def _build_ris(cfg: ScenarioConfig) -> ScatterMatrix:
@@ -129,7 +128,7 @@ def cmd_optimize(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     full = assemble_full_matrix(scn, ris, patterns)
 
     seed_vector = phase_gradient_seed(scn, cfg.bounds, cfg.varactor, z0_ohm=ris.z0_ohm)
-    opts = replace(cfg.optimizer, initial=seed_vector)
+    opts = cfg.optimizer.replace(initial=seed_vector)
     result = optimize(full, cfg.bounds, cfg.varactor, opts)
 
     gammas = load_gammas(result.caps, scn.freq_hz, ris.z0_ohm, cfg.varactor)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence, Union
 
 import numpy as np
@@ -39,22 +38,17 @@ class FarFieldValidityWarning(UserWarning):
     """An antenna sits closer than the 2*D^2/lambda far-field distance."""
 
 
-@dataclass(frozen=True)
 class ElementGeometry:
     """Position of one RIS element on the surface (meters)."""
 
-    index_m: int
-    x_m: float
-    z_m: float
-
-    def __post_init__(self):
-        if self.index_m < 1:
-            raise ValueError(f"element number must be >= 1, got {self.index_m}")
-        if not (math.isfinite(self.x_m) and math.isfinite(self.z_m)):
-            raise ValueError(f"element {self.index_m} has non-finite coordinates")
+    def __init__(self, index_m: int, x_m: float, z_m: float):
+        if index_m < 1:
+            raise ValueError(f"element number must be >= 1, got {index_m}")
+        if not (math.isfinite(x_m) and math.isfinite(z_m)):
+            raise ValueError(f"element {index_m} has non-finite coordinates")
+        self.index_m, self.x_m, self.z_m = index_m, x_m, z_m
 
 
-@dataclass(frozen=True, eq=False)
 class ElementPattern:
     """Sampled azimuth gain pattern of one element plus its self coefficient.
 
@@ -62,27 +56,20 @@ class ElementPattern:
     samples; the sampling must cover every azimuth that will be queried.
     """
 
-    index_m: int
-    azimuth_rad: np.ndarray
-    gain_lin: np.ndarray
-    s_mm: complex = 0j
-
-    def __post_init__(self):
-        az = np.array(self.azimuth_rad, dtype=float)
-        g = np.array(self.gain_lin, dtype=float)
+    def __init__(self, index_m: int, azimuth_rad, gain_lin, s_mm: complex = 0j):
+        az = np.array(azimuth_rad, dtype=float)
+        g = np.array(gain_lin, dtype=float)
         if az.ndim != 1 or az.shape != g.shape or az.size < 2:
             raise ValueError("pattern needs matching 1-d azimuth/gain arrays with >= 2 samples")
         if not np.all(np.diff(az) > 0):
-            raise ValueError(f"element {self.index_m}: azimuth samples must be strictly increasing")
+            raise ValueError(f"element {index_m}: azimuth samples must be strictly increasing")
         if not np.all(np.isfinite(g)) or np.any(g < 0):
-            raise ValueError(f"element {self.index_m}: gains must be finite and >= 0")
-        if abs(self.s_mm) > 1.0 + 1e-9:
-            raise ValueError(f"element {self.index_m}: |s_mm| = {abs(self.s_mm):.6f} exceeds 1")
+            raise ValueError(f"element {index_m}: gains must be finite and >= 0")
+        if abs(s_mm) > 1.0 + 1e-9:
+            raise ValueError(f"element {index_m}: |s_mm| = {abs(s_mm):.6f} exceeds 1")
         az.flags.writeable = False
         g.flags.writeable = False
-        object.__setattr__(self, "azimuth_rad", az)
-        object.__setattr__(self, "gain_lin", g)
-        object.__setattr__(self, "s_mm", complex(self.s_mm))
+        self.index_m, self.azimuth_rad, self.gain_lin, self.s_mm = index_m, az, g, complex(s_mm)
 
     @classmethod
     def isotropic(
@@ -111,33 +98,30 @@ class ElementPattern:
         return np.maximum(np.interp(az, self.azimuth_rad, self.gain_lin), 0.0)
 
 
-@dataclass(frozen=True)
 class Scenario:
     """Geometry and antenna parameters of one Tx-RIS-Rx link."""
 
-    r_m: float
-    alpha_rad: float
-    beta_rad: float
-    freq_hz: float
-    g_tx_lin: float
-    g_rx_lin: float
-    elements: tuple[ElementGeometry, ...]
-
-    def __post_init__(self):
-        if not self.r_m > 0:
-            raise ValueError(f"range must be positive, got {self.r_m}")
-        if not self.freq_hz > 0:
-            raise ValueError(f"frequency must be positive, got {self.freq_hz}")
-        if not (self.g_tx_lin > 0 and self.g_rx_lin > 0):
+    def __init__(self, r_m: float, alpha_rad: float, beta_rad: float, freq_hz: float, g_tx_lin: float,
+                 g_rx_lin: float, elements: tuple[ElementGeometry, ...]):
+        if not r_m > 0:
+            raise ValueError(f"range must be positive, got {r_m}")
+        if not freq_hz > 0:
+            raise ValueError(f"frequency must be positive, got {freq_hz}")
+        if not (g_tx_lin > 0 and g_rx_lin > 0):
             raise ValueError("antenna gains must be positive (linear scale)")
         # Closed interval: +-90 deg is needed by full-hemisphere BRCS sweeps.
-        if not (abs(self.alpha_rad) <= MAX_ANGLE_RAD and abs(self.beta_rad) <= MAX_ANGLE_RAD):
+        if not (abs(alpha_rad) <= MAX_ANGLE_RAD and abs(beta_rad) <= MAX_ANGLE_RAD):
             raise ValueError("alpha and beta must lie within [-90, 90] deg (front halfspace)")
-        elements = tuple(self.elements)
+        elements = tuple(elements)
         numbers = [e.index_m for e in elements]
         if len(set(numbers)) != len(numbers):
             raise ValueError("element numbers must be unique")
-        object.__setattr__(self, "elements", elements)
+        self.r_m, self.alpha_rad, self.beta_rad, self.freq_hz = r_m, alpha_rad, beta_rad, freq_hz
+        self.g_tx_lin, self.g_rx_lin, self.elements = g_tx_lin, g_rx_lin, elements
+
+    def replace(self, **changes) -> "Scenario":
+        """This scenario with ``changes`` applied, checked as the constructor checks."""
+        return Scenario(**{**vars(self), **changes})
 
     @property
     def wavelength_m(self) -> float:
@@ -278,30 +262,24 @@ def _check_self_term(s_mm: complex) -> None:
         raise ValueError("|s_mm| must be <= 1 for a passive element")
 
 
-@dataclass(frozen=True)
 class IsolatedCoupling:
     """Synthetic RIS model: no inter-element coupling, common self term."""
 
-    s_mm: complex = 0j
+    def __init__(self, s_mm: complex = 0j):
+        _check_self_term(s_mm)
+        self.s_mm = s_mm
 
-    def __post_init__(self):
-        _check_self_term(self.s_mm)
 
-
-@dataclass(frozen=True)
 class ExpDecayCoupling:
     """Synthetic RIS model: coupling decays exponentially with element spacing."""
 
-    s_mm: complex = 0j
-    c0: float = 0.1
-    rolloff_m: float = 0.05
-
-    def __post_init__(self):
-        _check_self_term(self.s_mm)
-        if self.c0 < 0:
+    def __init__(self, s_mm: complex = 0j, c0: float = 0.1, rolloff_m: float = 0.05):
+        _check_self_term(s_mm)
+        if c0 < 0:
             raise ValueError("c0 must be >= 0")
-        if not self.rolloff_m > 0:
+        if not rolloff_m > 0:
             raise ValueError("rolloff_m must be positive")
+        self.s_mm, self.c0, self.rolloff_m = s_mm, c0, rolloff_m
 
 
 CouplingModel = Union[IsolatedCoupling, ExpDecayCoupling]

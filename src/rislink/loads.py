@@ -15,7 +15,7 @@ not a solve. The package needs numpy only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,18 +27,13 @@ from .network import LinkKernel, ReflectionVector, ScatterMatrix, series_gamma
 _PASS_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
 class LoadBounds:
     """Feasible capacitance range of the tuning varactors, in farads."""
 
-    c_min_f: float
-    c_max_f: float
-
-    def __post_init__(self):
-        if not (0 < self.c_min_f < self.c_max_f):
-            raise ValueError(
-                f"bounds require 0 < c_min < c_max, got [{self.c_min_f}, {self.c_max_f}]"
-            )
+    def __init__(self, c_min_f: float, c_max_f: float):
+        if not (0 < c_min_f < c_max_f):
+            raise ValueError(f"bounds require 0 < c_min < c_max, got [{c_min_f}, {c_max_f}]")
+        self.c_min_f, self.c_max_f = c_min_f, c_max_f
 
     def contains(self, c_f: float) -> bool:
         slack = 1e-9 * self.c_max_f
@@ -48,18 +43,15 @@ class LoadBounds:
         return min(self.c_max_f, max(self.c_min_f, c_f))
 
 
-@dataclass(frozen=True)
 class LoadVector:
     """Per-element load capacitances in farads, aligned with RIS port order."""
 
-    caps_f: tuple[float, ...]
-
-    def __post_init__(self):
-        caps = tuple(float(c) for c in self.caps_f)
+    def __init__(self, caps_f: tuple[float, ...]):
+        caps = tuple(float(c) for c in caps_f)
         for i, c in enumerate(caps):
             if not (math.isfinite(c) and c > 0):
                 raise ValueError(f"capacitance {i + 1} must be finite and positive, got {c}")
-        object.__setattr__(self, "caps_f", caps)
+        self.caps_f = caps
 
     @classmethod
     def of(cls, values) -> "LoadVector":
@@ -77,16 +69,13 @@ class LoadVector:
         return np.array(self.caps_f)
 
 
-@dataclass(frozen=True)
 class VaractorModel:
     """Series parasitics of the load; the default is an ideal capacitor."""
 
-    series_resistance_ohm: float = 0.0
-    series_inductance_h: float = 0.0
-
-    def __post_init__(self):
-        if self.series_resistance_ohm < 0 or self.series_inductance_h < 0:
+    def __init__(self, series_resistance_ohm: float = 0.0, series_inductance_h: float = 0.0):
+        if series_resistance_ohm < 0 or series_inductance_h < 0:
             raise ValueError("varactor parasitics must be non-negative")
+        self.series_resistance_ohm, self.series_inductance_h = series_resistance_ohm, series_inductance_h
 
 
 IDEAL_VARACTOR = VaractorModel()
@@ -197,26 +186,24 @@ def phase_gradient_seed(
     return LoadVector.of(caps)
 
 
-@dataclass(frozen=True)
 class OptimizerOptions:
     """Search configuration; identical options and seed give identical results."""
 
-    starts: int = 8
-    max_evals: int = 2000
-    seed: int = 0
-    initial: LoadVector | None = None
-
-    def __post_init__(self):
-        if self.starts < 1:
+    def __init__(self, starts: int = 8, max_evals: int = 2000, seed: int = 0, initial: LoadVector | None = None):
+        if starts < 1:
             raise ValueError("starts must be >= 1")
-        if self.max_evals < 10:
+        if max_evals < 10:
             raise ValueError("max_evals must be >= 10")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be >= 0")
+        self.starts, self.max_evals, self.seed, self.initial = starts, max_evals, seed, initial
+
+    def replace(self, **changes) -> "OptimizerOptions":
+        """These options with ``changes`` applied, checked as the constructor checks."""
+        return OptimizerOptions(**{**vars(self), **changes})
 
 
-@dataclass(frozen=True)
-class StartTrace:
+class StartTrace(NamedTuple):
     """Record of one start; ``n_solves`` counts the first point, one factorization per pass and the final transfer."""
 
     start_index: int
@@ -228,11 +215,10 @@ class StartTrace:
     n_solves: int
 
 
-@dataclass(frozen=True)
-class OptimizeResult:
+class OptimizeResult(NamedTuple):
     caps: LoadVector
     objective: float
-    trace: tuple[StartTrace, ...] = field(repr=False)
+    trace: tuple[StartTrace, ...]
 
 
 def _real_roots(a: float, b: float, c: float) -> tuple[float, ...]:

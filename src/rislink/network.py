@@ -4,16 +4,15 @@ Every matrix has one fixed port layout: the N RIS element ports in the
 middle, numbered by their 1-based element numbers, with the Tx port before
 them and the Rx port after them. A matrix with N ports is RIS-only; one
 with N + 2 ports is a link, Tx at port 0 and Rx at the last port. All
-operations are pure functions on effectively immutable values (entry arrays
-are locked after construction), so instances can be shared freely across
-threads.
+operations are pure functions on values that are not changed after
+construction: entry arrays stay locked (``writeable = False``), so instances
+can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
@@ -33,7 +32,6 @@ RCOND_LIMIT = 1e-12
 GAMMA_SLACK = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
 class ScatterMatrix:
     """Square complex scatter matrix at one frequency, in the Tx | RIS | Rx layout.
 
@@ -50,27 +48,21 @@ class ScatterMatrix:
         Real reference impedance, identical for every port.
     """
 
-    entries: np.ndarray
-    freq_hz: float
-    element_numbers: tuple[int, ...]
-    z0_ohm: float = 50.0
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=complex)
+    def __init__(self, entries, freq_hz: float, element_numbers: tuple[int, ...], z0_ohm: float = 50.0):
+        entries = np.array(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
-        numbers = tuple(operator.index(m) for m in self.element_numbers)
+        numbers = tuple(operator.index(m) for m in element_numbers)
         if entries.shape[0] - len(numbers) not in (0, 2):
             raise ValueError(f"{len(numbers)} element numbers for a {entries.shape[0]}-port matrix")
         if len(set(numbers)) != len(numbers) or min(numbers, default=1) < 1:
             raise ValueError(f"element numbers must be unique and >= 1, got {numbers}")
-        if not self.freq_hz > 0:
-            raise ValueError(f"freq_hz must be positive, got {self.freq_hz}")
-        if not self.z0_ohm > 0:
-            raise ValueError(f"z0_ohm must be positive, got {self.z0_ohm}")
+        if not freq_hz > 0:
+            raise ValueError(f"freq_hz must be positive, got {freq_hz}")
+        if not z0_ohm > 0:
+            raise ValueError(f"z0_ohm must be positive, got {z0_ohm}")
         entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "element_numbers", numbers)
+        self.entries, self.freq_hz, self.element_numbers, self.z0_ohm = entries, freq_hz, numbers, z0_ohm
 
     # -- constructors ------------------------------------------------------
 
@@ -235,7 +227,6 @@ def _passive_cond_bound(s_ii: np.ndarray) -> float:
     return (1.0 + s) / (1.0 - s) if s < 1.0 else math.inf
 
 
-@dataclass(frozen=True)
 class ReflectionVector:
     """Reflection coefficients terminating the RIS ports, in port order.
 
@@ -243,14 +234,12 @@ class ReflectionVector:
     exactly on the unit circle.
     """
 
-    gammas: tuple[complex, ...]
-
-    def __post_init__(self):
-        gammas = tuple(complex(g) for g in self.gammas)
+    def __init__(self, gammas: tuple[complex, ...]):
+        gammas = tuple(complex(g) for g in gammas)
         for i, g in enumerate(gammas):
             if not abs(g) <= 1.0 + GAMMA_SLACK:
                 raise ValueError(f"|gamma_{i + 1}| = {abs(g):.6f} exceeds 1 (active load)")
-        object.__setattr__(self, "gammas", gammas)
+        self.gammas = gammas
 
     @classmethod
     def of(cls, values: Iterable[complex]) -> "ReflectionVector":

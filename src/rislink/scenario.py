@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,39 +80,40 @@ KEYS: dict[str, tuple[str, object, bool]] = {
 _ELEMENT_KEY = re.compile(r"element\.(\d{1,9})\.([xz])")
 
 
-@dataclass(frozen=True)
-class RisFile:
+#: Most angles a sweep grid may hold; a finer ``sweep.step`` is refused before any array is allocated.
+MAX_SWEEP_ANGLES = 1_000_000
+
+
+class RisFile(NamedTuple):
     path: Path
     freq_tol_hz: float = 1e3
 
 
-@dataclass(frozen=True)
-class RisSynthesis:
+class RisSynthesis(NamedTuple):
     model: IsolatedCoupling | ExpDecayCoupling
 
 
-@dataclass(frozen=True)
-class PatternsFile:
+class PatternsFile(NamedTuple):
     path: Path
 
 
-@dataclass(frozen=True)
-class PatternsUniform:
+class PatternsUniform(NamedTuple):
     gain_lin: float
 
 
-@dataclass(frozen=True)
 class SweepGrid:
-    start_rad: float
-    stop_rad: float
-    step_rad: float
-
-    def __post_init__(self):
-        for key, angle in (("sweep.start", self.start_rad), ("sweep.stop", self.stop_rad)):
+    def __init__(self, start_rad: float, stop_rad: float, step_rad: float):
+        for key, angle in (("sweep.start", start_rad), ("sweep.stop", stop_rad)):
             if not abs(angle) <= MAX_ANGLE_RAD:
                 raise ConfigError(f"{key} must lie within [-90, 90] deg, got {math.degrees(angle):g} deg")
-        if self.stop_rad < self.start_rad:
+        if stop_rad < start_rad:
             raise ConfigError("sweep grid is empty (stop < start)")
+        # round((stop - start)/step) + 1 <= MAX_SWEEP_ANGLES, tested without dividing: a zero or NaN step fails it.
+        if not stop_rad - start_rad < (MAX_SWEEP_ANGLES - 0.5) * step_rad:
+            raise ConfigError(
+                f"sweep.step {math.degrees(step_rad):g} deg gives more than {MAX_SWEEP_ANGLES:,} angles"
+            )
+        self.start_rad, self.stop_rad, self.step_rad = start_rad, stop_rad, step_rad
 
     def alphas_rad(self) -> np.ndarray:
         """start, start + step, ... up to stop; a last step that would pass stop is dropped."""
@@ -121,14 +122,12 @@ class SweepGrid:
         return alphas[alphas <= self.stop_rad + 1e-12]
 
 
-@dataclass(frozen=True)
-class ReflectorSpec:
+class ReflectorSpec(NamedTuple):
     width_m: float
     height_m: float
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """Fully resolved run configuration."""
 
     scenario: Scenario

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,8 +38,7 @@ _EOL_RE = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 _BLOCK_CHARS = 1 << 18
 
 
-@dataclass(frozen=True)
-class TouchstoneOptions:
+class TouchstoneOptions(NamedTuple):
     """Decoded '#' option line."""
 
     freq_unit: str = "ghz"
@@ -53,31 +51,24 @@ class TouchstoneOptions:
         return FREQ_MULTIPLIERS[self.freq_unit]
 
 
-@dataclass(frozen=True, eq=False)
 class TouchstoneDocument:
     """Parsed multiport S-parameter file: option line plus frequency points."""
 
-    n_ports: int
-    options: TouchstoneOptions
-    points: tuple[tuple[float, np.ndarray], ...]
-
-    def __post_init__(self):
-        if self.n_ports < 1:
-            raise TouchstoneError(f"invalid port count {self.n_ports}")
-        points = []
+    def __init__(self, n_ports: int, options: TouchstoneOptions, points: tuple[tuple[float, np.ndarray], ...]):
+        if n_ports < 1:
+            raise TouchstoneError(f"invalid port count {n_ports}")
+        checked = []
         previous = -np.inf
-        for freq_hz, matrix in self.points:
+        for freq_hz, matrix in points:
             matrix = np.array(matrix, dtype=complex)
-            if matrix.shape != (self.n_ports, self.n_ports):
-                raise TouchstoneError(
-                    f"matrix shape {matrix.shape} does not match {self.n_ports} ports"
-                )
+            if matrix.shape != (n_ports, n_ports):
+                raise TouchstoneError(f"matrix shape {matrix.shape} does not match {n_ports} ports")
             if freq_hz <= previous:
                 raise TouchstoneError("frequencies must be strictly increasing")
             previous = freq_hz
             matrix.flags.writeable = False
-            points.append((float(freq_hz), matrix))
-        object.__setattr__(self, "points", tuple(points))
+            checked.append((float(freq_hz), matrix))
+        self.n_ports, self.options, self.points = n_ports, options, tuple(checked)
 
     @property
     def frequencies_hz(self) -> tuple[float, ...]:

@@ -1,8 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
 
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -127,7 +125,7 @@ def _only_element(scn, m):
     """``scn`` reduced to its element ``m``."""
     for el in scn.elements:
         if el.index_m == m:
-            return replace(scn, elements=(el,))
+            return scn.replace(elements=(el,))
     raise KeyError(f"scenario has no element {m}")
 
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,7 +184,7 @@ class TestSweep:
                 gammas = load_gammas(caps, F_CARRIER, ris.z0_ohm, model)
                 oracle = []
                 for alpha in alphas:
-                    local = replace(scn, alpha_rad=float(alpha))
+                    local = scn.replace(alpha_rad=float(alpha))
                     full = assemble_full_matrix(local, ris, patterns)
                     s21 = reduce_loaded(full, gammas).entries[1, 0]
                     oracle.append(
@@ -231,7 +230,7 @@ class TestSweep:
     def test_nearfield_scenario_warns_once(self):
         # 2*D^2/lambda is about 2.8 m for elements 0.6 m apart: R = 2 m is too close.
         els = (ElementGeometry(1, -0.3, 0.0), ElementGeometry(2, 0.3, 0.0))
-        scn = replace(pair_scenario(), elements=els)
+        scn = pair_scenario().replace(elements=els)
         ris, patterns = setup_pair(scn)
         with pytest.warns(FarFieldValidityWarning) as record:
             sweep_rx_angle(scn, ris, patterns, LoadVector.uniform(1e-12, 2), np.radians([-30.0, 0.0, 30.0]))

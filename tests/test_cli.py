@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from conftest import grid_transfer
 from rislink import (
     FarFieldValidityWarning,
+    SweepGrid,
     __version__,
     document_from_matrix,
     read_scenario,
@@ -355,6 +357,18 @@ class TestSweep:
         assert [rows[1].split(",")[0], rows[-1].split(",")[0]] == ["-90", "85"]
         assert len(rows) == 1 + 26
 
+    def test_sweep_step_beyond_a_million_angles_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 1e-12 deg over 180 deg would be 1.8e14 angles, 1.28 PiB of float64: the config check refuses it
+        # before the grid is built, so building it fails the test instead of trying to allocate.
+        monkeypatch.setattr(SweepGrid, "alphas_rad", lambda grid: pytest.fail("sweep grid built"))
+        board = Path(__file__).resolve().parents[1] / "scenarios" / "board_7x2"
+        (tmp_path / "patterns.csv").write_bytes((board / "patterns.csv").read_bytes())
+        text = (board / "scenario.cfg").read_text().replace("sweep.step = 1 deg", "sweep.step = 1e-12 deg")
+        (tmp_path / "scenario.cfg").write_text(text)
+        assert main(["sweep", str(tmp_path / "scenario.cfg"), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep.step ") and "1,000,000 angles" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("range_, beta, n_warnings", [("2 m", "30 deg", 0), ("1.45 m", "0 deg", 1)])
     def test_sweep_checks_far_field_over_its_whole_grid(self, tmp_path, range_, beta, n_warnings):
         # At R = 1.45 m the Rx at alpha = 0 sits 1.45 m or more from every element, beyond
@@ -525,6 +539,13 @@ class TestEntryPoints:
         run = _python("-c", "import sys, rislink.cli; print('scipy.optimize' in sys.modules)")
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "False"
+
+    def test_no_rislink_class_is_a_dataclass(self):
+        # A dataclass generates and compiles its methods when its module is imported, in every command.
+        modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "rislink"]
+        classes = [value for module in modules for value in vars(module).values()
+                   if isinstance(value, type) and value.__module__.startswith("rislink.")]
+        assert len(classes) > 30 and [cls for cls in classes if dataclasses.is_dataclass(cls)] == []
 
     def test_optimize_runs_without_scipy(self, tmp_path):
         config = Path(__file__).resolve().parents[1] / "scenarios" / "board_7x2" / "scenario.cfg"

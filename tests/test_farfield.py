@@ -311,6 +311,14 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="unique"):
             scenario([ElementGeometry(1, 0, 0), ElementGeometry(1, 0.1, 0)])
 
+    def test_replace_keeps_other_fields_and_checks_again(self):
+        scn = scenario([ElementGeometry(1, 0, 0)])
+        moved = scn.replace(alpha_rad=0.25)
+        assert (moved.alpha_rad, moved.beta_rad, moved.elements) == (0.25, scn.beta_rad, scn.elements)
+        assert scn.alpha_rad == 0.0
+        with pytest.raises(ValueError, match="deg"):
+            scn.replace(alpha_rad=math.nan)
+
     def test_wavelength(self):
         scn = scenario([ElementGeometry(1, 0, 0)])
         assert scn.wavelength_m == pytest.approx(0.08444857971830987, rel=1e-12)

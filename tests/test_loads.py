@@ -361,6 +361,12 @@ class TestLoadTypes:
         with pytest.raises(ValueError):
             LoadVector.of([float("nan")])
 
+    def test_optimizer_options_replace_checks_again(self):
+        opts = OptimizerOptions(starts=3, seed=5)
+        assert vars(opts.replace(seed=6)) == {"starts": 3, "max_evals": 2000, "seed": 6, "initial": None}
+        with pytest.raises(ValueError, match="seed"):
+            opts.replace(seed=-1)
+
     def test_reflection_vector_from_loads(self):
         gammas = load_gammas(LoadVector.uniform(1e-12, 3), F_CARRIER)
         assert isinstance(gammas, ReflectionVector)

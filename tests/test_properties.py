@@ -2,7 +2,6 @@
 
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,7 +92,7 @@ def test_coupling_rows_match_scalar_oracle_bit_for_bit(link, side, side_angles):
     d, gamma = element_paths(scn, side, side_angles)
     assert rows.shape == d.shape == gamma.shape == (len(side_angles), len(scn.elements))
     for a, angle in enumerate(side_angles):
-        local = replace(scn, **{"beta_rad" if side == "tx" else "alpha_rad": angle})
+        local = scn.replace(**{"beta_rad" if side == "tx" else "alpha_rad": angle})
         for k, (pat, el) in enumerate(zip(patterns, scn.elements)):
             assert (d[a, k], gamma[a, k], rows[a, k]) == scalar_coupling(local, pat, el, side)
     for pat, el in zip(patterns, scn.elements):
@@ -117,7 +116,7 @@ def test_sweep_equals_per_angle_reduction(link, seed, alphas):
     gammas = load_gammas(caps, scn.freq_hz, ris.z0_ohm).as_array
     oracle = []
     for alpha in alphas:
-        full = assemble_full_matrix(replace(scn, alpha_rad=alpha), ris, patterns)
+        full = assemble_full_matrix(scn.replace(alpha_rad=alpha), ris, patterns)
         s21 = brute_force_reduce(full.entries, (full.tx_index, full.rx_index), full.ris_indices, gammas)[1, 0]
         oracle.append(brcs_from_coupling(s21, scn.r_m, scn.r_m, scn.g_tx_lin, scn.g_rx_lin, scn.wavelength_m))
     curve = sweep_rx_angle(scn, ris, patterns, caps, alphas)

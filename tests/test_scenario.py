@@ -125,6 +125,12 @@ class TestLoadScenario:
         alphas = SweepGrid(-math.pi / 2, math.pi / 2, math.radians(1.0)).alphas_rad()
         assert np.array_equal(alphas, -math.pi / 2 + math.radians(1.0) * np.arange(181))
 
+    def test_sweep_grid_holds_at_most_a_million_angles(self):
+        # Construction only: no grid of this size is ever allocated.
+        assert SweepGrid(-math.pi / 2, math.pi / 2, math.pi / 999_999).step_rad == math.pi / 999_999
+        with pytest.raises(ConfigError, match=r"sweep\.step .* more than 1,000,000 angles"):
+            SweepGrid(-math.pi / 2, math.pi / 2, math.pi / 1_000_000)
+
     @pytest.mark.parametrize("step_deg, last_deg", [(7.0, 85.0), (5.0, 90.0), (100.0, 10.0), (200.0, -90.0)])
     def test_sweep_grid_never_passes_stop(self, step_deg, last_deg):
         alphas = SweepGrid(-math.pi / 2, math.pi / 2, math.radians(step_deg)).alphas_rad()
