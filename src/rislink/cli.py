@@ -35,7 +35,8 @@ from .scenario import (
     ScenarioConfig,
     read_scenario,
 )
-from .touchstone import document_from_matrix, matrix_at_frequency, read_touchstone, write_touchstone
+from .touchstone import (document_from_matrix, load_cached, matrix_at_frequency, read_touchstone, store_cached,
+                         write_touchstone)
 
 CAPS_HEADER = "m,c_pf,gamma_re,gamma_im"
 
@@ -54,10 +55,23 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
     return cfg._replace(scenario=scenario, out_dir=out_dir, optimizer=optimizer)
 
 
-def _build_ris(cfg: ScenarioConfig) -> ScatterMatrix:
+def _build_ris(cfg: ScenarioConfig, digests: dict[str, str] | None = None) -> ScatterMatrix:
+    """The RIS matrix, from the model or from ``ris.file``: read once, parsed unless cached for its bytes.
+
+    The file's SHA-256 goes into ``digests["ris"]`` for the manifest.
+    """
     scn = cfg.scenario
     if isinstance(cfg.ris, RisFile):
-        doc = read_touchstone(cfg.ris.path)
+        path = cfg.ris.path
+        data = path.read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        doc = load_cached(path, digest)
+        if doc is None:
+            doc = read_touchstone(path)
+            if path.read_bytes() == data:  # the parse read the hashed bytes: no writer replaced the file between
+                store_cached(path, digest, doc)
+        if digests is not None:
+            digests["ris"] = digest
         if doc.n_ports != len(scn.elements):
             raise InputError(f"{cfg.ris.path}: {doc.n_ports} ports for {len(scn.elements)} scenario elements")
         return matrix_at_frequency(
@@ -81,10 +95,12 @@ def _build_patterns(cfg: ScenarioConfig, ris: ScatterMatrix) -> list[ElementPatt
     ]
 
 
-def _write_manifest(cfg: ScenarioConfig, args: argparse.Namespace, outputs: list[str],
-                    seed: int | None = None, inputs: dict[str, Path] | None = None, **extra: str) -> None:
+def _write_manifest(cfg: ScenarioConfig, args: argparse.Namespace, outputs: list[str], seed: int | None = None,
+                    inputs: dict[str, Path] | None = None, digests: dict[str, str] | None = None,
+                    **extra: str) -> None:
     """Write ``manifest.<command>.json`` into ``cfg.out_dir``; ``extra`` and the angle overrides join the config.
 
+    An input file is hashed here unless ``digests`` holds the SHA-256 of the bytes the run read.
     ``--out`` stays out of it, so two runs that differ only in where they write keep equal manifests.
     """
     angles = (("alpha", args.alpha), ("beta", args.beta))
@@ -95,13 +111,16 @@ def _write_manifest(cfg: ScenarioConfig, args: argparse.Namespace, outputs: list
     if isinstance(cfg.patterns, PatternsFile):
         paths["patterns"] = cfg.patterns.path
     paths.update(inputs or {})
+    digests = digests or {}
     manifest = {
         "command": args.command,
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "seed": seed,
         "config": {**cfg.raw, **overrides, **extra},
-        "input_hashes": {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()},
+        "input_hashes": {
+            name: digests.get(name) or hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()
+        },
         "outputs": outputs,
     }
     path = cfg.out_dir / f"manifest.{args.command}.json"
@@ -109,21 +128,23 @@ def _write_manifest(cfg: ScenarioConfig, args: argparse.Namespace, outputs: list
 
 
 def cmd_synthesize(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
-    ris = _build_ris(cfg)
+    digests: dict[str, str] = {}
+    ris = _build_ris(cfg, digests)
     patterns = _build_patterns(cfg, ris)
     full = assemble_full_matrix(cfg.scenario, ris, patterns)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / f"full.s{full.n_ports}p"
     write_touchstone(document_from_matrix(full), out_path)
-    _write_manifest(cfg, args, [out_path.name])
+    _write_manifest(cfg, args, [out_path.name], digests=digests)
     print(f"wrote {out_path} ({full.n_ports} ports at {full.freq_hz / 1e9:.9g} GHz)")
     return 0
 
 
 def cmd_optimize(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     scn = cfg.scenario
-    ris = _build_ris(cfg)
+    digests: dict[str, str] = {}
+    ris = _build_ris(cfg, digests)
     patterns = _build_patterns(cfg, ris)
     full = assemble_full_matrix(scn, ris, patterns)
 
@@ -139,7 +160,8 @@ def cmd_optimize(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     caps_path = cfg.out_dir / "caps.csv"
     caps_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(cfg, args, [caps_path.name], seed=opts.seed, achieved_objective=f"{result.objective:.12g}")
+    _write_manifest(cfg, args, [caps_path.name], seed=opts.seed, digests=digests,
+                    achieved_objective=f"{result.objective:.12g}")
     print(f"wrote {caps_path} (objective {result.objective:.6g})")
     return 0
 
@@ -183,10 +205,11 @@ def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
 
     curves = []
     inputs: dict[str, Path] = {}
+    digests: dict[str, str] = {}
     if args.caps is not None:
         caps = _read_caps_csv(Path(args.caps), cfg)
         inputs["caps"] = Path(args.caps)
-        ris = _build_ris(cfg)
+        ris = _build_ris(cfg, digests)
         patterns = _build_patterns(cfg, ris)
         curves.append(sweep_rx_angle(scn, ris, patterns, caps, alphas, model=cfg.varactor))
     curves.append(
@@ -198,7 +221,7 @@ def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / "brcs.csv"
     export_csv(curves, out_path)
-    _write_manifest(cfg, args, [out_path.name], inputs=inputs)
+    _write_manifest(cfg, args, [out_path.name], inputs=inputs, digests=digests)
     print(f"wrote {out_path} ({len(curves)} curve(s), {alphas.size} angles)")
     return 0
 

@@ -72,6 +72,14 @@ class ElementPattern:
         self.index_m, self.azimuth_rad, self.gain_lin, self.s_mm = index_m, az, g, complex(s_mm)
 
     @classmethod
+    def _checked(cls, index_m: int, azimuth_rad: np.ndarray, gain_lin: np.ndarray, s_mm: complex) -> "ElementPattern":
+        """For ``parse_pattern_table``: float arrays that pass every check of ``__init__``, locked, not copied."""
+        pattern = cls.__new__(cls)
+        azimuth_rad.flags.writeable = gain_lin.flags.writeable = False
+        pattern.index_m, pattern.azimuth_rad, pattern.gain_lin, pattern.s_mm = index_m, azimuth_rad, gain_lin, s_mm
+        return pattern
+
+    @classmethod
     def isotropic(
         cls,
         index_m: int,

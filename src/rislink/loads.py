@@ -332,14 +332,16 @@ def optimize(
         raise UnoptimizableError("unoptimizable: no Tx or Rx coupling to the RIS ports")
 
     lo_pf, hi_pf = bounds.c_min_f * 1e12, bounds.c_max_f * 1e12
-    rng = np.random.default_rng(opts.seed)
     if opts.initial is not None:
         first = np.array([bounds.clip(c) * 1e12 for c in opts.initial.caps_f])
         if first.size != n:
             raise ValueError(f"initial vector has {first.size} entries for {n} ports")
     else:
         first = np.full(n, 0.5 * (lo_pf + hi_pf))
-    start_points = [first] + [rng.uniform(lo_pf, hi_pf, n) for _ in range(opts.starts - 1)]
+    start_points = [first]
+    if opts.starts > 1:  # importing numpy.random costs about 12 ms, which one start need not pay
+        rng = np.random.default_rng(opts.seed)
+        start_points += [rng.uniform(lo_pf, hi_pf, n) for _ in range(opts.starts - 1)]
 
     def run_start(index: int, x0_pf: np.ndarray) -> tuple[StartTrace, np.ndarray]:
         # The clip undoes an ulp that the pF -> F conversion can put outside the bounds.

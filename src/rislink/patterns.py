@@ -114,8 +114,8 @@ def parse_pattern_table(text: str | bytes) -> list[ElementPattern]:
             )
         raise PatternError(f"element {elements[k]}: duplicate azimuth sample")
     gain_lin = gain_lin[order]
-    return [
-        ElementPattern(m, az_rad[a:b], gain_lin[a:b], smm[m])
+    return [  # the checks above are those of ElementPattern, so each is built without repeating them
+        ElementPattern._checked(m, az_rad[a:b], gain_lin[a:b], smm[m])
         for m, a, b in zip(elements, starts.tolist(), stops.tolist())
     ]
 

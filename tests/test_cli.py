@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rislink.cli
 from conftest import grid_transfer
 from rislink import (
     FarFieldValidityWarning,
     SweepGrid,
+    TouchstoneDocument,
     __version__,
     document_from_matrix,
     read_scenario,
@@ -22,6 +24,7 @@ from rislink import (
 )
 from rislink.cli import _build_patterns, _build_ris, main
 from rislink.farfield import assemble_full_matrix
+from rislink.touchstone import CACHE_DIR, _cache_key, load_cached, store_cached
 
 TOY = """\
 freq = 3.55 GHz
@@ -442,6 +445,133 @@ class TestOverrides:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+BOARD = Path(__file__).resolve().parents[1] / "scenarios" / "board_7x2"
+
+
+class TestTouchstoneCache:
+    """A ris.file export is parsed once; later runs on the same bytes load the parse from __rislink_cache__."""
+
+    @pytest.fixture
+    def board(self, tmp_path):
+        """The board driven by a two-point board.s14p in its own directory; outputs go elsewhere."""
+        run = tmp_path / "board"
+        run.mkdir()
+        (run / "patterns.csv").write_bytes((BOARD / "patterns.csv").read_bytes())
+        ris = _build_ris(read_scenario(BOARD / "scenario.cfg"))
+        points = ((3.5e9, 0.5 * ris.entries), (3.55e9, ris.entries))
+        doc = TouchstoneDocument(14, document_from_matrix(ris).options, points)
+        write_touchstone(doc, run / "board.s14p")
+        lines = [ln for ln in (BOARD / "scenario.cfg").read_text().splitlines() if not ln.startswith("ris.")]
+        (run / "scenario.cfg").write_text("\n".join(lines) + "\nris.file = board.s14p\nris.freq_tol = 1 MHz\n")
+        return run
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The paths the CLI parses in full."""
+        calls = []
+        read = rislink.cli.read_touchstone
+        monkeypatch.setattr(rislink.cli, "read_touchstone", lambda path: calls.append(path) or read(path))
+        return calls
+
+    def pipeline(self, board, out):
+        cfg = str(board / "scenario.cfg")
+        assert main(["synthesize", cfg, "--out", str(out)]) == 0
+        assert main(["optimize", cfg, "--seed", "7", "--out", str(out)]) == 0
+        assert main(["sweep", cfg, str(out / "caps.csv"), "--out", str(out)]) == 0
+        outputs = {name: (out / name).read_bytes() for name in ("full.s16p", "caps.csv", "brcs.csv")}
+        for manifest in out.glob("manifest.*.json"):
+            outputs[manifest.name] = {k: v for k, v in json.loads(manifest.read_text()).items() if k != "created_utc"}
+        return outputs
+
+    def test_warm_runs_skip_the_parse_and_match_cold_runs(self, board, tmp_path, parses):
+        export = board / "board.s14p"
+        cold = self.pipeline(board, tmp_path / "cold")
+        assert parses == [export]
+        assert sorted(p.name for p in (board / CACHE_DIR).iterdir()) == ["board.s14p.npz"]
+        warm = self.pipeline(board, tmp_path / "warm")
+        assert parses == [export]
+        assert warm == cold and len(cold) == 6
+        digest = hashlib.sha256(export.read_bytes()).hexdigest()
+        commands = ("synthesize", "optimize", "sweep")
+        assert {cold[f"manifest.{c}.json"]["input_hashes"]["ris"] for c in commands} == {digest}
+        assert not any(p.name == CACHE_DIR for p in (tmp_path / "cold").rglob("*"))
+
+        export.write_bytes(export.read_bytes().replace(b"HZ", b"Hz", 1))  # same document, other bytes: a miss
+        assert self.pipeline(board, tmp_path / "edited")["full.s16p"] == cold["full.s16p"]
+        assert parses == [export, export]
+
+    @pytest.mark.parametrize(
+        "damage", ["garbage", "truncated", "wrong_digest", "wrong_shape", "point_missing", "nan", "not_increasing"]
+    )
+    def test_damaged_entry_is_parsed_again_and_rewritten(self, board, tmp_path, parses, damage):
+        export, cfg = board / "board.s14p", str(board / "scenario.cfg")
+        assert main(["synthesize", cfg, "--out", str(tmp_path / "cold")]) == 0
+        entry = board / CACHE_DIR / "board.s14p.npz"
+        digest = hashlib.sha256(export.read_bytes()).hexdigest()
+        freqs, matrices = np.array([3.5e9, 3.55e9]), np.array([m for _, m in read_touchstone(export).points])
+        if damage == "wrong_shape":
+            matrices = matrices[:, :13, :13]
+        elif damage == "point_missing":
+            matrices = matrices[1:]
+        elif damage == "nan":
+            matrices[0, 3, 4] = np.nan
+        elif damage == "not_increasing":
+            freqs, matrices = freqs[::-1], matrices[::-1]
+        if damage == "garbage":
+            entry.write_bytes(b"PK\x03\x04" + bytes(range(256)) * 8)
+        elif damage == "truncated":
+            entry.write_bytes(entry.read_bytes()[:-100])
+        elif damage == "wrong_digest":
+            store_cached(export, "0" * 64, read_touchstone(export))
+        else:
+            with open(entry, "wb") as file:
+                np.savez(file, key=np.array(_cache_key(digest)), options=np.array("hz s ri r 50.0"),
+                         freqs_hz=freqs, matrices=matrices)
+        assert load_cached(export, digest) is None
+        assert main(["synthesize", cfg, "--out", str(tmp_path / "again")]) == 0
+        assert (tmp_path / "again" / "full.s16p").read_bytes() == (tmp_path / "cold" / "full.s16p").read_bytes()
+        assert len(parses) == 2
+        cached = load_cached(export, digest)
+        assert cached is not None and all(
+            a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(cached.points, read_touchstone(export).points)
+        )
+
+    def test_invalid_export_fails_alike_twice_and_is_not_cached(self, board, tmp_path, capsys):
+        export = board / "board.s14p"
+        export.write_text(export.read_text().replace("3500000000.0 ", "nan ", 1))
+        errors = []
+        for run in ("a", "b"):
+            assert main(["synthesize", str(board / "scenario.cfg"), "--out", str(tmp_path / run)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and "line 2: non-finite value nan" in errors[0]
+        assert not (board / CACHE_DIR).exists()
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root writes into a read-only directory")
+    def test_read_only_export_directory_runs_and_writes_nothing_there(self, board, tmp_path, parses):
+        before = sorted(p.name for p in board.iterdir())
+        board.chmod(0o555)
+        try:
+            assert self.pipeline(board, tmp_path / "a") == self.pipeline(board, tmp_path / "b")
+        finally:
+            board.chmod(0o755)
+        assert sorted(p.name for p in board.iterdir()) == before
+        assert len(parses) == 4
+
+    @pytest.mark.parametrize("blocked", ["directory_name_taken", "rename_refused"])
+    def test_entry_that_cannot_be_written_is_skipped_without_leftovers(self, board, tmp_path, monkeypatch, blocked):
+        def refuse(source, target):
+            raise PermissionError(13, "Permission denied", str(target))
+
+        if blocked == "directory_name_taken":
+            (board / CACHE_DIR).write_text("")
+        else:
+            monkeypatch.setattr(rislink.touchstone.os, "replace", refuse)
+        before = sorted(p.relative_to(board) for p in board.rglob("*"))
+        assert self.pipeline(board, tmp_path / "a") == self.pipeline(board, tmp_path / "b")
+        made = [Path(CACHE_DIR)] if blocked == "rename_refused" else []  # the directory, empty
+        assert sorted(p.relative_to(board) for p in board.rglob("*")) == sorted(before + made)
+
+
 class TestManifests:
     @pytest.mark.parametrize("from_files", [False, True], ids=["model", "files"])
     def test_schema_and_same_inputs_give_same_manifest(self, tmp_path, from_files):
@@ -546,6 +676,16 @@ class TestEntryPoints:
         classes = [value for module in modules for value in vars(module).values()
                    if isinstance(value, type) and value.__module__.startswith("rislink.")]
         assert len(classes) > 30 and [cls for cls in classes if dataclasses.is_dataclass(cls)] == []
+
+    @pytest.mark.parametrize("starts, drawn", [(1, False), (6, True)])
+    def test_one_start_optimize_leaves_numpy_random_unimported(self, tmp_path, starts, drawn):
+        config = tmp_path / "toy.cfg"
+        config.write_text(TOY.replace("opt.starts = 6", f"opt.starts = {starts}"))
+        argv = ["optimize", str(config), "--out", str(tmp_path)]
+        code = f"import sys; from rislink.cli import main; print(main({argv!r}), 'numpy.random' in sys.modules)"
+        run = _python("-c", code)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == f"0 {drawn}"
 
     def test_optimize_runs_without_scipy(self, tmp_path):
         config = Path(__file__).resolve().parents[1] / "scenarios" / "board_7x2" / "scenario.cfg"

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ class TestParse:
     def test_headers_are_case_and_space_insensitive(self):
         text = BASIC.replace("m,azimuth_deg,gain_dbi", " M , Azimuth_Deg ,GAIN_DBI").replace("m,smm_re", "M ,smm_re")
         assert parse_pattern_table(text)[0].s_mm == 0.1 - 0.05j
+
+    def test_parsed_patterns_equal_validated_ones_and_are_read_only(self):
+        board = Path(__file__).resolve().parents[1] / "scenarios" / "board_7x2" / "patterns.csv"
+        for text in (BASIC, board.read_text()):
+            for pat in parse_pattern_table(text):
+                checked = ElementPattern(pat.index_m, pat.azimuth_rad, pat.gain_lin, pat.s_mm)
+                assert type(pat.index_m) is int and type(pat.s_mm) is complex and pat.s_mm == checked.s_mm
+                for parsed, validated in ((pat.azimuth_rad, checked.azimuth_rad), (pat.gain_lin, checked.gain_lin)):
+                    assert (parsed.dtype, parsed.shape, parsed.tobytes()) == (
+                        validated.dtype, validated.shape, validated.tobytes()
+                    )
+                    with pytest.raises(ValueError, match="read-only"):
+                        parsed[0] = 1.0
 
 
 class TestParseErrors:

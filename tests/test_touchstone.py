@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,8 @@ from rislink import (
     read_touchstone,
     write_touchstone,
 )
+from rislink import touchstone
+from rislink.touchstone import CACHE_DIR, load_cached, store_cached
 
 GOLDEN = Path(__file__).parent / "golden" / "sample.s2p"
 
@@ -277,3 +281,77 @@ def test_document_from_matrix_round_trip(rng):
     again = parse_touchstone(dumps_touchstone(doc), n_ports=4)
     assert again.options.z0_ohm == 75.0
     assert np.array_equal(again.points[0][1], sm.entries)
+
+
+def same_document(a, b):
+    """Equal port count, options and frequencies, and every matrix equal bit for bit."""
+    return (a.n_ports, a.options, a.frequencies_hz) == (b.n_ports, b.options, b.frequencies_hz) and all(
+        (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()) for (_, x), (_, y) in zip(a.points, b.points)
+    )
+
+
+class TestCache:
+    @pytest.fixture(params=[2, 5])
+    def export(self, request, rng, tmp_path):
+        """A 3-point DB-format export, with -0.0 and a value that round-trips only as written."""
+        n = request.param
+        values = np.round(rng.uniform(-40.0, 40.0, (3, 2 * n * n)), 6)
+        values[0, :2] = -0.0, 1e-300
+        lines = ["! solver export", "# MHz S DB R 75.25"]
+        lines += [f"{f} " + " ".join(map(repr, row)) for f, row in zip((3549.9, 3550.0, 3550.1), values.tolist())]
+        path = tmp_path / f"ris.s{n}p"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def digest(self, path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_hit_equals_a_fresh_parse_bit_for_bit(self, export):
+        digest = self.digest(export)
+        assert load_cached(export, digest) is None
+        store_cached(export, digest, read_touchstone(export))
+        assert [p.name for p in (export.parent / CACHE_DIR).iterdir()] == [f"{export.name}.npz"]
+        cached = load_cached(export, digest)
+        assert cached is not None and same_document(cached, read_touchstone(export))
+        assert not any(matrix.flags.writeable for _, matrix in cached.points)
+
+    def test_one_byte_edit_misses(self, export):
+        store_cached(export, self.digest(export), read_touchstone(export))
+        text = export.read_text()
+        export.write_text(text.replace("75.25", "75.35"))
+        assert load_cached(export, self.digest(export)) is None
+
+    def test_entry_of_another_parser_version_is_not_served(self, export, monkeypatch, tmp_path):
+        other = tmp_path / "touchstone.py"
+        other.write_bytes(Path(touchstone.__file__).read_bytes() + b"# another version\n")
+        with monkeypatch.context() as patched:
+            patched.setattr(touchstone, "__file__", str(other))
+            store_cached(export, self.digest(export), read_touchstone(export))
+            assert load_cached(export, self.digest(export)) is not None
+        assert load_cached(export, self.digest(export)) is None
+
+    def test_damaged_entries_miss_and_never_raise(self, export, rng):
+        digest = self.digest(export)
+        store_cached(export, digest, read_touchstone(export))
+        entry = export.parent / CACHE_DIR / f"{export.name}.npz"
+        good = entry.read_bytes()
+        with zipfile.ZipFile(entry) as archive:  # where the compression method, flags and sizes of each member live
+            headers = [k for info in archive.infolist() for k in range(info.header_offset, info.header_offset + 30)]
+        fresh = read_touchstone(export)
+        for trial in range(600):
+            damaged = bytearray(good)
+            if trial % 3 == 0:
+                damaged = damaged[: rng.integers(len(good))]
+            else:
+                where = rng.choice(headers) if trial % 3 == 1 else rng.integers(len(good))
+                for k in [where, *rng.integers(len(good), size=trial % 3)]:
+                    damaged[k] ^= 1 << rng.integers(8)
+            entry.write_bytes(bytes(damaged))
+            cached = load_cached(export, digest)
+            assert cached is None or same_document(cached, fresh), trial
+
+    def test_unwritable_cache_directory_is_skipped(self, export):
+        (export.parent / CACHE_DIR).write_text("a file where the directory belongs")
+        store_cached(export, self.digest(export), read_touchstone(export))
+        assert load_cached(export, self.digest(export)) is None
+        assert sorted(p.name for p in export.parent.iterdir()) == sorted([CACHE_DIR, export.name])
