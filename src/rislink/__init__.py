@@ -60,7 +60,6 @@ from .network import (
     ReflectionVector,
     ScatterMatrix,
     check_passivity,
-    power_transfer,
     reduce_loaded,
 )
 from .patterns import parse_pattern_table

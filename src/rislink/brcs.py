@@ -107,7 +107,7 @@ def sweep_rx_angle(
     kernel = full.kernel
     if len(caps) != kernel.n_ris:
         raise ValueError(f"{len(caps)} loads for {kernel.n_ris} RIS ports")
-    wave = kernel.tx_wave(kernel.gammas(caps.as_array, model))
+    wave = kernel.tx_wave(model.gammas(caps.as_array, full.freq_hz, full.z0_ohm))
 
     # One dot per row: a matrix-vector product sums in another order and moves sigma in its last bits.
     s21 = kernel.s_ee[1, 0] + np.array([r @ wave for r in coupling_rows(scn, patterns, "rx", alphas)])

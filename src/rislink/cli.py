@@ -5,10 +5,10 @@ problem or a path the OS refuses (any ``OSError``). ``main`` reads the
 config and applies the overrides once. Every command writes
 manifest.<command>.json next to its outputs, a run's one provenance record
 (version, seed, config key/values with the ``--alpha``/``--beta`` values
-the run used, SHA-256 of each input file, outputs), so
-commands sharing one output directory keep their own; runs with identical
-inputs and seed reproduce output files byte-identically (timestamps live
-only in the manifests).
+the run used, SHA-256 of each input file, of the bytes the run parsed, and
+outputs), so commands sharing one output directory keep their own; runs
+with identical inputs and seed reproduce output files byte-identically
+(timestamps live only in the manifests).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .brcs import export_csv, flat_reflector_reference, sweep_rx_angle
-from .errors import InputError, RislinkError
+from .errors import InputError, PatternError, RislinkError
 from .farfield import ElementPattern, assemble_full_matrix, synth_ris_matrix
 from .loads import LoadVector, load_gammas, optimize, phase_gradient_seed
 from .network import ScatterMatrix
@@ -80,10 +80,24 @@ def _build_ris(cfg: ScenarioConfig, digests: dict[str, str] | None = None) -> Sc
     return synth_ris_matrix(scn.elements, scn.freq_hz, cfg.ris.model)
 
 
-def _build_patterns(cfg: ScenarioConfig, ris: ScatterMatrix) -> list[ElementPattern]:
+def _read_text(path: Path, error: type[InputError], digests: dict[str, str] | None, name: str) -> str:
+    """The UTF-8 text of an input file, read once; ``digests[name]`` gets the SHA-256 of those bytes."""
+    data = path.read_bytes()
+    if digests is not None:
+        digests[name] = hashlib.sha256(data).hexdigest()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 text: {exc}") from None
+
+
+def _build_patterns(cfg: ScenarioConfig, ris: ScatterMatrix,
+                    digests: dict[str, str] | None = None) -> list[ElementPattern]:
+    """The element patterns, from ``patterns.file`` (its SHA-256 goes into ``digests["patterns"]``) or uniform."""
     scn = cfg.scenario
     if isinstance(cfg.patterns, PatternsFile):
-        parsed = {p.index_m: p for p in parse_pattern_table(cfg.patterns.path.read_text(encoding="utf-8"))}
+        text = _read_text(cfg.patterns.path, PatternError, digests, "patterns")
+        parsed = {p.index_m: p for p in parse_pattern_table(text)}
         missing = [m for m in scn.element_numbers if m not in parsed]
         if missing:
             raise InputError(f"pattern table lacks elements {missing}")
@@ -95,12 +109,11 @@ def _build_patterns(cfg: ScenarioConfig, ris: ScatterMatrix) -> list[ElementPatt
     ]
 
 
-def _write_manifest(cfg: ScenarioConfig, args: argparse.Namespace, outputs: list[str], seed: int | None = None,
-                    inputs: dict[str, Path] | None = None, digests: dict[str, str] | None = None,
-                    **extra: str) -> None:
+def _write_manifest(cfg: ScenarioConfig, args: argparse.Namespace, outputs: list[str], digests: dict[str, str],
+                    seed: int | None = None, **extra: str) -> None:
     """Write ``manifest.<command>.json`` into ``cfg.out_dir``; ``extra`` and the angle overrides join the config.
 
-    An input file is hashed here unless ``digests`` holds the SHA-256 of the bytes the run read.
+    ``digests`` holds the SHA-256 of the input files the run read; the config and the unread files are hashed here.
     ``--out`` stays out of it, so two runs that differ only in where they write keep equal manifests.
     """
     angles = (("alpha", args.alpha), ("beta", args.beta))
@@ -110,17 +123,14 @@ def _write_manifest(cfg: ScenarioConfig, args: argparse.Namespace, outputs: list
         paths["ris"] = cfg.ris.path
     if isinstance(cfg.patterns, PatternsFile):
         paths["patterns"] = cfg.patterns.path
-    paths.update(inputs or {})
-    digests = digests or {}
+    hashes = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items() if name not in digests}
     manifest = {
         "command": args.command,
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "seed": seed,
         "config": {**cfg.raw, **overrides, **extra},
-        "input_hashes": {
-            name: digests.get(name) or hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()
-        },
+        "input_hashes": {**hashes, **digests},
         "outputs": outputs,
     }
     path = cfg.out_dir / f"manifest.{args.command}.json"
@@ -130,13 +140,13 @@ def _write_manifest(cfg: ScenarioConfig, args: argparse.Namespace, outputs: list
 def cmd_synthesize(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     digests: dict[str, str] = {}
     ris = _build_ris(cfg, digests)
-    patterns = _build_patterns(cfg, ris)
+    patterns = _build_patterns(cfg, ris, digests)
     full = assemble_full_matrix(cfg.scenario, ris, patterns)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / f"full.s{full.n_ports}p"
     write_touchstone(document_from_matrix(full), out_path)
-    _write_manifest(cfg, args, [out_path.name], digests=digests)
+    _write_manifest(cfg, args, [out_path.name], digests)
     print(f"wrote {out_path} ({full.n_ports} ports at {full.freq_hz / 1e9:.9g} GHz)")
     return 0
 
@@ -145,7 +155,7 @@ def cmd_optimize(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     scn = cfg.scenario
     digests: dict[str, str] = {}
     ris = _build_ris(cfg, digests)
-    patterns = _build_patterns(cfg, ris)
+    patterns = _build_patterns(cfg, ris, digests)
     full = assemble_full_matrix(scn, ris, patterns)
 
     seed_vector = phase_gradient_seed(scn, cfg.bounds, cfg.varactor, z0_ohm=ris.z0_ohm)
@@ -160,16 +170,17 @@ def cmd_optimize(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     caps_path = cfg.out_dir / "caps.csv"
     caps_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(cfg, args, [caps_path.name], seed=opts.seed, digests=digests,
+    _write_manifest(cfg, args, [caps_path.name], digests, seed=opts.seed,
                     achieved_objective=f"{result.objective:.12g}")
     print(f"wrote {caps_path} (objective {result.objective:.6g})")
     return 0
 
 
-def _read_caps_csv(path: Path, cfg: ScenarioConfig) -> LoadVector:
+def _read_caps_csv(path: Path, cfg: ScenarioConfig, digests: dict[str, str]) -> LoadVector:
+    """The capacitances of a ``caps.csv``, checked against the scenario; its SHA-256 goes into ``digests["caps"]``."""
     if not path.is_file():
         raise InputError(f"caps file does not exist: {path}")
-    lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path, InputError, digests, "caps").splitlines() if ln.strip()]
     if not lines or lines[0].split(",")[0:2] != ["m", "c_pf"]:
         raise InputError(f"{path}: expected header starting with 'm,c_pf'")
     caps_by_m: dict[int, float] = {}
@@ -204,13 +215,11 @@ def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     alphas = cfg.sweep.alphas_rad()
 
     curves = []
-    inputs: dict[str, Path] = {}
     digests: dict[str, str] = {}
     if args.caps is not None:
-        caps = _read_caps_csv(Path(args.caps), cfg)
-        inputs["caps"] = Path(args.caps)
+        caps = _read_caps_csv(Path(args.caps), cfg, digests)
         ris = _build_ris(cfg, digests)
-        patterns = _build_patterns(cfg, ris)
+        patterns = _build_patterns(cfg, ris, digests)
         curves.append(sweep_rx_angle(scn, ris, patterns, caps, alphas, model=cfg.varactor))
     curves.append(
         flat_reflector_reference(
@@ -221,7 +230,7 @@ def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / "brcs.csv"
     export_csv(curves, out_path)
-    _write_manifest(cfg, args, [out_path.name], inputs=inputs, digests=digests)
+    _write_manifest(cfg, args, [out_path.name], digests)
     print(f"wrote {out_path} ({len(curves)} curve(s), {alphas.size} angles)")
     return 0
 

@@ -1,8 +1,10 @@
 """Varactor load modeling and bounded capacitance optimization.
 
 Each RIS port is terminated by a series R-L-C load whose capacitance is the
-tuning variable. ``cap_to_gamma`` maps a capacitance to its reflection
-coefficient; ``optimize`` searches the box-bounded capacitance space for
+tuning variable. ``VaractorModel`` holds the one copy of that load law: the
+reactance X(C) and its inverse C(X), the reflection coefficient Gamma(C) and
+dGamma/dC; the link kernel (``network.LinkKernel``) takes reflection
+coefficients only. ``optimize`` searches the box-bounded capacitance space for
 maximum Tx -> Rx power transfer by deterministic multi-start coordinate
 ascent. With every other load held, the link is a Moebius function of one
 load, so each coordinate step maximizes its capacitance exactly in closed
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import UnoptimizableError
 from .farfield import Scenario, element_paths
-from .network import LinkKernel, ReflectionVector, ScatterMatrix, series_gamma
+from .network import LinkKernel, ReflectionVector, ScatterMatrix
 
 #: A start ends after a pass over every element that raises its best by no more than this, relatively.
 _PASS_RTOL = 1e-12
@@ -70,12 +72,38 @@ class LoadVector:
 
 
 class VaractorModel:
-    """Series parasitics of the load; the default is an ideal capacitor."""
+    """Series R-L-C load, Z_L = R_s + jX with X(C) = w*L_s - 1/(w*C) at w = 2*pi*f; the default is an ideal capacitor.
+
+    The methods check nothing; ``cap_to_gamma`` and ``load_gammas`` are the checked entries.
+    """
 
     def __init__(self, series_resistance_ohm: float = 0.0, series_inductance_h: float = 0.0):
         if series_resistance_ohm < 0 or series_inductance_h < 0:
             raise ValueError("varactor parasitics must be non-negative")
         self.series_resistance_ohm, self.series_inductance_h = series_resistance_ohm, series_inductance_h
+
+    def reactance(self, c_f: float | np.ndarray, w: float) -> float | np.ndarray:
+        """X(C) in ohm, for a capacitance or an array of them."""
+        return w * self.series_inductance_h - 1.0 / (w * c_f)
+
+    def capacitance(self, x_ohm: float, w: float) -> float:
+        """C(X) in farads, the inverse of ``reactance``; X increases with C."""
+        return 1.0 / (w * (w * self.series_inductance_h - x_ohm))
+
+    def gamma(self, c_f: float, freq_hz: float, z0_ohm: float) -> complex:
+        """gamma = (Z_L - Z0)/(Z_L + Z0); the ideal model gives |gamma| = 1."""
+        z_load = complex(self.series_resistance_ohm, self.reactance(c_f, 2.0 * math.pi * freq_hz))
+        return (z_load - z0_ohm) / (z_load + z0_ohm)
+
+    def gammas(self, caps_f: np.ndarray, freq_hz: float, z0_ohm: float) -> np.ndarray:
+        """``gamma`` of every capacitance, by Python's complex division: numpy's rounds differently."""
+        return np.array([self.gamma(c, freq_hz, z0_ohm) for c in caps_f.tolist()], dtype=complex)
+
+    def dgamma_dc(self, caps_f: np.ndarray, freq_hz: float, z0_ohm: float) -> np.ndarray:
+        """dgamma/dC in 1/farad of every capacitance: 2*Z0/(Z_L + Z0)^2 * j/(w*C^2)."""
+        w = 2.0 * math.pi * freq_hz
+        z_load = self.series_resistance_ohm + 1j * self.reactance(caps_f, w)
+        return 2.0 * z0_ohm / (z_load + z0_ohm) ** 2 * (1j / (w * caps_f**2))
 
 
 IDEAL_VARACTOR = VaractorModel()
@@ -87,16 +115,8 @@ def cap_to_gamma(
     z0_ohm: float = 50.0,
     model: VaractorModel = IDEAL_VARACTOR,
 ) -> complex:
-    """Reflection coefficient of a series R-L-C load at the given frequency.
-
-    Z_L = R_s + j*(2*pi*f*L_s - 1/(2*pi*f*C)); gamma = (Z_L - Z0)/(Z_L + Z0).
-    The ideal model gives |gamma| = 1.
-    """
-    if not c_f > 0:
-        raise ValueError(f"capacitance must be positive, got {c_f}")
-    if not (freq_hz > 0 and z0_ohm > 0):
-        raise ValueError("frequency and reference impedance must be positive")
-    return series_gamma(c_f, freq_hz, z0_ohm, model)
+    """Reflection coefficient ``model.gamma`` of one capacitance, with its inputs checked as ``load_gammas`` does."""
+    return load_gammas(LoadVector((c_f,)), freq_hz, z0_ohm, model).gammas[0]
 
 
 def load_gammas(
@@ -105,7 +125,10 @@ def load_gammas(
     z0_ohm: float = 50.0,
     model: VaractorModel = IDEAL_VARACTOR,
 ) -> ReflectionVector:
-    return ReflectionVector.of(cap_to_gamma(c, freq_hz, z0_ohm, model) for c in caps.caps_f)
+    """Reflection coefficients of the loads; ``LoadVector`` already holds finite, positive capacitances."""
+    if not (0 < freq_hz < math.inf and 0 < z0_ohm < math.inf):
+        raise ValueError("frequency and reference impedance must be positive and finite")
+    return ReflectionVector.of(model.gamma(c, freq_hz, z0_ohm) for c in caps.caps_f)
 
 
 def _check_caps(caps: LoadVector, bounds: LoadBounds, n: int) -> None:
@@ -128,7 +151,7 @@ def objective(
     """Tx -> Rx power transfer of the link under the given loads, in [0, 1]."""
     kernel = full.kernel
     _check_caps(caps, bounds, kernel.n_ris)
-    return kernel.transfer(caps.as_array, model)
+    return kernel.transfer(model.gammas(caps.as_array, full.freq_hz, full.z0_ohm))
 
 
 def objective_gradient(
@@ -137,14 +160,12 @@ def objective_gradient(
     bounds: LoadBounds,
     model: VaractorModel = IDEAL_VARACTOR,
 ) -> np.ndarray:
-    """Analytic gradient d(objective)/dC in 1/farad (one forward and one adjoint solve)."""
+    """Analytic gradient d(objective)/dC in 1/farad: 2*Re(conj(S_RxTx) * dS_RxTx/dgamma * dgamma/dC)."""
     kernel = full.kernel
     _check_caps(caps, bounds, kernel.n_ris)
-    return kernel.gradient(caps.as_array, model)
-
-
-def _ideal_phase(c_f: float, freq_hz: float, z0_ohm: float) -> float:
-    return float(np.angle(cap_to_gamma(c_f, freq_hz, z0_ohm)))
+    caps_f = caps.as_array
+    s21, ds_dgamma = kernel.gradient(model.gammas(caps_f, full.freq_hz, full.z0_ohm))
+    return 2.0 * np.real(np.conj(s21) * ds_dgamma * model.dgamma_dc(caps_f, full.freq_hz, full.z0_ohm))
 
 
 def _wrap(angle: float) -> float:
@@ -166,18 +187,16 @@ def phase_gradient_seed(
     starting point.
     """
     w = 2.0 * math.pi * scn.freq_hz
-    wl_s = w * model.series_inductance_h
     lam = scn.wavelength_m
-    # arg(gamma) decreases with C, so c_max gives the lowest phase.
-    phase_lo = _ideal_phase(bounds.c_max_f, scn.freq_hz, z0_ohm)
-    phase_hi = _ideal_phase(bounds.c_min_f, scn.freq_hz, z0_ohm)
+    # arg(gamma) of an ideal load decreases with C, so c_max gives the lowest phase.
+    phase_lo, phase_hi = (float(np.angle(cap_to_gamma(c, scn.freq_hz, z0_ohm)))
+                          for c in (bounds.c_max_f, bounds.c_min_f))
 
     caps = []
     for path in (element_paths(scn, "tx")[0][0] + element_paths(scn, "rx")[0][0]).tolist():
         target = _wrap(2.0 * math.pi * path / lam)
         if phase_lo <= target <= phase_hi:
-            reactance = z0_ohm / math.tan(target / 2.0)
-            c = 1.0 / (w * (wl_s - reactance))
+            c = model.capacitance(z0_ohm / math.tan(target / 2.0), w)
         elif abs(_wrap(target - phase_lo)) <= abs(_wrap(target - phase_hi)):
             c = bounds.c_max_f
         else:
@@ -233,7 +252,7 @@ def _real_roots(a: float, b: float, c: float) -> tuple[float, ...]:
 
 
 def _coordinate_max(
-    terms: tuple[complex, complex, complex], kernel: LinkKernel, bounds: LoadBounds, model: VaractorModel
+    terms: tuple[complex, complex, complex], full: ScatterMatrix, bounds: LoadBounds, model: VaractorModel
 ) -> tuple[float, float]:
     """Capacitance of one element, in farads, that maximizes the transfer with every other load held, and that transfer.
 
@@ -242,27 +261,23 @@ def _coordinate_max(
     g = (z - z0)/(z + z0), so S = (p0 + p1*X)/(q0 + q1*X) and
     |S|^2 = N(X)/D(X) is a ratio of real quadratics in the reactance X. Its
     maximum over [X(c_min), X(c_max)] lies at an endpoint or at a real root of
-    the derivative's numerator, a quadratic; X increases with C, so
-    C = 1/(w*(w*L_s - X)).
+    the derivative's numerator, a quadratic, mapped back by ``model.capacitance``.
     """
     a, b, c = terms
-    w = 2.0 * math.pi * kernel.freq_hz
-    wl, rs, z0 = w * model.series_inductance_h, model.series_resistance_ohm, kernel.z0_ohm
+    w = 2.0 * math.pi * full.freq_hz
+    rs, z0 = model.series_resistance_ohm, full.z0_ohm
     p0, p1 = a * (rs + z0) + (b - a * c) * (rs - z0), 1j * (a + b - a * c)
     q0, q1 = (rs + z0) - c * (rs - z0), 1j * (1.0 - c)
     n0, n1, n2 = abs(p0) ** 2, 2.0 * (p0 * p1.conjugate()).real, abs(p1) ** 2
     d0, d1, d2 = abs(q0) ** 2, 2.0 * (q0 * q1.conjugate()).real, abs(q1) ** 2
 
-    def reactance(c_f: float) -> float:
-        return wl - 1.0 / (w * c_f)
-
     def power(c_f: float) -> float:
-        x = reactance(c_f)
+        x = model.reactance(c_f, w)
         return (n0 + x * (n1 + x * n2)) / (d0 + x * (d1 + x * d2))
 
-    x_lo, x_hi = reactance(bounds.c_min_f), reactance(bounds.c_max_f)
+    x_lo, x_hi = model.reactance(bounds.c_min_f, w), model.reactance(bounds.c_max_f, w)
     roots = _real_roots(n2 * d1 - n1 * d2, 2.0 * (n2 * d0 - n0 * d2), n1 * d0 - n0 * d1)
-    inside = [bounds.clip(1.0 / (w * (wl - x))) for x in roots if x_lo < x < x_hi]
+    inside = [bounds.clip(model.capacitance(x, w)) for x in roots if x_lo < x < x_hi]
     best = max((bounds.c_min_f, bounds.c_max_f, *inside), key=power)
     return best, power(best)
 
@@ -320,7 +335,7 @@ def optimize(
         objective constant.
     """
     opts = opts or OptimizerOptions()
-    kernel = full.kernel
+    kernel, f, z0 = full.kernel, full.freq_hz, full.z0_ohm
     n = kernel.n_ris
     if n == 0:
         raise ValueError("full matrix has no RIS ports to load")
@@ -346,8 +361,8 @@ def optimize(
     def run_start(index: int, x0_pf: np.ndarray) -> tuple[StartTrace, np.ndarray]:
         # The clip undoes an ulp that the pF -> F conversion can put outside the bounds.
         caps = np.clip(x0_pf * 1e-12, bounds.c_min_f, bounds.c_max_f)
-        gam = kernel.gammas(caps, model)
-        best = kernel.transfer(caps, model)
+        gam = model.gammas(caps, f, z0)  # gam[k] follows caps[k] bit for bit: both change only together
+        best = kernel.transfer(gam)
         history = [best]
         passes = 0
         while len(history) < opts.max_evals:
@@ -357,8 +372,8 @@ def optimize(
             for k in range(n):
                 if len(history) == opts.max_evals:
                     break
-                c_k, value = _coordinate_max(_terms(kernel, q, gam, rg, k), kernel, bounds, model)
-                g = series_gamma(c_k, kernel.freq_hz, kernel.z0_ohm, model)
+                c_k, value = _coordinate_max(_terms(kernel, q, gam, rg, k), full, bounds, model)
+                g = model.gamma(c_k, f, z0)
                 if kernel.checks_conditioning:
                     kernel.system(np.where(np.arange(n) == k, g, gam))
                 if value >= best:
@@ -369,7 +384,7 @@ def optimize(
                 history.append(best)
             if best - before <= _PASS_RTOL * before:
                 break
-        best = kernel.transfer(caps, model)
+        best = kernel.transfer(gam)
         return StartTrace(index, tuple(x0_pf), len(history), best, tuple(history), passes, passes + 2), caps
 
     outcomes = [run_start(index, x0) for index, x0 in enumerate(start_points)]

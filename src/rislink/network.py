@@ -6,7 +6,9 @@ them and the Rx port after them. A matrix with N ports is RIS-only; one
 with N + 2 ports is a link, Tx at port 0 and Rx at the last port. All
 operations are pure functions on values that are not changed after
 construction: entry arrays stay locked (``writeable = False``), so instances
-can be shared freely across threads.
+can be shared freely across threads. The loaded-link kernel (``LinkKernel``)
+takes the loads as reflection coefficients; turning a capacitance into one is
+the load model's job (``loads.VaractorModel``).
 """
 
 from __future__ import annotations
@@ -14,14 +16,11 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .errors import IllConditionedLoadError
-
-if TYPE_CHECKING:
-    from .loads import VaractorModel
 
 #: Reciprocal condition numbers of (I - S_ii*Gamma) below this are rejected;
 #: physical loaded passive networks never reach exact singularity, so a
@@ -129,7 +128,7 @@ class ScatterMatrix:
 
 
 class LinkKernel:
-    """Loaded-link transfer of one Tx/RIS/Rx matrix, on plain arrays.
+    """Loaded-link transfer of one Tx/RIS/Rx matrix, on plain arrays of reflection coefficients.
 
     The matrix is split once into its external (Tx, Rx) and RIS blocks, so an
     evaluation is the linear solve plus a few array operations: no index
@@ -150,8 +149,6 @@ class LinkKernel:
         ext = [full.tx_index, full.rx_index]
         ris = list(full.ris_indices)
         s = full.entries
-        self.freq_hz = full.freq_hz
-        self.z0_ohm = full.z0_ohm
         self.n_ris = len(ris)
         self.s_ee = s[np.ix_(ext, ext)]
         self.s_ei = s[np.ix_(ext, ris)]
@@ -160,10 +157,6 @@ class LinkKernel:
         self._eye = np.eye(self.n_ris, dtype=complex)
         self.cond_bound = _passive_cond_bound(self.s_ii)
         self.checks_conditioning = self.cond_bound >= 0.5 / RCOND_LIMIT
-
-    def gammas(self, caps_f: np.ndarray, model: VaractorModel) -> np.ndarray:
-        """``series_gamma`` of every capacitance."""
-        return np.array([series_gamma(c, self.freq_hz, self.z0_ohm, model) for c in caps_f.tolist()], dtype=complex)
 
     def system(self, gam: np.ndarray) -> np.ndarray:
         """I - S_ii*Gamma, rejected if ill-conditioned (see the class docstring)."""
@@ -190,31 +183,17 @@ class LinkKernel:
         """(I - S_ii*Gamma)^-1 [S_ii | t] for the Tx column t: one factorization, N + 1 right-hand sides."""
         return np.linalg.solve(self.system(gam), np.column_stack((self.s_ii, self.s_ie[:, 0])))
 
-    def transfer(self, caps_f: np.ndarray, model: VaractorModel) -> float:
-        """|S_RxTx|^2 under the given load capacitances (farads)."""
-        return float(abs(self.reduce(self.gammas(caps_f, model))[1, 0]) ** 2)
+    def transfer(self, gam: np.ndarray) -> float:
+        """|S_RxTx|^2 with the RIS ports terminated by ``gam``."""
+        return float(abs(self.reduce(gam)[1, 0]) ** 2)
 
-    def gradient(self, caps_f: np.ndarray, model: VaractorModel) -> np.ndarray:
-        """d(transfer)/dC in 1/farad, from one forward and one adjoint solve."""
-        gam = self.gammas(caps_f, model)
+    def gradient(self, gam: np.ndarray) -> tuple[complex, np.ndarray]:
+        """S_RxTx and dS_RxTx/dgamma under the loads ``gam``, from one forward and one adjoint solve."""
         row, col = self.s_ei[1], self.s_ie[:, 0]
         system = self.system(gam)
         p = np.linalg.solve(system, col)
-        s21 = self.s_ee[1, 0] + row @ (gam * p)
         y = np.linalg.solve(system.T, row * gam)
-        ds_dgamma = (row + self.s_ii.T @ y) * p
-
-        w = 2.0 * math.pi * self.freq_hz
-        z_load = model.series_resistance_ohm + 1j * (w * model.series_inductance_h - 1.0 / (w * caps_f))
-        dgamma_dc = 2.0 * self.z0_ohm / (z_load + self.z0_ohm) ** 2 * (1j / (w * caps_f**2))
-        return 2.0 * np.real(np.conj(s21) * ds_dgamma * dgamma_dc)
-
-
-def series_gamma(c_f: float, freq_hz: float, z0_ohm: float, model: VaractorModel) -> complex:
-    """gamma = (Z_L - Z0)/(Z_L + Z0) of a series R-L-C load, Z_L = R_s + j*(w*L_s - 1/(w*C)); no input checks."""
-    w = 2.0 * math.pi * freq_hz
-    z_load = complex(model.series_resistance_ohm, w * model.series_inductance_h - 1.0 / (w * c_f))
-    return (z_load - z0_ohm) / (z_load + z0_ohm)
+        return self.s_ee[1, 0] + row @ (gam * p), (row + self.s_ii.T @ y) * p
 
 
 def _passive_cond_bound(s_ii: np.ndarray) -> float:
@@ -281,16 +260,6 @@ def reduce_loaded(full: ScatterMatrix, loads: ReflectionVector) -> ScatterMatrix
     if len(loads) != kernel.n_ris:
         raise ValueError(f"{len(loads)} loads for {kernel.n_ris} RIS ports")
     return ScatterMatrix.full_link(kernel.reduce(loads.as_array), full.freq_hz, (), full.z0_ohm)
-
-
-def power_transfer(reduced: ScatterMatrix) -> float:
-    """Transducer power gain |S_RxTx|^2 of a reduced Tx/Rx two-port.
-
-    With matched terminations this lies in [0, 1] for any passive network.
-    """
-    if reduced.n_ports != 2 or reduced.element_numbers:
-        raise ValueError("power_transfer expects a 2x2 matrix of Tx and Rx ports")
-    return float(abs(reduced.entries[1, 0]) ** 2)
 
 
 def check_passivity(s: ScatterMatrix, tol: float = 1e-6) -> bool:

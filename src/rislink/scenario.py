@@ -338,4 +338,8 @@ def read_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file does not exist: {path}")
-    return load_scenario(path.read_text(encoding="utf-8"), base_dir=path.parent)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 text: {exc}") from None
+    return load_scenario(text, base_dir=path.parent)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import os
 import re
 import warnings
@@ -102,8 +103,8 @@ def _parse_option_line(tokens: list[str], line_no: int) -> TouchstoneOptions:
         z0 = float(toks[4])
     except ValueError:
         raise TouchstoneError(f"invalid reference impedance {toks[4]!r}", line_no) from None
-    if not z0 > 0:
-        raise TouchstoneError(f"reference impedance must be positive, got {z0}", line_no)
+    if not 0 < z0 < math.inf:
+        raise TouchstoneError(f"reference impedance must be positive and finite, got {z0}", line_no)
     if len(toks) > 5:
         raise TouchstoneError("trailing tokens after the reference impedance", line_no)
     return TouchstoneOptions(unit, parameter, value_format, z0)

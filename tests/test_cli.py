@@ -216,6 +216,26 @@ class TestInputFiles:
         err = capsys.readouterr().err
         assert "3 ports for 2 scenario elements" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("z0", ["inf", "1e400"])
+    @pytest.mark.parametrize("command", ["synthesize", "optimize", "sweep"])
+    def test_non_finite_reference_impedance_exits_2(self, tmp_path, capsys, command, z0):
+        cfg = self.write(tmp_path, ris=RIS_S2P.replace("R 50", f"R {z0}"))
+        args = [str(tmp_path / "caps.csv")] if command == "sweep" else []
+        assert main([command, str(cfg), *args, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: line 1: reference impedance must be positive and finite, got inf"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("damaged", ["config", "patterns", "caps"])
+    def test_latin_1_byte_exits_2_naming_the_file(self, tmp_path, capsys, damaged):
+        cfg = self.write(tmp_path)
+        path = {"config": cfg, "patterns": tmp_path / "patterns.csv", "caps": tmp_path / "caps.csv"}[damaged]
+        path.write_bytes(path.read_bytes() + "# café\n".encode("latin-1"))
+        assert main(["sweep", str(cfg), str(tmp_path / "caps.csv"), "--out", str(tmp_path / "o")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {path}: not valid UTF-8 text: ") and "0xe9" in line
+        assert not (tmp_path / "o").exists()
+
     def test_smm_above_one_exits_2(self, tmp_path, capsys):
         cfg = self.write(tmp_path, patterns=PATTERNS.replace("1,0.2,0", "1,1.5,0"))
         assert main(["synthesize", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -606,6 +626,29 @@ class TestManifests:
             assert ("achieved_objective" in manifest["config"]) == (command == "optimize")
             del a[name]["created_utc"], b[name]["created_utc"]
             assert a[name] == b[name]
+
+    @pytest.mark.parametrize("replaced", ["patterns", "caps"])
+    def test_hash_is_of_the_bytes_parsed_when_a_file_is_replaced_after_the_parse(self, tmp_path, monkeypatch, replaced):
+        cfg = tmp_path / "files.cfg"
+        cfg.write_text(FILE_CFG)
+        (tmp_path / "ris.s2p").write_text(RIS_S2P)
+        (tmp_path / "patterns.csv").write_text(PATTERNS)
+        (tmp_path / "caps.csv").write_text("m,c_pf\n1,1.0\n2,1.0\n")
+        path = tmp_path / f"{replaced}.csv"
+        parsed = hashlib.sha256(path.read_bytes()).hexdigest()
+
+        def then_replace(original):  # runs once the command has parsed the file
+            def call(*args):
+                result = original(*args)
+                path.write_text(path.read_text() + "\n")
+                return result
+            return call
+
+        name = "parse_pattern_table" if replaced == "patterns" else "_build_ris"
+        monkeypatch.setattr(rislink.cli, name, then_replace(getattr(rislink.cli, name)))
+        assert main(["sweep", str(cfg), str(tmp_path / "caps.csv"), "--out", str(tmp_path / "o")]) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.sweep.json").read_text())
+        assert manifest["input_hashes"][replaced] == parsed != hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_angle_overrides_are_recorded_and_out_is_not(self, tmp_path):
         cfg = tmp_path / "toy.cfg"

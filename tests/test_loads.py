@@ -23,7 +23,6 @@ from rislink import (
     objective_gradient,
     optimize,
     phase_gradient_seed,
-    power_transfer,
     read_scenario,
     reduce_loaded,
 )
@@ -98,6 +97,25 @@ class TestCapToGamma:
         with pytest.raises(ValueError):
             cap_to_gamma(0.0, F_CARRIER)
 
+    @pytest.mark.parametrize(
+        "freq_hz, z0_ohm", [(0.0, 50.0), (math.inf, 50.0), (F_CARRIER, math.inf), (F_CARRIER, -50.0)]
+    )
+    def test_rejects_frequency_or_impedance_not_positive_and_finite(self, freq_hz, z0_ohm):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            cap_to_gamma(1e-12, freq_hz, z0_ohm)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            load_gammas(LoadVector.uniform(1e-12, 2), freq_hz, z0_ohm)
+
+
+class TestVaractorModel:
+    def test_capacitance_inverts_reactance(self):
+        w = 2 * math.pi * F_CARRIER
+        caps = np.linspace(BOUNDS.c_min_f, BOUNDS.c_max_f, 50)
+        for model in MODELS:
+            x = model.reactance(caps, w)
+            assert np.all(np.diff(x) > 0)
+            np.testing.assert_allclose([model.capacitance(v, w) for v in x.tolist()], caps, rtol=1e-12)
+
 
 class TestObjective:
     def test_zero_tx_coupling_gives_zero_everywhere(self):
@@ -112,7 +130,7 @@ class TestObjective:
         for caps in ([0.3e-12, 1.5e-12], [1.0e-12, 1.0e-12]):
             vec = LoadVector.of(caps)
             gammas = load_gammas(vec, full.freq_hz, full.z0_ohm)
-            direct = power_transfer(reduce_loaded(full, gammas))
+            direct = abs(reduce_loaded(full, gammas).entries[1, 0]) ** 2
             assert objective(full, vec, BOUNDS) == direct
 
     def test_invariant_under_global_tx_coupling_phase(self):
@@ -210,9 +228,9 @@ class TestOptimize:
         full = link_n1()
         c = 1.234e-12
         vec = LoadVector.of([c])
-        assert objective(full, vec, BOUNDS) == power_transfer(
-            reduce_loaded(full, load_gammas(vec, full.freq_hz, full.z0_ohm))
-        )
+        assert objective(full, vec, BOUNDS) == abs(
+            reduce_loaded(full, load_gammas(vec, full.freq_hz, full.z0_ohm)).entries[1, 0]
+        ) ** 2
 
     def test_n2_matches_exhaustive_grid(self):
         full = link_n2()
@@ -282,8 +300,8 @@ class TestCoordinateAscent:
             caps = rng.uniform(BOUNDS.c_min_f, BOUNDS.c_max_f, n)
             k = int(rng.integers(n))
             stepped = caps.copy()
-            terms = coordinate_terms(full.kernel, full.kernel.gammas(caps, model), k)
-            stepped[k], _ = loads._coordinate_max(terms, full.kernel, BOUNDS, model)
+            terms = coordinate_terms(full.kernel, model.gammas(caps, full.freq_hz, full.z0_ohm), k)
+            stepped[k], _ = loads._coordinate_max(terms, full, BOUNDS, model)
             assert BOUNDS.c_min_f <= stepped[k] <= BOUNDS.c_max_f
             rows = np.repeat(caps[np.newaxis], grid.size, axis=0)
             rows[:, k] = grid

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,10 +20,11 @@ from rislink import (
     objective,
     objective_gradient,
     optimize,
-    power_transfer,
     reduce_loaded,
 )
 from rislink.network import RCOND_LIMIT
+
+BOUNDS = LoadBounds(0.23e-12, 2.1e-12)
 
 
 def three_port_link():
@@ -154,11 +158,23 @@ class TestReduceLoaded:
 class TestLinkKernel:
     MODELS = (IDEAL_VARACTOR, VaractorModel(2.0, 0.5e-9))
 
+    def test_network_imports_nothing_from_loads(self):
+        # The kernel takes reflection coefficients; the load law lives in loads.VaractorModel alone.
+        source = Path(__file__).resolve().parents[1] / "src" / "rislink" / "network.py"
+        modules = set()
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules.add(node.module or "")
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+        assert not any("loads" in name.split(".") for name in modules), modules
+
     def test_vectorized_gamma_is_bitwise_cap_to_gamma(self):
         full = three_port_link()
         caps = np.concatenate([np.geomspace(1e-15, 1e-9, 4001), np.linspace(0.23e-12, 2.1e-12, 2001)])
         for model in self.MODELS:
-            vectorized = full.kernel.gammas(caps, model)
+            vectorized = model.gammas(caps, full.freq_hz, full.z0_ohm)
             scalar = np.array([cap_to_gamma(c, full.freq_hz, full.z0_ohm, model) for c in caps])
             assert np.array_equal(vectorized.view(np.float64), scalar.view(np.float64)), model
 
@@ -169,7 +185,9 @@ class TestLinkKernel:
             caps = rng.uniform(0.23e-12, 2.1e-12, n)
             model = self.MODELS[k % 2]
             gammas = load_gammas(LoadVector.of(caps), full.freq_hz, full.z0_ohm, model)
-            assert full.kernel.transfer(caps, model) == power_transfer(reduce_loaded(full, gammas))
+            reduced = reduce_loaded(full, gammas).entries[1, 0]
+            assert objective(full, LoadVector.of(caps), BOUNDS, model) == abs(reduced) ** 2
+            assert full.kernel.transfer(gammas.as_array) == abs(reduced) ** 2
 
     def test_gradient_matches_central_differences(self, rng):
         for k in range(20):
@@ -178,9 +196,9 @@ class TestLinkKernel:
             caps = rng.uniform(0.3e-12, 2.0e-12, 4)
             direction = rng.standard_normal(4)
             step = 1e-6 * caps * direction / np.linalg.norm(direction)
-            up = full.kernel.transfer(caps + step, model)
-            down = full.kernel.transfer(caps - step, model)
-            analytic = float(full.kernel.gradient(caps, model) @ step)
+            up = objective(full, LoadVector.of(caps + step), BOUNDS, model)
+            down = objective(full, LoadVector.of(caps - step), BOUNDS, model)
+            analytic = float(objective_gradient(full, LoadVector.of(caps), BOUNDS, model) @ step)
             assert analytic == pytest.approx(0.5 * (up - down), rel=1e-4)
 
     def test_passive_s_ii_skips_the_per_evaluation_check(self, rng):
@@ -231,31 +249,31 @@ class TestLinkKernel:
 
 
 class TestPowerTransfer:
+    """|S_RxTx|^2 through the kernel: ``full.kernel.transfer(gammas)``."""
+
+    NO_LOADS = np.zeros(0, dtype=complex)
+
     def test_zero_coupling(self):
         reduced = ScatterMatrix(np.zeros((2, 2)), 1e9, ())
-        assert power_transfer(reduced) == 0.0
+        assert reduced.kernel.transfer(self.NO_LOADS) == 0.0
 
     def test_magnitude_squared_is_phase_independent(self):
         entries = np.zeros((2, 2), dtype=complex)
         entries[1, 0] = 0.1 * np.exp(1j * np.pi / 3)
         reduced = ScatterMatrix(entries, 1e9, ())
-        assert power_transfer(reduced) == pytest.approx(0.01, rel=1e-12)
+        assert reduced.kernel.transfer(self.NO_LOADS) == pytest.approx(0.01, rel=1e-12)
 
     def test_composition_with_reduction(self):
-        reduced = reduce_loaded(three_port_link(), ReflectionVector.of([0.9]))
-        assert power_transfer(reduced) == pytest.approx(0.048185603807257595, rel=1e-12)
-
-    def test_requires_two_port_link(self):
-        with pytest.raises(ValueError):
-            power_transfer(three_port_link())
-        with pytest.raises(ValueError):
-            power_transfer(ScatterMatrix.ris_only(np.zeros((2, 2)), 1e9))
+        full, loads = three_port_link(), ReflectionVector.of([0.9])
+        reduced = reduce_loaded(full, loads)
+        assert reduced.kernel.transfer(self.NO_LOADS) == full.kernel.transfer(loads.as_array)
+        assert full.kernel.transfer(loads.as_array) == pytest.approx(0.048185603807257595, rel=1e-12)
 
     def test_unit_interval_for_passive_network_and_loads(self, rng):
         for _ in range(50):
             full = random_full_link(rng, 4, scale=0.95)
             gammas = np.sqrt(rng.uniform(0, 1, 4)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 4))
-            value = power_transfer(reduce_loaded(full, ReflectionVector.of(gammas)))
+            value = full.kernel.transfer(ReflectionVector.of(gammas).as_array)
             assert 0.0 <= value <= 1.0
 
 

@@ -327,8 +327,8 @@ def test_rank_one_updates_match_fresh_solves_over_a_start(n, model, seed):
         steps.append((q, gam, k))
         return got
 
-    def checked_max(abc, kernel, *args):
-        c_k, value = coordinate_max(abc, kernel, *args)
+    def checked_max(abc, *args):
+        c_k, value = coordinate_max(abc, *args)
         _, gam, k = steps[-1]
         stepped = gam.copy()
         stepped[k] = cap_to_gamma(c_k, full.freq_hz, full.z0_ohm, model)

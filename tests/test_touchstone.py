@@ -128,6 +128,11 @@ class TestParseErrors:
         with pytest.raises(TouchstoneError, match="line 3"):
             parse_touchstone("# GHz S RI R 50\n1.0 0.5 0.0\n2.0 0.5\n")
 
+    @pytest.mark.parametrize("z0", ["inf", "1e400", "nan", "0"])
+    def test_rejects_reference_impedance_not_positive_and_finite(self, z0):
+        with pytest.raises(TouchstoneError, match="^line 2: reference impedance must be positive and finite, got"):
+            parse_touchstone(f"! c\n# GHz S RI R {z0}\n1.0 0.5 0.0\n")
+
     def test_rejects_non_monotone_frequency(self):
         with pytest.raises(TouchstoneError, match="increasing"):
             parse_touchstone("# GHz S RI R 50\n2.0 0.5 0.0\n1.0 0.5 0.0\n")
