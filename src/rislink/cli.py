@@ -27,7 +27,7 @@ from .errors import InputError, PatternError, RislinkError
 from .farfield import ElementPattern, assemble_full_matrix, synth_ris_matrix
 from .loads import LoadVector, load_gammas, optimize, phase_gradient_seed
 from .network import ScatterMatrix
-from .patterns import parse_pattern_table
+from .patterns import load_cached_patterns, parse_pattern_table, store_cached_patterns
 from .scenario import (
     PatternsFile,
     PatternsUniform,
@@ -80,24 +80,33 @@ def _build_ris(cfg: ScenarioConfig, digests: dict[str, str] | None = None) -> Sc
     return synth_ris_matrix(scn.elements, scn.freq_hz, cfg.ris.model)
 
 
-def _read_text(path: Path, error: type[InputError], digests: dict[str, str] | None, name: str) -> str:
-    """The UTF-8 text of an input file, read once; ``digests[name]`` gets the SHA-256 of those bytes."""
+def _read_text(path: Path, error: type[InputError], digests: dict[str, str] | None, name: str) -> tuple[str, str]:
+    """The UTF-8 text of an input file, read once, and the SHA-256 of those bytes, which ``digests[name]`` gets too."""
     data = path.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
     if digests is not None:
-        digests[name] = hashlib.sha256(data).hexdigest()
+        digests[name] = digest
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8"), digest
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not valid UTF-8 text: {exc}") from None
 
 
 def _build_patterns(cfg: ScenarioConfig, ris: ScatterMatrix,
                     digests: dict[str, str] | None = None) -> list[ElementPattern]:
-    """The element patterns, from ``patterns.file`` (its SHA-256 goes into ``digests["patterns"]``) or uniform."""
+    """The element patterns, uniform or from ``patterns.file``: read once, parsed unless cached for its bytes.
+
+    The file's SHA-256 goes into ``digests["patterns"]`` for the manifest.
+    """
     scn = cfg.scenario
     if isinstance(cfg.patterns, PatternsFile):
-        text = _read_text(cfg.patterns.path, PatternError, digests, "patterns")
-        parsed = {p.index_m: p for p in parse_pattern_table(text)}
+        path = cfg.patterns.path
+        text, digest = _read_text(path, PatternError, digests, "patterns")
+        table = load_cached_patterns(path, digest)
+        if table is None:
+            table = parse_pattern_table(text)
+            store_cached_patterns(path, digest, table)
+        parsed = {p.index_m: p for p in table}
         missing = [m for m in scn.element_numbers if m not in parsed]
         if missing:
             raise InputError(f"pattern table lacks elements {missing}")
@@ -180,7 +189,7 @@ def _read_caps_csv(path: Path, cfg: ScenarioConfig, digests: dict[str, str]) -> 
     """The capacitances of a ``caps.csv``, checked against the scenario; its SHA-256 goes into ``digests["caps"]``."""
     if not path.is_file():
         raise InputError(f"caps file does not exist: {path}")
-    lines = [ln.strip() for ln in _read_text(path, InputError, digests, "caps").splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path, InputError, digests, "caps")[0].splitlines() if ln.strip()]
     if not lines or lines[0].split(",")[0:2] != ["m", "c_pf"]:
         raise InputError(f"{path}: expected header starting with 'm,c_pf'")
     caps_by_m: dict[int, float] = {}

@@ -78,8 +78,10 @@ class VaractorModel:
     """
 
     def __init__(self, series_resistance_ohm: float = 0.0, series_inductance_h: float = 0.0):
-        if series_resistance_ohm < 0 or series_inductance_h < 0:
-            raise ValueError("varactor parasitics must be non-negative")
+        if not (math.isfinite(series_resistance_ohm) and series_resistance_ohm >= 0):
+            raise ValueError(f"series_resistance_ohm must be finite and >= 0, got {series_resistance_ohm}")
+        if not (math.isfinite(series_inductance_h) and series_inductance_h >= 0):
+            raise ValueError(f"series_inductance_h must be finite and >= 0, got {series_inductance_h}")
         self.series_resistance_ohm, self.series_inductance_h = series_resistance_ohm, series_inductance_h
 
     def reactance(self, c_f: float | np.ndarray, w: float) -> float | np.ndarray:

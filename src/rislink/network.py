@@ -56,10 +56,10 @@ class ScatterMatrix:
             raise ValueError(f"{len(numbers)} element numbers for a {entries.shape[0]}-port matrix")
         if len(set(numbers)) != len(numbers) or min(numbers, default=1) < 1:
             raise ValueError(f"element numbers must be unique and >= 1, got {numbers}")
-        if not freq_hz > 0:
-            raise ValueError(f"freq_hz must be positive, got {freq_hz}")
-        if not z0_ohm > 0:
-            raise ValueError(f"z0_ohm must be positive, got {z0_ohm}")
+        if not 0 < freq_hz < math.inf:
+            raise ValueError(f"freq_hz must be positive and finite, got {freq_hz}")
+        if not 0 < z0_ohm < math.inf:
+            raise ValueError(f"z0_ohm must be positive and finite, got {z0_ohm}")
         entries.flags.writeable = False
         self.entries, self.freq_hz, self.element_numbers, self.z0_ohm = entries, freq_hz, numbers, z0_ohm
 
@@ -197,12 +197,18 @@ class LinkKernel:
 
 
 def _passive_cond_bound(s_ii: np.ndarray) -> float:
-    """Upper bound on cond2(I - S_ii*Gamma) over all |gamma| <= 1 + GAMMA_SLACK; inf if none."""
+    """Upper bound on cond2(I - S_ii*Gamma) over all |gamma| <= 1 + GAMMA_SLACK; inf if none.
+
+    sigma_max(S_ii) <= sqrt(||S_ii||_1 * ||S_ii||_inf) costs O(N^2); the SVD runs only where that bound does not clear.
+    """
     if not s_ii.size:
         return 1.0
     if not np.isfinite(s_ii).all():
         return math.inf
-    s = float(np.linalg.norm(s_ii, 2)) * (1.0 + GAMMA_SLACK)
+    magnitudes = np.abs(s_ii)
+    s = math.sqrt(magnitudes.sum(axis=0).max() * magnitudes.sum(axis=1).max()) * (1.0 + GAMMA_SLACK)
+    if not (s < 1.0 and (1.0 + s) / (1.0 - s) < 0.5 / RCOND_LIMIT):
+        s = float(np.linalg.norm(s_ii, 2)) * (1.0 + GAMMA_SLACK)
     return (1.0 + s) / (1.0 - s) if s < 1.0 else math.inf
 
 

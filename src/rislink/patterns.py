@@ -12,7 +12,10 @@ File layout, bit-exact::
 Blank lines and lines starting with '#' are ignored. Gain rows may appear
 in any order; each element needs a single s_mm row and azimuth coverage of
 at least [-90, +90] degrees. Gains are converted dBi -> linear and azimuths
-degrees -> radians on parse.
+degrees -> radians on parse. A parsed table can be cached beside it through
+``cache`` (``load_cached_patterns``/``store_cached_patterns``): its rows'
+element numbers, azimuths and linear gains, and each element's s_mm, keyed
+by the SHA-256 of the file's bytes and of this module's code.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ import math
 import re
 from itertools import repeat
 from operator import itemgetter
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import cache
 from .errors import PatternError
 from .farfield import ElementPattern
 
@@ -118,6 +123,50 @@ def parse_pattern_table(text: str | bytes) -> list[ElementPattern]:
         ElementPattern._checked(m, az_rad[a:b], gain_lin[a:b], smm[m])
         for m, a, b in zip(elements, starts.tolist(), stops.tolist())
     ]
+
+
+def load_cached_patterns(path: str | Path, digest: str) -> list[ElementPattern] | None:
+    """The cached parse of the table ``path`` whose bytes have SHA-256 ``digest``, or None.
+
+    The entry must carry this digest and this parser's key (see ``cache``),
+    and pass the parse's checks: rows sorted by element, finite azimuths that
+    strictly increase within each element and cover [-90, 90] deg, finite
+    gains >= 0, and one s_mm with |s_mm| <= 1 per element. Anything else is a miss.
+    """
+    return cache.load(path, digest, __file__, _patterns_of)
+
+
+def _patterns_of(entry) -> list[ElementPattern] | None:
+    m, az, gain, smm = (entry[name] for name in ("m", "azimuth_rad", "gain_lin", "smm"))
+    if not (
+        m.dtype == np.int64 and az.dtype == gain.dtype == np.float64 and smm.dtype == np.complex128
+        and m.ndim == smm.ndim == 1 and m.size and m.shape == az.shape == gain.shape
+    ):
+        return None
+    starts = np.flatnonzero(np.r_[True, m[1:] != m[:-1]])
+    stops, s_mm = np.r_[starts[1:], m.size], smm.tolist()
+    reach = math.radians(_REQUIRED_COVERAGE_DEG - _COVERAGE_SLACK_DEG)
+    if not (  # each row starts a larger element number or has a larger azimuth than the one before
+        ((m[1:] > m[:-1]) | ((m[1:] == m[:-1]) & (az[1:] > az[:-1]))).all() and len(s_mm) == starts.size
+        and np.isfinite(az).all() and (az[starts] <= -reach).all() and (az[stops - 1] >= reach).all()
+        and ((gain >= 0) & (gain < math.inf)).all() and all(abs(s) <= _MAX_SMM for s in s_mm)
+    ):
+        return None
+    return [
+        ElementPattern._checked(k, az[a:b], gain[a:b], s)
+        for k, a, b, s in zip(m[starts].tolist(), starts.tolist(), stops.tolist(), s_mm)
+    ]
+
+
+def store_cached_patterns(path: str | Path, digest: str, patterns: list[ElementPattern]) -> None:
+    """Cache ``patterns`` as the parse of the table ``path`` whose bytes have SHA-256 ``digest`` (best effort)."""
+    cache.store(
+        path, digest, __file__,
+        m=np.repeat(np.array([p.index_m for p in patterns], dtype=np.int64), [p.azimuth_rad.size for p in patterns]),
+        azimuth_rad=np.concatenate([p.azimuth_rad for p in patterns]),
+        gain_lin=np.concatenate([p.gain_lin for p in patterns]),
+        smm=np.array([p.s_mm for p in patterns], dtype=complex),
+    )
 
 
 def _columns(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

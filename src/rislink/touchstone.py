@@ -12,17 +12,14 @@ scope. Writing always normalizes to ``# HZ S RI R <z0>`` with shortest
 round-tripping decimal literals, so parse(write(doc)) reproduces the
 document exactly.
 
-A parsed export can be cached beside it, in ``__rislink_cache__/<name>.npz``
+A parsed export can be cached beside it through ``cache``
 (``load_cached``/``store_cached``): its options, frequencies and matrices,
 keyed by the SHA-256 of the file's bytes and of this module's code.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
 import math
-import os
 import re
 import warnings
 from pathlib import Path
@@ -30,6 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import cache
 from .errors import FrequencyNotFoundError, TouchstoneError
 from .network import ScatterMatrix
 
@@ -44,8 +42,6 @@ _VALUES_PER_LINE = 4
 _EOL_RE = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 #: Characters of data per block of the exact conversion (about 2,000 lines), which bounds its peak memory.
 _BLOCK_CHARS = 1 << 18
-#: Directory beside an export that holds its cached parse.
-CACHE_DIR = "__rislink_cache__"
 
 
 class TouchstoneOptions(NamedTuple):
@@ -271,33 +267,18 @@ def read_touchstone(path: str | Path) -> TouchstoneDocument:
     return parse_touchstone(path.read_bytes(), n_ports=n_ports)
 
 
-def _cache_path(path: Path) -> Path:
-    return path.parent / CACHE_DIR / f"{path.name}.npz"
-
-
-def _cache_key(digest: str) -> str:
-    """``digest`` (the export's SHA-256) joined to that of what a parse depends on: this module and numpy."""
-    parser = hashlib.sha256(Path(__file__).read_bytes() + np.__version__.encode())
-    return f"{digest} {parser.hexdigest()}"
-
-
 def load_cached(path: str | Path, digest: str) -> TouchstoneDocument | None:
     """The cached parse of the export ``path`` whose bytes have SHA-256 ``digest``, or None.
 
-    The entry must carry this digest and this parser's key, and hold what a
-    parse would accept: the options, finite frequencies that strictly
-    increase, and one finite complex matrix per frequency with as many ports
-    as the file name says. Anything else, an unreadable or truncated entry
-    included, is a miss.
+    The entry must carry this digest and this parser's key (see ``cache``),
+    and hold what a parse would accept: the options, finite frequencies that
+    strictly increase, and one finite complex matrix per frequency with as
+    many ports as the file name says. Anything else is a miss.
     """
-    path = Path(path)
-    try:
+    def convert(entry) -> TouchstoneDocument | None:
         n_ports = ports_from_filename(path)
-        with np.load(_cache_path(path), allow_pickle=False) as entry:
-            if str(entry["key"]) != _cache_key(digest):
-                return None
-            options = _parse_option_line(str(entry["options"]).split(), 0)
-            freqs, matrices = entry["freqs_hz"], entry["matrices"]
+        options = _parse_option_line(str(entry["options"]).split(), 0)
+        freqs, matrices = entry["freqs_hz"], entry["matrices"]
         if not (
             freqs.dtype == np.float64 and matrices.dtype == np.complex128 and freqs.ndim == 1 and freqs.size
             and matrices.shape == (freqs.size, n_ports, n_ports)
@@ -305,33 +286,19 @@ def load_cached(path: str | Path, digest: str) -> TouchstoneDocument | None:
         ):
             return None
         return TouchstoneDocument(n_ports, options, tuple(zip(freqs.tolist(), matrices)))
-    except Exception:  # a damaged entry fails in zipfile, zlib and numpy in more ways than they document
-        return None
+
+    return cache.load(path, digest, __file__, convert)
 
 
 def store_cached(path: str | Path, digest: str, doc: TouchstoneDocument) -> None:
-    """Cache ``doc`` as the parse of the export ``path`` whose bytes have SHA-256 ``digest``.
-
-    Best effort: the entry is written to a file of this process and renamed
-    into place, and an ``OSError`` (a read-only directory, say) skips caching.
-    """
-    target = _cache_path(Path(path))
-    temporary = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    """Cache ``doc`` as the parse of the export ``path`` whose bytes have SHA-256 ``digest`` (best effort)."""
     o = doc.options
-    try:
-        target.parent.mkdir(exist_ok=True)
-        with open(temporary, "wb") as file:
-            np.savez(
-                file,
-                key=np.array(_cache_key(digest)),
-                options=np.array(f"{o.freq_unit} {o.parameter} {o.value_format} r {o.z0_ohm!r}"),
-                freqs_hz=np.array(doc.frequencies_hz, dtype=float),
-                matrices=np.array([matrix for _, matrix in doc.points], dtype=complex),
-            )
-        os.replace(temporary, target)
-    except OSError:
-        with contextlib.suppress(OSError):
-            temporary.unlink(missing_ok=True)
+    cache.store(
+        path, digest, __file__,
+        options=np.array(f"{o.freq_unit} {o.parameter} {o.value_format} r {o.z0_ohm!r}"),
+        freqs_hz=np.array(doc.frequencies_hz, dtype=float),
+        matrices=np.array([matrix for _, matrix in doc.points], dtype=complex),
+    )
 
 
 def dumps_touchstone(doc: TouchstoneDocument) -> str:

@@ -177,6 +177,15 @@ def format_pattern_table(patterns):
     return "\n".join(lines) + "\n"
 
 
+def same_patterns(a, b):
+    """Equal element numbers and s_mm, and every azimuth and gain array equal bit for bit."""
+    return len(a) == len(b) and all(
+        (p.index_m, p.s_mm, p.azimuth_rad.tobytes(), p.gain_lin.tobytes())
+        == (q.index_m, q.s_mm, q.azimuth_rad.tobytes(), q.gain_lin.tobytes())
+        for p, q in zip(a, b)
+    )
+
+
 def line_parse_touchstone(text, n_ports=None):
     """Touchstone v1 read line by line, one ``float()`` per token: the oracle of ``parse_touchstone``.
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rislink.cli
-from conftest import grid_transfer
+from conftest import grid_transfer, same_patterns
 from rislink import (
     FarFieldValidityWarning,
     SweepGrid,
@@ -24,7 +24,10 @@ from rislink import (
 )
 from rislink.cli import _build_patterns, _build_ris, main
 from rislink.farfield import assemble_full_matrix
-from rislink.touchstone import CACHE_DIR, _cache_key, load_cached, store_cached
+from rislink import cache
+from rislink.cache import CACHE_DIR
+from rislink.patterns import load_cached_patterns, parse_pattern_table, store_cached_patterns
+from rislink.touchstone import load_cached, store_cached
 
 TOY = """\
 freq = 3.55 GHz
@@ -507,7 +510,7 @@ class TestTouchstoneCache:
         export = board / "board.s14p"
         cold = self.pipeline(board, tmp_path / "cold")
         assert parses == [export]
-        assert sorted(p.name for p in (board / CACHE_DIR).iterdir()) == ["board.s14p.npz"]
+        assert sorted(p.name for p in (board / CACHE_DIR).iterdir()) == ["board.s14p.npz", "patterns.csv.npz"]
         warm = self.pipeline(board, tmp_path / "warm")
         assert parses == [export]
         assert warm == cold and len(cold) == 6
@@ -545,8 +548,8 @@ class TestTouchstoneCache:
             store_cached(export, "0" * 64, read_touchstone(export))
         else:
             with open(entry, "wb") as file:
-                np.savez(file, key=np.array(_cache_key(digest)), options=np.array("hz s ri r 50.0"),
-                         freqs_hz=freqs, matrices=matrices)
+                np.savez(file, key=np.array(cache.key(digest, rislink.touchstone.__file__)),
+                         options=np.array("hz s ri r 50.0"), freqs_hz=freqs, matrices=matrices)
         assert load_cached(export, digest) is None
         assert main(["synthesize", cfg, "--out", str(tmp_path / "again")]) == 0
         assert (tmp_path / "again" / "full.s16p").read_bytes() == (tmp_path / "cold" / "full.s16p").read_bytes()
@@ -585,11 +588,127 @@ class TestTouchstoneCache:
         if blocked == "directory_name_taken":
             (board / CACHE_DIR).write_text("")
         else:
-            monkeypatch.setattr(rislink.touchstone.os, "replace", refuse)
+            monkeypatch.setattr(rislink.cache.os, "replace", refuse)
         before = sorted(p.relative_to(board) for p in board.rglob("*"))
         assert self.pipeline(board, tmp_path / "a") == self.pipeline(board, tmp_path / "b")
         made = [Path(CACHE_DIR)] if blocked == "rename_refused" else []  # the directory, empty
         assert sorted(p.relative_to(board) for p in board.rglob("*")) == sorted(before + made)
+
+
+class TestPatternCache:
+    """A pattern table is parsed once; later runs on the same bytes load the parse from __rislink_cache__."""
+
+    @pytest.fixture
+    def board(self, tmp_path):
+        """The shipped board, config and pattern table copied into a directory of their own."""
+        run = tmp_path / "board"
+        run.mkdir()
+        for name in ("scenario.cfg", "patterns.csv"):
+            (run / name).write_bytes((BOARD / name).read_bytes())
+        return run
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The tables the CLI parses in full."""
+        calls = []
+        parse = rislink.cli.parse_pattern_table
+        monkeypatch.setattr(rislink.cli, "parse_pattern_table", lambda text: calls.append(text) or parse(text))
+        return calls
+
+    pipeline = TestTouchstoneCache.pipeline
+
+    def test_warm_runs_skip_the_parse_and_match_cold_runs(self, board, tmp_path, parses):
+        table = board / "patterns.csv"
+        cold = self.pipeline(board, tmp_path / "cold")
+        assert len(parses) == 1
+        assert sorted(p.name for p in (board / CACHE_DIR).iterdir()) == ["patterns.csv.npz"]
+        warm = self.pipeline(board, tmp_path / "warm")
+        assert len(parses) == 1
+        assert warm == cold and len(cold) == 6
+        digest = hashlib.sha256(table.read_bytes()).hexdigest()
+        assert {cold[f"manifest.{c}.json"]["input_hashes"]["patterns"] for c in ("synthesize", "optimize", "sweep")} \
+            == {digest}
+
+        table.write_bytes(table.read_bytes().replace(b"0.2,0.0", b"0.2,0.00", 1))  # same table, other bytes: a miss
+        assert self.pipeline(board, tmp_path / "edited")["full.s16p"] == cold["full.s16p"]
+        assert len(parses) == 2
+
+    @pytest.mark.parametrize("damage", [
+        "garbage", "truncated", "wrong_key", "not_increasing", "infinite_azimuth", "nan_gain", "negative_gain",
+        "smm_above_one", "short_coverage_low", "short_coverage_high", "smm_missing", "smm_extra", "gains_short",
+        "float_elements",
+    ])
+    def test_damaged_entry_is_parsed_again_and_rewritten(self, board, tmp_path, parses, damage):
+        table, cfg = board / "patterns.csv", str(board / "scenario.cfg")
+        assert main(["synthesize", cfg, "--out", str(tmp_path / "cold")]) == 0
+        path = board / CACHE_DIR / "patterns.csv.npz"
+        digest = hashlib.sha256(table.read_bytes()).hexdigest()
+        with np.load(path) as entry:
+            key, m, az, gain, smm = (entry[k] for k in ("key", "m", "azimuth_rad", "gain_lin", "smm"))
+        if damage == "not_increasing":
+            az[[3, 4]] = az[[4, 3]]
+        elif damage == "nan_gain":
+            gain[5] = np.nan
+        elif damage == "negative_gain":
+            gain[5] = -1e-6
+        elif damage == "smm_above_one":
+            smm[2] = 1.001
+        elif damage == "infinite_azimuth":  # element 1 starts at -inf
+            az[0] = -np.inf
+        elif damage.startswith("short_coverage"):  # element 1 loses its -90 or its +90 deg sample
+            keep = np.arange(m.size) != (0 if damage.endswith("low") else np.flatnonzero(m == 1)[-1])
+            m, az, gain = m[keep], az[keep], gain[keep]
+        elif damage == "gains_short":
+            gain = gain[:-1]
+        elif damage == "float_elements":
+            m = m.astype(float)
+        elif damage == "smm_missing":
+            smm = smm[:-1]
+        elif damage == "smm_extra":
+            smm = np.r_[smm, 0.1]
+        if damage == "garbage":
+            path.write_bytes(b"PK\x03\x04" + bytes(range(256)) * 8)
+        elif damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-100])
+        elif damage == "wrong_key":
+            store_cached_patterns(table, "0" * 64, parse_pattern_table(table.read_text()))
+        else:
+            with open(path, "wb") as file:
+                np.savez(file, key=key, m=m, azimuth_rad=az, gain_lin=gain, smm=smm)
+        assert load_cached_patterns(table, digest) is None
+        assert main(["synthesize", cfg, "--out", str(tmp_path / "again")]) == 0
+        assert (tmp_path / "again" / "full.s16p").read_bytes() == (tmp_path / "cold" / "full.s16p").read_bytes()
+        assert len(parses) == 2
+        cached = load_cached_patterns(table, digest)
+        assert cached is not None and same_patterns(cached, parse_pattern_table(table.read_text()))
+
+    def test_defective_table_fails_alike_twice_and_is_not_cached(self, board, tmp_path, capsys):
+        table = board / "patterns.csv"
+        table.write_text(table.read_text().replace("1,-85,", "1,-85x,", 1))
+        errors = []
+        for run in ("a", "b"):
+            assert main(["synthesize", str(board / "scenario.cfg"), "--out", str(tmp_path / run)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and "line 3: invalid numeric value" in errors[0]
+        assert not (board / CACHE_DIR).exists()
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root writes into a read-only directory")
+    def test_read_only_table_directory_runs_and_writes_nothing_there(self, board, tmp_path, parses):
+        before = sorted(p.name for p in board.iterdir())
+        board.chmod(0o555)
+        try:
+            assert self.pipeline(board, tmp_path / "a") == self.pipeline(board, tmp_path / "b")
+        finally:
+            board.chmod(0o755)
+        assert sorted(p.name for p in board.iterdir()) == before
+        assert len(parses) == 6
+
+    def test_unwritable_cache_directory_runs_and_writes_nothing_there(self, board, tmp_path, parses):
+        (board / CACHE_DIR).write_text("")  # a file where the directory belongs blocks the write, for root too
+        before = sorted(p.name for p in board.iterdir())
+        assert self.pipeline(board, tmp_path / "a") == self.pipeline(board, tmp_path / "b")
+        assert sorted(p.name for p in board.iterdir()) == before and (board / CACHE_DIR).read_text() == ""
+        assert len(parses) == 6
 
 
 class TestManifests:

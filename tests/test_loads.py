@@ -116,6 +116,12 @@ class TestVaractorModel:
             assert np.all(np.diff(x) > 0)
             np.testing.assert_allclose([model.capacitance(v, w) for v in x.tolist()], caps, rtol=1e-12)
 
+    @pytest.mark.parametrize("name", ["series_resistance_ohm", "series_inductance_h"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-12])
+    def test_parasitic_not_finite_and_non_negative_is_refused_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got {value}$"):
+            VaractorModel(**{name: value})
+
 
 class TestObjective:
     def test_zero_tx_coupling_gives_zero_everywhere(self):

@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from rislink import (
     optimize,
     reduce_loaded,
 )
-from rislink.network import RCOND_LIMIT
+from rislink.network import GAMMA_SLACK, RCOND_LIMIT, _passive_cond_bound
 
 BOUNDS = LoadBounds(0.23e-12, 2.1e-12)
 
@@ -68,6 +69,13 @@ class TestScatterMatrix:
             ScatterMatrix(np.zeros((1, 1)), 0.0, (1,))
         with pytest.raises(ValueError, match="z0"):
             ScatterMatrix(np.zeros((1, 1)), 1e9, (1,), z0_ohm=-50)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_frequency_and_impedance_by_name(self, value):
+        with pytest.raises(ValueError, match=f"^freq_hz must be positive and finite, got {value}$"):
+            ScatterMatrix.ris_only(0.2 * np.eye(2), value)
+        with pytest.raises(ValueError, match=f"^z0_ohm must be positive and finite, got {value}$"):
+            ScatterMatrix.ris_only(0.2 * np.eye(2), 3.55e9, z0_ohm=value)
 
     def test_entries_are_locked(self):
         sm = ScatterMatrix(np.zeros((2, 2)), 1e9, ())
@@ -212,6 +220,29 @@ class TestLinkKernel:
                 gam = np.sqrt(rng.uniform(0, 1, 6)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
                 system = np.eye(6) - kernel.s_ii * gam[np.newaxis, :]
                 assert np.linalg.cond(system) <= kernel.cond_bound * (1 + 1e-12)
+
+    def test_cheap_bound_decides_as_the_svd_does_and_bounds_cond(self, rng):
+        """The O(N^2) bound stands in for the SVD only where it clears: the decision stays the SVD's."""
+        limit = 0.5 / RCOND_LIMIT
+        resonant = np.diag([np.conj(cap_to_gamma(1e-12, 3.55e9)), 0.2])  # |S_11| = 1, as in the fixture below
+        cases = [resonant, np.zeros((3, 3)), np.diag([1 - 1e-11, 0.5]), np.diag([1 - 1e-12, 0.5])]
+        for n in (1, 2, 6, 24):
+            for scale in (0.3, 0.9, 0.999, 1 - 1e-11, 1 - 1e-12, 1.0):
+                cases.append(random_passive(rng, n, scale))
+                unitary = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+                cases.append(scale * unitary)  # near-lossless: every singular value at ``scale``
+        decisions = set()
+        for s_ii in cases:
+            s = float(np.linalg.norm(s_ii, 2)) * (1.0 + GAMMA_SLACK)
+            exact = (1.0 + s) / (1.0 - s) if s < 1.0 else np.inf
+            bound = _passive_cond_bound(s_ii)
+            assert (bound >= limit) == (exact >= limit)
+            decisions.add((bound >= limit, bound == exact))
+            n = len(s_ii)
+            for _ in range(5):
+                gam = np.exp(1j * rng.uniform(-np.pi, np.pi, n)) * rng.choice([1.0, rng.uniform()], n)
+                assert np.linalg.cond(np.eye(n) - s_ii * gam[np.newaxis, :]) <= bound * (1 + 1e-12)
+        assert {(False, False), (True, True)} <= decisions  # the cheap bound served, and the SVD decided
 
     def test_non_passive_s_ii_still_raises_through_optimize(self):
         bounds = LoadBounds(0.23e-12, 2.1e-12)

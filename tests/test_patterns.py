@@ -1,11 +1,14 @@
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import format_pattern_table
-from rislink import ElementPattern, PatternError, parse_pattern_table
+from conftest import format_pattern_table, same_patterns
+from rislink import ElementPattern, PatternError, parse_pattern_table, patterns
+from rislink.cache import CACHE_DIR
+from rislink.patterns import load_cached_patterns, store_cached_patterns
 
 BASIC = """\
 m,azimuth_deg,gain_dbi
@@ -198,3 +201,55 @@ class TestFormat:
             np.testing.assert_allclose(back.azimuth_rad, pat.azimuth_rad, rtol=1e-12)
             np.testing.assert_allclose(back.gain_lin, pat.gain_lin, rtol=1e-12, atol=1e-300)
             assert back.s_mm == pat.s_mm
+
+
+class TestCache:
+    @pytest.fixture
+    def table(self, tmp_path):
+        """Two elements in shuffled rows with a comment, a -inf dBi null and |s_mm| = 1."""
+        text = (
+            "# solver export\nm,azimuth_deg,gain_dbi\n2,90,1.5\n1,-90,-inf\n2,-90.5,0\n1,90,3\n1,12.25,4\n2,0,-7\n"
+            "m,smm_re,smm_im\n2,0.6,0.8\n1,0.1,-0.05\n"
+        )
+        path = tmp_path / "patterns.csv"
+        path.write_text(text)
+        return path
+
+    def digest(self, path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_hit_equals_a_fresh_parse_bit_for_bit(self, table):
+        digest = self.digest(table)
+        assert load_cached_patterns(table, digest) is None
+        store_cached_patterns(table, digest, parse_pattern_table(table.read_bytes()))
+        assert [p.name for p in (table.parent / CACHE_DIR).iterdir()] == ["patterns.csv.npz"]
+        cached = load_cached_patterns(table, digest)
+        assert cached is not None and same_patterns(cached, parse_pattern_table(table.read_bytes()))
+        assert [p.index_m for p in cached] == [1, 2] and type(cached[0].s_mm) is complex
+        assert not any(p.azimuth_rad.flags.writeable or p.gain_lin.flags.writeable for p in cached)
+
+    def test_entry_of_another_parser_version_is_not_served(self, table, monkeypatch, tmp_path):
+        other = tmp_path / "patterns.py"
+        other.write_bytes(Path(patterns.__file__).read_bytes() + b"# another version\n")
+        with monkeypatch.context() as patched:
+            patched.setattr(patterns, "__file__", str(other))
+            store_cached_patterns(table, self.digest(table), parse_pattern_table(table.read_bytes()))
+            assert load_cached_patterns(table, self.digest(table)) is not None
+        assert load_cached_patterns(table, self.digest(table)) is None
+
+    def test_damaged_entries_miss_and_never_raise(self, table, rng):
+        digest = self.digest(table)
+        fresh = parse_pattern_table(table.read_bytes())
+        store_cached_patterns(table, digest, fresh)
+        entry = table.parent / CACHE_DIR / "patterns.csv.npz"
+        good = entry.read_bytes()
+        for trial in range(300):
+            damaged = bytearray(good)
+            if trial % 2:
+                damaged = damaged[: rng.integers(len(good))]
+            else:
+                for k in rng.integers(len(good), size=1 + trial % 3):
+                    damaged[k] ^= 1 << rng.integers(8)
+            entry.write_bytes(bytes(damaged))
+            cached = load_cached_patterns(table, digest)
+            assert cached is None or same_patterns(cached, fresh), trial

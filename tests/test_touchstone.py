@@ -21,7 +21,8 @@ from rislink import (
     write_touchstone,
 )
 from rislink import touchstone
-from rislink.touchstone import CACHE_DIR, load_cached, store_cached
+from rislink.cache import CACHE_DIR
+from rislink.touchstone import load_cached, store_cached
 
 GOLDEN = Path(__file__).parent / "golden" / "sample.s2p"
 
