@@ -34,7 +34,6 @@ from .farfield import (
     ElementPattern,
     ExpDecayCoupling,
     FarFieldValidityWarning,
-    IsolatedCoupling,
     SPEED_OF_LIGHT,
     Scenario,
     assemble_full_matrix,

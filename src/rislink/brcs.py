@@ -15,8 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .farfield import MAX_ANGLE_RAD, ElementPattern, Scenario, assemble_full_matrix, coupling_rows, element_paths
-from .loads import IDEAL_VARACTOR, LoadVector, VaractorModel
+from .errors import MAX_ANGLE_RAD, InputError, check
+from .farfield import ElementPattern, Scenario, assemble_full_matrix, coupling_rows, element_paths
+from .loads import IDEAL_VARACTOR, LoadVector, VaractorModel, load_gammas
 from .network import ScatterMatrix
 
 DBSM_FLOOR = -100.0
@@ -56,17 +57,27 @@ def brcs_from_coupling(
 ) -> float:
     """Bistatic RCS in m^2 equivalent to the given Tx -> Rx coupling.
 
-    sigma = (4*pi)^3 * d_tx^2 * d_rx^2 * |S_RxTx|^2 / (G_tx * G_rx * lambda^2)
+    sigma = (4*pi)^3 * d_tx^2 * d_rx^2 * |S_RxTx|^2 / (G_tx * G_rx * lambda^2);
+    an :class:`InputError` if that overflows a float.
     """
-    if not (d_tx_m > 0 and d_rx_m > 0):
-        raise ValueError("distances must be positive")
-    return (
-        (4.0 * math.pi) ** 3
-        * d_tx_m**2
-        * d_rx_m**2
-        * abs(s_rx_tx) ** 2
-        / (g_tx_lin * g_rx_lin * lambda_m**2)
-    )
+    check("s_rx_tx", s_rx_tx, "of finite magnitude")
+    for name, value in (("d_tx_m", d_tx_m), ("d_rx_m", d_rx_m), ("g_tx_lin", g_tx_lin), ("g_rx_lin", g_rx_lin),
+                        ("lambda_m", lambda_m)):
+        check(name, value, "positive and finite")
+    return _sigma_m2([s_rx_tx], d_tx_m, d_rx_m, g_tx_lin, g_rx_lin, lambda_m)[0]
+
+
+def _sigma_m2(s21: list[complex], d_tx_m: float, d_rx_m: float, g_tx_lin: float, g_rx_lin: float,
+              lambda_m: float) -> list[float]:
+    """``brcs_from_coupling`` of each coupling in ``s21``, the other values checked by the caller."""
+    try:
+        sigma = [(4.0 * math.pi) ** 3 * d_tx_m**2 * d_rx_m**2 * abs(s) ** 2 / (g_tx_lin * g_rx_lin * lambda_m**2)
+                 for s in s21]
+    except (OverflowError, ZeroDivisionError):
+        sigma = [math.inf]
+    if not all(value < math.inf for value in sigma):  # NaN fails too
+        raise InputError("the bistatic RCS overflows a float")
+    return sigma
 
 
 def sweep_rx_angle(
@@ -99,7 +110,6 @@ def sweep_rx_angle(
         raise ValueError("alpha grid is empty")
     if not np.all(np.abs(alphas) <= MAX_ANGLE_RAD):
         raise ValueError("sweep angles must lie within [-90, 90] deg (front halfspace)")
-    lam = scn.wavelength_m
 
     ends = [float(alphas.min()), float(alphas.max())]
     nearest = element_paths(scn, "rx", ends)[0].min(axis=1, initial=math.inf)
@@ -107,11 +117,11 @@ def sweep_rx_angle(
     kernel = full.kernel
     if len(caps) != kernel.n_ris:
         raise ValueError(f"{len(caps)} loads for {kernel.n_ris} RIS ports")
-    wave = kernel.tx_wave(model.gammas(caps.as_array, full.freq_hz, full.z0_ohm))
+    wave = kernel.tx_wave(load_gammas(caps, full.freq_hz, full.z0_ohm, model).as_array)
 
     # One dot per row: a matrix-vector product sums in another order and moves sigma in its last bits.
     s21 = kernel.s_ee[1, 0] + np.array([r @ wave for r in coupling_rows(scn, patterns, "rx", alphas)])
-    sigma = [brcs_from_coupling(s, scn.r_m, scn.r_m, scn.g_tx_lin, scn.g_rx_lin, lam) for s in s21.tolist()]
+    sigma = _sigma_m2(s21.tolist(), scn.r_m, scn.r_m, scn.g_tx_lin, scn.g_rx_lin, scn.wavelength_m)
     return BrcsCurve.from_sigma_m2(alphas, sigma, "ris")
 
 
@@ -125,16 +135,24 @@ def flat_reflector_reference(
     """Physical-optics BRCS of a flat rectangular plate of the same size.
 
     sigma(alpha) = 4*pi*(A*cos(beta))^2/lambda^2 * sinc^2(k*w/2*(sin a - sin b))
-    with A = w*h; the peak sits at the specular direction alpha = beta.
+    with A = w*h; the peak sits at the specular direction alpha = beta. An
+    :class:`InputError` if sigma overflows a float.
     """
-    if not (width_m > 0 and height_m > 0):
-        raise ValueError("plate dimensions must be positive")
+    for name, value in (("width_m", width_m), ("height_m", height_m), ("lambda_m", lambda_m)):
+        check(name, value, "positive and finite")
+    check("beta_rad", beta_rad, "within [-pi/2, pi/2]")
     alphas = np.asarray(alphas_rad, dtype=float)
     area = width_m * height_m
     k = 2.0 * math.pi / lambda_m
-    peak = 4.0 * math.pi * (area * math.cos(beta_rad)) ** 2 / lambda_m**2
-    arg = 0.5 * k * width_m * (np.sin(alphas) - math.sin(beta_rad))
-    sigma = peak * np.sinc(arg / math.pi) ** 2
+    try:
+        peak = 4.0 * math.pi * (area * math.cos(beta_rad)) ** 2 / lambda_m**2
+    except (OverflowError, ZeroDivisionError):
+        peak = math.inf
+    with np.errstate(all="ignore"):  # an overflow is reported below, without numpy's warnings
+        arg = 0.5 * k * width_m * (np.sin(alphas) - math.sin(beta_rad))
+        sigma = peak * np.sinc(arg / math.pi) ** 2
+    if not np.isfinite(sigma).all():
+        raise InputError("the flat-plate RCS overflows a float")
     return BrcsCurve.from_sigma_m2(alphas, sigma, "reflector")
 
 

@@ -25,7 +25,7 @@ from . import __version__
 from .brcs import export_csv, flat_reflector_reference, sweep_rx_angle
 from .errors import InputError, PatternError, RislinkError
 from .farfield import ElementPattern, assemble_full_matrix, synth_ris_matrix
-from .loads import LoadVector, load_gammas, optimize, phase_gradient_seed
+from .loads import LoadVector, _check_caps, load_gammas, optimize, phase_gradient_seed
 from .network import ScatterMatrix
 from .patterns import load_cached_patterns, parse_pattern_table, store_cached_patterns
 from .scenario import (
@@ -209,12 +209,12 @@ def _read_caps_csv(path: Path, cfg: ScenarioConfig, digests: dict[str, str]) -> 
     unknown = sorted(set(caps_by_m) - set(numbers))
     if unknown:
         raise InputError(f"{path}: capacitances for elements {unknown} the scenario lacks")
-    for m in numbers:
-        if not cfg.bounds.contains(caps_by_m[m]):
-            raise InputError(
-                f"{path}: element {m} capacitance {caps_by_m[m] * 1e12:.6g} pF outside configured bounds"
-            )
-    return LoadVector.of(caps_by_m[m] for m in numbers)
+    caps_f = [caps_by_m[m] for m in numbers]
+    try:
+        _check_caps(caps_f, cfg.bounds, numbers)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    return LoadVector.of(caps_f)
 
 
 def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> int:

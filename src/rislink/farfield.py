@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Iterable, Literal, Sequence, Union
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .errors import GeometryError, PatternCoverageError, PatternError
+from .errors import GeometryError, InputError, PatternCoverageError, PatternError, check
 from .network import ScatterMatrix
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -29,9 +29,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 Side = Literal["tx", "rx"]
 
 _ASIN_SLACK = 1e-9
-
-#: Largest |angle| from the surface normal: +-90 deg, closed, with rounding slack.
-MAX_ANGLE_RAD = math.pi / 2 + 1e-12
 
 
 class FarFieldValidityWarning(UserWarning):
@@ -42,11 +39,8 @@ class ElementGeometry:
     """Position of one RIS element on the surface (meters)."""
 
     def __init__(self, index_m: int, x_m: float, z_m: float):
-        if index_m < 1:
-            raise ValueError(f"element number must be >= 1, got {index_m}")
-        if not (math.isfinite(x_m) and math.isfinite(z_m)):
-            raise ValueError(f"element {index_m} has non-finite coordinates")
-        self.index_m, self.x_m, self.z_m = index_m, x_m, z_m
+        self.index_m = check("index_m", index_m, "an integer >= 1")
+        self.x_m, self.z_m = check("x_m", x_m), check("z_m", z_m)
 
 
 class ElementPattern:
@@ -57,6 +51,7 @@ class ElementPattern:
     """
 
     def __init__(self, index_m: int, azimuth_rad, gain_lin, s_mm: complex = 0j):
+        check("index_m", index_m, "an integer >= 1")
         az = np.array(azimuth_rad, dtype=float)
         g = np.array(gain_lin, dtype=float)
         if az.ndim != 1 or az.shape != g.shape or az.size < 2:
@@ -65,8 +60,7 @@ class ElementPattern:
             raise ValueError(f"element {index_m}: azimuth samples must be strictly increasing")
         if not np.all(np.isfinite(g)) or np.any(g < 0):
             raise ValueError(f"element {index_m}: gains must be finite and >= 0")
-        if abs(s_mm) > 1.0 + 1e-9:
-            raise ValueError(f"element {index_m}: |s_mm| = {abs(s_mm):.6f} exceeds 1")
+        check("s_mm", s_mm, "of magnitude <= 1 + 1e-9")
         az.flags.writeable = False
         g.flags.writeable = False
         self.index_m, self.azimuth_rad, self.gain_lin, self.s_mm = index_m, az, g, complex(s_mm)
@@ -111,15 +105,11 @@ class Scenario:
 
     def __init__(self, r_m: float, alpha_rad: float, beta_rad: float, freq_hz: float, g_tx_lin: float,
                  g_rx_lin: float, elements: tuple[ElementGeometry, ...]):
-        if not r_m > 0:
-            raise ValueError(f"range must be positive, got {r_m}")
-        if not freq_hz > 0:
-            raise ValueError(f"frequency must be positive, got {freq_hz}")
-        if not (g_tx_lin > 0 and g_rx_lin > 0):
-            raise ValueError("antenna gains must be positive (linear scale)")
+        for name, value in (("r_m", r_m), ("freq_hz", freq_hz), ("g_tx_lin", g_tx_lin), ("g_rx_lin", g_rx_lin)):
+            check(name, value, "positive and finite")
         # Closed interval: +-90 deg is needed by full-hemisphere BRCS sweeps.
-        if not (abs(alpha_rad) <= MAX_ANGLE_RAD and abs(beta_rad) <= MAX_ANGLE_RAD):
-            raise ValueError("alpha and beta must lie within [-90, 90] deg (front halfspace)")
+        check("alpha_rad", alpha_rad, "within [-pi/2, pi/2]")
+        check("beta_rad", beta_rad, "within [-pi/2, pi/2]")
         elements = tuple(elements)
         numbers = [e.index_m for e in elements]
         if len(set(numbers)) != len(numbers):
@@ -160,7 +150,10 @@ def element_paths(
     angles = angles if side == "tx" else -angles
     r = scn.r_m
     x = np.array([e.x_m for e in scn.elements], dtype=float)
-    base = np.array([r**2 + e.x_m**2 + e.z_m**2 for e in scn.elements], dtype=float)
+    try:
+        base = np.array([r**2 + e.x_m**2 + e.z_m**2 for e in scn.elements], dtype=float)
+    except OverflowError:
+        raise InputError(f"the range {r} m or an element coordinate overflows a float when squared") from None
     sin = np.sin(angles)[:, np.newaxis]
     with np.errstate(invalid="ignore", divide="ignore"):
         d = np.sqrt(base - 2.0 * x * r * sin)
@@ -180,11 +173,10 @@ def coupling_rows(
 ) -> np.ndarray:
     """The side's full-link matrix rows, its coupling to each of ``scn.elements``, one per angle.
 
-    ``angles_rad`` are antenna angles as in :func:`element_paths`.
+    ``angles_rad`` are antenna angles as in :func:`element_paths`. ``patterns`` are those of
+    ``scn.elements``, in their order, as :func:`assemble_full_matrix` checks. A coupling, or
+    a squared distance in :func:`element_paths`, that overflows a float is an :class:`InputError`.
     """
-    for pat, el in zip(patterns, scn.elements, strict=True):
-        if pat.index_m != el.index_m:
-            raise PatternError(f"pattern for element {pat.index_m} passed for element {el.index_m}")
     d, gamma = element_paths(scn, side, angles_rad)
     gain = np.empty_like(gamma)
     for k, pat in enumerate(patterns):
@@ -192,9 +184,13 @@ def coupling_rows(
     # Python abs per element: np.abs rounds some |s_mm| differently.
     mismatch = np.array([math.sqrt(max(0.0, 1.0 - abs(p.s_mm) ** 2)) for p in patterns], dtype=float)
     lam, gain_side = scn.wavelength_m, scn.g_tx_lin if side == "tx" else scn.g_rx_lin
-    magnitude = mismatch * np.sqrt(gain_side * gain) / (4.0 * math.pi * d / lam)
-    phase = -2.0 * math.pi * d / lam
-    return magnitude * (np.cos(phase) + 1j * np.sin(phase))
+    with np.errstate(all="ignore"):  # an overflow is reported below, without numpy's warnings
+        magnitude = mismatch * np.sqrt(gain_side * gain) / (4.0 * math.pi * d / lam)
+        phase = -2.0 * math.pi * d / lam
+        rows = magnitude * (np.cos(phase) + 1j * np.sin(phase))
+    if not np.isfinite(rows).all():
+        raise InputError(f"the {side} coupling overflows a float: a distance, the wavelength or a gain is extreme")
+    return rows
 
 
 def farfield_limit_distance(scn: Scenario) -> float:
@@ -204,7 +200,7 @@ def farfield_limit_distance(scn: Scenario) -> float:
     xs = [e.x_m for e in scn.elements]
     zs = [e.z_m for e in scn.elements]
     diag = math.hypot(max(xs) - min(xs), max(zs) - min(zs))
-    return 2.0 * diag**2 / scn.wavelength_m
+    return 2.0 * diag * diag / scn.wavelength_m  # a product overflows to inf, where ** raises OverflowError
 
 
 def _warn_if_nearfield(scn: Scenario) -> None:
@@ -265,46 +261,30 @@ def assemble_full_matrix(
     return ScatterMatrix.full_link(full, scn.freq_hz, scn.element_numbers, ris.z0_ohm)
 
 
-def _check_self_term(s_mm: complex) -> None:
-    if abs(s_mm) > 1.0:
-        raise ValueError("|s_mm| must be <= 1 for a passive element")
-
-
-class IsolatedCoupling:
-    """Synthetic RIS model: no inter-element coupling, common self term."""
-
-    def __init__(self, s_mm: complex = 0j):
-        _check_self_term(s_mm)
-        self.s_mm = s_mm
-
-
 class ExpDecayCoupling:
-    """Synthetic RIS model: coupling decays exponentially with element spacing."""
+    """Synthetic RIS model: a common self term, and coupling that decays exponentially with element spacing.
+
+    With ``c0 = 0`` the elements are isolated.
+    """
 
     def __init__(self, s_mm: complex = 0j, c0: float = 0.1, rolloff_m: float = 0.05):
-        _check_self_term(s_mm)
-        if c0 < 0:
-            raise ValueError("c0 must be >= 0")
-        if not rolloff_m > 0:
-            raise ValueError("rolloff_m must be positive")
-        self.s_mm, self.c0, self.rolloff_m = s_mm, c0, rolloff_m
-
-
-CouplingModel = Union[IsolatedCoupling, ExpDecayCoupling]
+        self.s_mm = check("s_mm", s_mm, "of magnitude <= 1")
+        self.c0 = check("c0", c0, "finite and >= 0")
+        self.rolloff_m = check("rolloff_m", rolloff_m, "positive and finite")
 
 
 def synth_ris_matrix(
     elements: Sequence[ElementGeometry] | Iterable[ElementGeometry],
     freq_hz: float,
-    model: CouplingModel,
+    model: ExpDecayCoupling,
     z0_ohm: float = 50.0,
 ) -> ScatterMatrix:
     """Synthesize a passive reciprocal RIS-only matrix from element layout.
 
     A stand-in for the single full-wave simulation: the diagonal carries the
-    model's self coefficient and, for :class:`ExpDecayCoupling`, off-diagonal
-    terms fall off as ``c0*exp(-d/rolloff)`` with the path phase of the
-    element spacing ``d``. The result is rescaled if needed so its largest
+    model's self coefficient and off-diagonal terms fall off as
+    ``c0*exp(-d/rolloff)`` with the path phase of the element spacing ``d``;
+    with ``c0 = 0`` they are exact zeros. The result is rescaled if needed so its largest
     singular value does not exceed 1.
     """
     elements = tuple(elements)
@@ -313,7 +293,7 @@ def synth_ris_matrix(
     n = len(elements)
     entries = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(entries, complex(model.s_mm))
-    if isinstance(model, ExpDecayCoupling):
+    if model.c0:  # 0.0 times a complex phase would leave -0.0 imaginary parts
         lam = SPEED_OF_LIGHT / freq_hz
         for i in range(n):
             for j in range(i + 1, n):

@@ -17,11 +17,11 @@ not a solve. The package needs numpy only.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import UnoptimizableError
+from .errors import InputError, UnoptimizableError, check
 from .farfield import Scenario, element_paths
 from .network import LinkKernel, ReflectionVector, ScatterMatrix
 
@@ -33,8 +33,10 @@ class LoadBounds:
     """Feasible capacitance range of the tuning varactors, in farads."""
 
     def __init__(self, c_min_f: float, c_max_f: float):
-        if not (0 < c_min_f < c_max_f):
-            raise ValueError(f"bounds require 0 < c_min < c_max, got [{c_min_f}, {c_max_f}]")
+        check("c_min_f", c_min_f, "positive and finite")
+        check("c_max_f", c_max_f, "positive and finite")
+        if not c_min_f < c_max_f:
+            raise ValueError(f"c_max_f must be greater than c_min_f = {c_min_f}, got {c_max_f}")
         self.c_min_f, self.c_max_f = c_min_f, c_max_f
 
     def contains(self, c_f: float) -> bool:
@@ -49,11 +51,7 @@ class LoadVector:
     """Per-element load capacitances in farads, aligned with RIS port order."""
 
     def __init__(self, caps_f: tuple[float, ...]):
-        caps = tuple(float(c) for c in caps_f)
-        for i, c in enumerate(caps):
-            if not (math.isfinite(c) and c > 0):
-                raise ValueError(f"capacitance {i + 1} must be finite and positive, got {c}")
-        self.caps_f = caps
+        self.caps_f = tuple(check("caps_f", float(c), "positive and finite") for c in caps_f)
 
     @classmethod
     def of(cls, values) -> "LoadVector":
@@ -78,11 +76,8 @@ class VaractorModel:
     """
 
     def __init__(self, series_resistance_ohm: float = 0.0, series_inductance_h: float = 0.0):
-        if not (math.isfinite(series_resistance_ohm) and series_resistance_ohm >= 0):
-            raise ValueError(f"series_resistance_ohm must be finite and >= 0, got {series_resistance_ohm}")
-        if not (math.isfinite(series_inductance_h) and series_inductance_h >= 0):
-            raise ValueError(f"series_inductance_h must be finite and >= 0, got {series_inductance_h}")
-        self.series_resistance_ohm, self.series_inductance_h = series_resistance_ohm, series_inductance_h
+        self.series_resistance_ohm = check("series_resistance_ohm", series_resistance_ohm, "finite and >= 0")
+        self.series_inductance_h = check("series_inductance_h", series_inductance_h, "finite and >= 0")
 
     def reactance(self, c_f: float | np.ndarray, w: float) -> float | np.ndarray:
         """X(C) in ohm, for a capacitance or an array of them."""
@@ -127,19 +122,26 @@ def load_gammas(
     z0_ohm: float = 50.0,
     model: VaractorModel = IDEAL_VARACTOR,
 ) -> ReflectionVector:
-    """Reflection coefficients of the loads; ``LoadVector`` already holds finite, positive capacitances."""
-    if not (0 < freq_hz < math.inf and 0 < z0_ohm < math.inf):
-        raise ValueError("frequency and reference impedance must be positive and finite")
-    return ReflectionVector.of(model.gamma(c, freq_hz, z0_ohm) for c in caps.caps_f)
+    """Reflection coefficients of the loads; ``LoadVector`` already holds finite, positive capacitances.
+
+    An :class:`InputError` if a load's reactance at ``freq_hz`` overflows a float.
+    """
+    check("freq_hz", freq_hz, "positive and finite")
+    check("z0_ohm", z0_ohm, "positive and finite")
+    try:  # valid loads are passive, so only an overflow leaves a gamma that ReflectionVector refuses
+        return ReflectionVector.of(model.gamma(c, freq_hz, z0_ohm) for c in caps.caps_f)
+    except (ZeroDivisionError, ValueError):
+        raise InputError(f"a load's reactance at {freq_hz} Hz overflows a float") from None
 
 
-def _check_caps(caps: LoadVector, bounds: LoadBounds, n: int) -> None:
-    if len(caps) != n:
-        raise ValueError(f"{len(caps)} capacitances for {n} RIS ports")
-    for i, c in enumerate(caps.caps_f):
+def _check_caps(caps_f: Sequence[float], bounds: LoadBounds, element_numbers: Sequence[int]) -> None:
+    """Refuse capacitances, one per element of ``element_numbers``, that are not within ``bounds``."""
+    if len(caps_f) != len(element_numbers):
+        raise ValueError(f"{len(caps_f)} capacitances for {len(element_numbers)} RIS ports")
+    for m, c in zip(element_numbers, caps_f):
         if not bounds.contains(c):
             raise ValueError(
-                f"capacitance {i + 1} = {c * 1e12:.6g} pF outside bounds "
+                f"element {m} capacitance {c * 1e12:.6g} pF outside bounds "
                 f"[{bounds.c_min_f * 1e12:.6g}, {bounds.c_max_f * 1e12:.6g}] pF"
             )
 
@@ -151,9 +153,8 @@ def objective(
     model: VaractorModel = IDEAL_VARACTOR,
 ) -> float:
     """Tx -> Rx power transfer of the link under the given loads, in [0, 1]."""
-    kernel = full.kernel
-    _check_caps(caps, bounds, kernel.n_ris)
-    return kernel.transfer(model.gammas(caps.as_array, full.freq_hz, full.z0_ohm))
+    _check_caps(caps.caps_f, bounds, full.element_numbers)
+    return full.kernel.transfer(model.gammas(caps.as_array, full.freq_hz, full.z0_ohm))
 
 
 def objective_gradient(
@@ -163,10 +164,9 @@ def objective_gradient(
     model: VaractorModel = IDEAL_VARACTOR,
 ) -> np.ndarray:
     """Analytic gradient d(objective)/dC in 1/farad: 2*Re(conj(S_RxTx) * dS_RxTx/dgamma * dgamma/dC)."""
-    kernel = full.kernel
-    _check_caps(caps, bounds, kernel.n_ris)
+    _check_caps(caps.caps_f, bounds, full.element_numbers)
     caps_f = caps.as_array
-    s21, ds_dgamma = kernel.gradient(model.gammas(caps_f, full.freq_hz, full.z0_ohm))
+    s21, ds_dgamma = full.kernel.gradient(model.gammas(caps_f, full.freq_hz, full.z0_ohm))
     return 2.0 * np.real(np.conj(s21) * ds_dgamma * model.dgamma_dc(caps_f, full.freq_hz, full.z0_ohm))
 
 
@@ -211,12 +211,9 @@ class OptimizerOptions:
     """Search configuration; identical options and seed give identical results."""
 
     def __init__(self, starts: int = 8, max_evals: int = 2000, seed: int = 0, initial: LoadVector | None = None):
-        if starts < 1:
-            raise ValueError("starts must be >= 1")
-        if max_evals < 10:
-            raise ValueError("max_evals must be >= 10")
-        if seed < 0:
-            raise ValueError("seed must be >= 0")
+        check("starts", starts, "an integer >= 1")
+        check("max_evals", max_evals, "an integer >= 10")
+        check("seed", seed, "an integer >= 0")
         self.starts, self.max_evals, self.seed, self.initial = starts, max_evals, seed, initial
 
     def replace(self, **changes) -> "OptimizerOptions":
@@ -349,6 +346,8 @@ def optimize(
         raise UnoptimizableError("unoptimizable: no Tx or Rx coupling to the RIS ports")
 
     lo_pf, hi_pf = bounds.c_min_f * 1e12, bounds.c_max_f * 1e12
+    if hi_pf == math.inf:
+        raise InputError(f"c_max_f = {bounds.c_max_f} F overflows a float in pF")
     if opts.initial is not None:
         first = np.array([bounds.clip(c) * 1e12 for c in opts.initial.caps_f])
         if first.size != n:

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import IllConditionedLoadError
+from .errors import IllConditionedLoadError, check
 
 #: Reciprocal condition numbers of (I - S_ii*Gamma) below this are rejected;
 #: physical loaded passive networks never reach exact singularity, so a
@@ -37,7 +37,7 @@ class ScatterMatrix:
     Parameters
     ----------
     entries : array_like
-        P x P complex wave ratios.
+        P x P complex wave ratios, all finite.
     freq_hz : float
         Frequency the matrix is valid at, in Hz.
     element_numbers : tuple of int
@@ -51,15 +51,15 @@ class ScatterMatrix:
         entries = np.array(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
-        numbers = tuple(operator.index(m) for m in element_numbers)
+        numbers = tuple(operator.index(check("element_numbers", m, "an integer >= 1")) for m in element_numbers)
         if entries.shape[0] - len(numbers) not in (0, 2):
             raise ValueError(f"{len(numbers)} element numbers for a {entries.shape[0]}-port matrix")
-        if len(set(numbers)) != len(numbers) or min(numbers, default=1) < 1:
-            raise ValueError(f"element numbers must be unique and >= 1, got {numbers}")
-        if not 0 < freq_hz < math.inf:
-            raise ValueError(f"freq_hz must be positive and finite, got {freq_hz}")
-        if not 0 < z0_ohm < math.inf:
-            raise ValueError(f"z0_ohm must be positive and finite, got {z0_ohm}")
+        if len(set(numbers)) != len(numbers):
+            raise ValueError(f"element numbers must be unique, got {numbers}")
+        if not np.isfinite(entries).all():
+            raise ValueError(f"entries must be finite, got {entries[~np.isfinite(entries)][0]}")
+        check("freq_hz", freq_hz, "positive and finite")
+        check("z0_ohm", z0_ohm, "positive and finite")
         entries.flags.writeable = False
         self.entries, self.freq_hz, self.element_numbers, self.z0_ohm = entries, freq_hz, numbers, z0_ohm
 
@@ -203,8 +203,6 @@ def _passive_cond_bound(s_ii: np.ndarray) -> float:
     """
     if not s_ii.size:
         return 1.0
-    if not np.isfinite(s_ii).all():
-        return math.inf
     magnitudes = np.abs(s_ii)
     s = math.sqrt(magnitudes.sum(axis=0).max() * magnitudes.sum(axis=1).max()) * (1.0 + GAMMA_SLACK)
     if not (s < 1.0 and (1.0 + s) / (1.0 - s) < 0.5 / RCOND_LIMIT):

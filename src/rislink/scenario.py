@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
-from .farfield import MAX_ANGLE_RAD, ElementGeometry, ExpDecayCoupling, IsolatedCoupling, Scenario
+from .errors import MAX_ANGLE_RAD, ConfigError
+from .farfield import ElementGeometry, ExpDecayCoupling, Scenario
 from .loads import LoadBounds, OptimizerOptions, VaractorModel
 
 #: Unit families: unit name (matched case-insensitively) -> SI scale. A ``gain`` in dB reads as linear.
@@ -90,7 +90,7 @@ class RisFile(NamedTuple):
 
 
 class RisSynthesis(NamedTuple):
-    model: IsolatedCoupling | ExpDecayCoupling
+    model: ExpDecayCoupling
 
 
 class PatternsFile(NamedTuple):
@@ -198,18 +198,15 @@ def _grid_elements(
         raise ConfigError("grid.rows and grid.cols must be >= 1")
     if not (pitch_x_m > 0 and pitch_z_m > 0):
         raise ConfigError("grid pitches must be positive")
-    try:
-        return tuple(
-            ElementGeometry(
-                r * cols + c + 1,
-                (c - (cols - 1) / 2.0) * pitch_x_m + offset_x_m,
-                (r - (rows - 1) / 2.0) * pitch_z_m + offset_z_m,
-            )
-            for r in range(rows)
-            for c in range(cols)
+    return _build("grid.*", lambda: tuple(
+        ElementGeometry(
+            r * cols + c + 1,
+            (c - (cols - 1) / 2.0) * pitch_x_m + offset_x_m,
+            (r - (rows - 1) / 2.0) * pitch_z_m + offset_z_m,
         )
-    except ValueError as exc:
-        raise ConfigError(f"grid.*: {exc}") from None
+        for r in range(rows)
+        for c in range(cols)
+    ))
 
 
 def load_scenario(config_text: str, base_dir: str | Path | None = None) -> ScenarioConfig:
@@ -287,19 +284,10 @@ def load_scenario(config_text: str, base_dir: str | Path | None = None) -> Scena
         raise ConfigError("set exactly one of ris.file or ris.model")
     if model is None:
         ris = RisFile(path("ris.file"), get("ris.freq_tol"))
-    elif model == "isolated":
-        s_mm = complex(get("ris.smm_re"), get("ris.smm_im"))
-        ris = RisSynthesis(_build("ris.smm_re/ris.smm_im", IsolatedCoupling, s_mm=s_mm))
-    elif model == "exp_decay":
-        ris = RisSynthesis(
-            _build(
-                "ris.smm_re/ris.smm_im/ris.c0/ris.rolloff",
-                ExpDecayCoupling,
-                s_mm=complex(get("ris.smm_re"), get("ris.smm_im")),
-                c0=get("ris.c0"),
-                rolloff_m=get("ris.rolloff"),
-            )
-        )
+    elif model in ("isolated", "exp_decay"):  # isolated: exp_decay with c0 = 0, reading neither ris.c0 nor ris.rolloff
+        decay = {"c0": get("ris.c0"), "rolloff_m": get("ris.rolloff")} if model == "exp_decay" else {"c0": 0.0}
+        keys = "ris.smm_re/ris.smm_im" + ("/ris.c0/ris.rolloff" if model == "exp_decay" else "")
+        ris = RisSynthesis(_build(keys, ExpDecayCoupling, s_mm=complex(get("ris.smm_re"), get("ris.smm_im")), **decay))
     else:
         raise ConfigError(f"ris.model must be isolated or exp_decay, got {model!r}")
 

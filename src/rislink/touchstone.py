@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -121,11 +120,9 @@ def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> Touchston
     ``n_ports`` may be omitted for 1- and 2-port files, whose single-line
     points make the count unambiguous; larger files need the explicit count
     (``read_touchstone`` derives it from the file extension). The data after
-    the option line is converted in one ``np.fromstring`` call; where that
-    call may disagree with ``float()`` (see ``_fast_values``), the exact
-    conversion runs instead, in blocks of lines with one ``float()`` per token.
-    Only a defect sends the text through a line-by-line re-scan, which names
-    its line. NaN and infinities are rejected, and so are values that
+    the option line is converted in blocks of lines, one ``float()`` per
+    token. Only a defect sends the text through a line-by-line re-scan,
+    which names its line. NaN and infinities are rejected, and so are values that
     overflow when converted to hertz or to a linear magnitude.
     """
     if isinstance(text, bytes):
@@ -148,22 +145,20 @@ def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> Touchston
     eol = _EOL_RE.search(body, start)
     data = end = eol.start() if eol else len(body)
     options = _parse_option_line(body[start + 1 : data].split(), len(body[: start + 1].splitlines()))
-    values = _fast_values(body[data:])
-    if values is None:  # the exact conversion, one float() per token: it decides every case the fast path leaves
-        blocks = [np.empty(0)]
-        try:  # a '#' or '[' among the data fails the float conversion too
-            while end < len(body):
-                start, end = end, body.find("\n", end + _BLOCK_CHARS)
-                end = len(body) if end < 0 else end
-                blocks.append(np.array(body[start:end].split(), dtype=float))
-        except ValueError:
-            _rescan(body)
-            raise
-        values = np.concatenate(blocks)
-        finite = np.isfinite(values)  # fast-path values are all finite
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise TouchstoneError(f"non-finite value {float(values[k])!r}", _rescan(body, k))
+    blocks = [np.empty(0)]
+    try:  # a '#' or '[' among the data fails the float conversion too
+        while end < len(body):
+            start, end = end, body.find("\n", end + _BLOCK_CHARS)
+            end = len(body) if end < 0 else end
+            blocks.append(np.array(body[start:end].split(), dtype=float))
+    except ValueError:
+        _rescan(body)
+        raise
+    values = np.concatenate(blocks)
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise TouchstoneError(f"non-finite value {float(values[k])!r}", _rescan(body, k))
     if not values.size:
         raise TouchstoneError("file contains no data")
 
@@ -200,24 +195,6 @@ def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> Touchston
     if n_ports == 2:  # v1 two-port order is S11 S21 S12 S22 (column-major quirk).
         matrices = matrices.transpose(0, 2, 1)
     return TouchstoneDocument(n_ports, options, tuple(zip(freqs, matrices)))
-
-
-def _fast_values(data: str) -> np.ndarray | None:
-    """The data values in one ``np.fromstring`` call, or None where it may disagree with ``float()``.
-
-    ``fromstring`` refuses some tokens ``float()`` takes (``1_0``, non-ASCII
-    digits and spaces), reads NaN from some it refuses (``nan(abc)``) and
-    reads whitespace alone as -1; None sends each of these to the exact conversion.
-    """
-    if data.isspace():
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)  # older numpy only warns on an unread token
-        try:
-            values = np.fromstring(data, sep=" ")
-        except (ValueError, DeprecationWarning):
-            return None
-    return values if np.isfinite(values).all() else None
 
 
 def _rescan(body: str, index: int = -1) -> int:

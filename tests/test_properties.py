@@ -26,10 +26,12 @@ from rislink import (
     ConfigError,
     ElementGeometry,
     ElementPattern,
+    ExpDecayCoupling,
     LoadBounds,
     LoadVector,
     OptimizerOptions,
     PatternError,
+    RislinkError,
     ScatterMatrix,
     Scenario,
     TouchstoneDocument,
@@ -40,12 +42,14 @@ from rislink import (
     cap_to_gamma,
     brcs_from_coupling,
     dumps_touchstone,
+    flat_reflector_reference,
     load_gammas,
     load_scenario,
     optimize,
     parse_pattern_table,
     parse_touchstone,
     sweep_rx_angle,
+    synth_ris_matrix,
 )
 from rislink import loads
 from rislink.farfield import coupling_rows, element_paths
@@ -170,8 +174,8 @@ def test_dumps_equals_value_by_value_writer(n, fortran, data):
 
 
 _FORMATS = (repr, "{:.6e}".format, "{:g}".format, "{:+.3f}".format)
-# The last eight probe the fast reader's fallback: tokens that only one of ``np.fromstring``
-# and ``float()`` reads, and their neighbours.
+# The last eight are tokens that ``np.fromstring`` and ``float()`` read differently, and their
+# neighbours; the reader converts with ``float()`` alone, so they probe that block conversion.
 _MUTANTS = ("zz", "1.2.3", "#", "[x]", "1e5x", None,
             "1_0", "NaN(1)", "nan(abc)", "\u0661", "1\xa02", "0x1p3", "1d0", "infinity")
 
@@ -439,3 +443,93 @@ def test_config_fuzz_raises_only_config_error(config_dir, text):
                cfg.varactor.series_inductance_h, *(c for e in scn.elements for c in (e.x_m, e.z_m))]
     assert all(math.isfinite(v) for v in numbers)
     assert cfg.sweep.alphas_rad().size >= 1
+
+
+# The checked boundary: every numeric parameter of these constructors and entry functions, with a valid value,
+# and the first use of what a call returns, which gives an array.
+_EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e308, 5e-324)
+_COUNT_EDGES = (*_EDGES, 2.5, 0, -1)
+_PLACES = (ElementGeometry(1, -0.02, 0.0), ElementGeometry(2, 0.02, 0.01))
+_SCN = Scenario(2.0, 0.0, 0.5, 3.55e9, 12.6, 12.6, _PLACES)
+_RIS = synth_ris_matrix(_PLACES, 3.55e9, ExpDecayCoupling(0.2, c0=0.1, rolloff_m=0.05))
+_ISOTROPIC = [ElementPattern.isotropic(m, 1.5, s_mm=0.2) for m in (1, 2)]
+_FULL = assemble_full_matrix(_SCN, _RIS, _ISOTROPIC)
+_CAPS = LoadVector.of([0.23e-12, 2.1e-12])
+
+
+def _link_of(element):
+    scn = _SCN.replace(elements=(element, ElementGeometry(99, 0.0, 0.0)))
+    ris = synth_ris_matrix(scn.elements, 3.55e9, ExpDecayCoupling(0.2, c0=0.0))
+    patterns = [ElementPattern.isotropic(m, 1.5, s_mm=0.2) for m in scn.element_numbers]
+    return assemble_full_matrix(scn, ris, patterns).entries
+
+
+def _coupling_of(pattern):
+    return coupling_rows(_SCN.replace(elements=(ElementGeometry(pattern.index_m, 0.0, 0.0),)), [pattern], "tx")
+
+
+def _one_element_link(element_numbers, freq_hz, z0_ohm):
+    return ScatterMatrix(_FULL.entries[:3, :3], freq_hz, (element_numbers,), z0_ohm)
+
+
+_BOUNDARY = {  # name: (call, {parameter: valid value}, integer parameters, first use)
+    "Scenario": (lambda **kw: Scenario(**kw, elements=_PLACES),
+                 dict(r_m=2.0, alpha_rad=0.0, beta_rad=0.5, freq_hz=3.55e9, g_tx_lin=12.6, g_rx_lin=12.6), (),
+                 lambda scn: assemble_full_matrix(scn, _RIS, _ISOTROPIC).entries),
+    "ElementGeometry": (ElementGeometry, dict(index_m=1, x_m=0.02, z_m=-0.01), ("index_m",), _link_of),
+    "ElementPattern": (lambda index_m, s_mm: ElementPattern(index_m, [-math.pi / 2, math.pi / 2], [1.0, 2.0], s_mm),
+                       dict(index_m=1, s_mm=0.2 - 0.1j), ("index_m",), _coupling_of),
+    "VaractorModel": (VaractorModel, dict(series_resistance_ohm=1.5, series_inductance_h=0.2e-9), (),
+                      lambda model: load_gammas(_CAPS, 3.55e9, 50.0, model).as_array),
+    "LoadBounds": (LoadBounds, dict(c_min_f=0.23e-12, c_max_f=2.1e-12), (),
+                   lambda bounds: optimize(_FULL, bounds, opts=OptimizerOptions(2, 20)).caps.as_array),
+    "OptimizerOptions": (OptimizerOptions, dict(starts=2, max_evals=20, seed=3), ("starts", "max_evals", "seed"),
+                         lambda opts: optimize(_FULL, LoadBounds(0.23e-12, 2.1e-12), opts=opts).caps.as_array),
+    "ExpDecayCoupling": (ExpDecayCoupling, dict(s_mm=0.2, c0=0.1, rolloff_m=0.05), (),
+                         lambda model: synth_ris_matrix(_PLACES, 3.55e9, model).entries),
+    "ScatterMatrix": (_one_element_link, dict(element_numbers=1, freq_hz=3.55e9, z0_ohm=50.0), ("element_numbers",),
+                      lambda full: full.kernel.reduce(np.array([0.5j]))),
+    "load_gammas": (lambda **kw: load_gammas(_CAPS, **kw), dict(freq_hz=3.55e9, z0_ohm=50.0), (),
+                    lambda gammas: gammas.as_array),
+    "brcs_from_coupling": (brcs_from_coupling, dict(s_rx_tx=0.01 + 0.02j, d_tx_m=2.0, d_rx_m=2.0, g_tx_lin=12.6,
+                                                    g_rx_lin=12.6, lambda_m=0.0845), (), np.array),
+    "flat_reflector_reference": (lambda **kw: flat_reflector_reference(**kw, alphas_rad=np.radians([-90, 0, 45])),
+                                 dict(width_m=0.308, height_m=0.096, lambda_m=0.0845, beta_rad=0.5), (),
+                                 lambda curve: curve.sigma_dbsm),
+}
+
+
+@st.composite
+def boundary_calls(draw):
+    name = draw(st.sampled_from(sorted(_BOUNDARY)))
+    _, valid, counts, _ = _BOUNDARY[name]
+    values = {key: draw(st.one_of(st.just(value), st.sampled_from(_COUNT_EDGES if key in counts else _EDGES)))
+              for key, value in valid.items()}
+    return name, values
+
+
+@settings(max_examples=600, deadline=None)
+@pytest.mark.filterwarnings("ignore::rislink.FarFieldValidityWarning")
+@given(boundary_calls())
+def test_boundary_refuses_by_name_or_builds_what_works(call):
+    """A call raises "<parameter> must be <rule>, got <value>", or its result's first use is finite or raises a
+    RislinkError."""
+    name, values = call
+    make, _, _, use = _BOUNDARY[name]
+    try:
+        result = use(make(**values))
+    except ValueError as exc:
+        refused = re.fullmatch(r"(\w+) must be .+, got .+", str(exc))
+        assert refused and refused[1] in values, str(exc)
+        return
+    except RislinkError:
+        return
+    assert np.isfinite(result).all()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.1, math.nan)])
+def test_scatter_matrix_refuses_a_non_finite_entry_by_name(value):
+    entries = np.full((2, 2), 0.1, dtype=complex)
+    entries[1, 0] = value
+    with pytest.raises(ValueError, match=f"^entries must be finite, got {re.escape(str(complex(value)))}$"):
+        ScatterMatrix.ris_only(entries, 3.55e9)
