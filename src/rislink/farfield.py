@@ -287,6 +287,7 @@ def synth_ris_matrix(
     with ``c0 = 0`` they are exact zeros. The result is rescaled if needed so its largest
     singular value does not exceed 1.
     """
+    check("freq_hz", freq_hz, "positive and finite")
     elements = tuple(elements)
     if not elements:
         raise ValueError("synth_ris_matrix needs at least one element")

@@ -332,6 +332,8 @@ def optimize(
     UnoptimizableError
         If the Tx or Rx side has no coupling to any RIS port, making the
         objective constant.
+    InputError
+        If ``c_max_f`` in pF, or the reactance at ``c_min_f``, overflows a float.
     """
     opts = opts or OptimizerOptions()
     kernel, f, z0 = full.kernel, full.freq_hz, full.z0_ohm
@@ -348,6 +350,10 @@ def optimize(
     lo_pf, hi_pf = bounds.c_min_f * 1e12, bounds.c_max_f * 1e12
     if hi_pf == math.inf:
         raise InputError(f"c_max_f = {bounds.c_max_f} F overflows a float in pF")
+    w = 2.0 * math.pi * f
+    x_min = model.reactance(bounds.c_min_f, w) if w * bounds.c_min_f > 0.0 else -math.inf
+    if not -math.inf < x_min < math.inf:  # else _coordinate_max would divide inf by inf
+        raise InputError(f"c_min_f = {bounds.c_min_f} F: its reactance at {f} Hz overflows a float")
     if opts.initial is not None:
         first = np.array([bounds.clip(c) * 1e12 for c in opts.initial.caps_f])
         if first.size != n:

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import IllConditionedLoadError, check
+from .errors import IllConditionedLoadError, InputError, check
 
 #: Reciprocal condition numbers of (I - S_ii*Gamma) below this are rejected;
 #: physical loaded passive networks never reach exact singularity, so a
@@ -259,11 +259,17 @@ def reduce_loaded(full: ScatterMatrix, loads: ReflectionVector) -> ScatterMatrix
     ------
     IllConditionedLoadError
         If ``I - S_ii*Gamma`` is singular beyond the conditioning threshold.
+    InputError
+        If the reduced matrix overflows a float, as a finite but extreme coupling can make it.
     """
     kernel = full.kernel
     if len(loads) != kernel.n_ris:
         raise ValueError(f"{len(loads)} loads for {kernel.n_ris} RIS ports")
-    return ScatterMatrix.full_link(kernel.reduce(loads.as_array), full.freq_hz, (), full.z0_ohm)
+    with np.errstate(all="ignore"):  # an overflow is reported below, without numpy's warnings
+        reduced = kernel.reduce(loads.as_array)
+    if not np.isfinite(reduced).all():
+        raise InputError("the reduced two-port overflows a float: a coupling of the link is extreme")
+    return ScatterMatrix.full_link(reduced, full.freq_hz, (), full.z0_ohm)
 
 
 def check_passivity(s: ScatterMatrix, tol: float = 1e-6) -> bool:

@@ -13,8 +13,9 @@ round-tripping decimal literals, so parse(write(doc)) reproduces the
 document exactly.
 
 A parsed export can be cached beside it through ``cache``
-(``load_cached``/``store_cached``): its options, frequencies and matrices,
-keyed by the SHA-256 of the file's bytes and of this module's code.
+(``load_cached``/``store_cached``): its options, its frequencies and one
+member per frequency point, keyed by the SHA-256 of the file's bytes and of
+this module's code. A hit reads the frequencies and the one point it serves.
 """
 
 from __future__ import annotations
@@ -244,51 +245,72 @@ def read_touchstone(path: str | Path) -> TouchstoneDocument:
     return parse_touchstone(path.read_bytes(), n_ports=n_ports)
 
 
-def load_cached(path: str | Path, digest: str) -> TouchstoneDocument | None:
-    """The cached parse of the export ``path`` whose bytes have SHA-256 ``digest``, or None.
+def load_cached(
+    path: str | Path, digest: str, f_hz: float, tol_hz: float, element_numbers: Sequence[int] | None = None
+) -> ScatterMatrix | None:
+    """``matrix_at_frequency`` of the cached parse of the export ``path`` whose bytes have SHA-256 ``digest``, or None.
 
     The entry must carry this digest and this parser's key (see ``cache``),
-    and hold what a parse would accept: the options, finite frequencies that
-    strictly increase, and one finite complex matrix per frequency with as
-    many ports as the file name says. Anything else is a miss.
+    and hold what a parse would accept: the options and finite frequencies
+    that strictly increase. Only the point that ``matrix_at_frequency`` picks
+    is read, and it must be a complex matrix with as many ports as the file
+    name says, which ``ScatterMatrix`` accepts (so finite). Anything else, a
+    frequency outside ``tol_hz`` or a count of ``element_numbers`` that does
+    not match included, is a miss.
     """
-    def convert(entry) -> TouchstoneDocument | None:
+    def convert(entry) -> ScatterMatrix | None:
         n_ports = ports_from_filename(path)
-        options = _parse_option_line(str(entry["options"]).split(), 0)
-        freqs, matrices = entry["freqs_hz"], entry["matrices"]
+        z0 = _parse_option_line(str(entry["options"]).split(), 0).z0_ohm
+        freqs = entry["freqs_hz"]
         if not (
-            freqs.dtype == np.float64 and matrices.dtype == np.complex128 and freqs.ndim == 1 and freqs.size
-            and matrices.shape == (freqs.size, n_ports, n_ports)
-            and np.isfinite(freqs).all() and np.isfinite(matrices).all()
+            freqs.dtype == np.float64 and freqs.ndim == 1 and freqs.size
+            and np.isfinite(freqs).all() and (freqs[1:] > freqs[:-1]).all()
         ):
             return None
-        return TouchstoneDocument(n_ports, options, tuple(zip(freqs.tolist(), matrices)))
+        freqs = freqs.tolist()
+        best = _nearest(freqs, f_hz, tol_hz)
+        if best is None:
+            return None
+        matrix = entry[f"point{best}"]
+        if not (matrix.dtype == np.complex128 and matrix.shape == (n_ports, n_ports)):
+            return None
+        return ScatterMatrix.ris_only(matrix, freqs[best], element_numbers, z0)
 
     return cache.load(path, digest, __file__, convert)
 
 
 def store_cached(path: str | Path, digest: str, doc: TouchstoneDocument) -> None:
-    """Cache ``doc`` as the parse of the export ``path`` whose bytes have SHA-256 ``digest`` (best effort)."""
+    """Cache ``doc`` as the parse of the export ``path`` whose bytes have SHA-256 ``digest`` (best effort).
+
+    Each frequency point is a member of its own, so a hit reads one.
+    """
     o = doc.options
     cache.store(
         path, digest, __file__,
         options=np.array(f"{o.freq_unit} {o.parameter} {o.value_format} r {o.z0_ohm!r}"),
         freqs_hz=np.array(doc.frequencies_hz, dtype=float),
-        matrices=np.array([matrix for _, matrix in doc.points], dtype=complex),
+        **{f"point{k}": matrix for k, (_, matrix) in enumerate(doc.points)},
     )
 
 
 def dumps_touchstone(doc: TouchstoneDocument) -> str:
-    """Serialize to normalized v1 text (# HZ S RI R z0, exact decimals)."""
+    """Serialize to normalized v1 text (# HZ S RI R z0, exact decimals).
+
+    Each distinct float64 bit pattern is formatted once, by ``repr``, and its text reused.
+    """
     lines = [f"# HZ S RI R {doc.options.z0_ohm!r}"]
+    # One row per matrix row; a 2-port point is one row in v1 order S11 S21 S12 S22 (column-major quirk).
+    shape = (len(doc.points), 1, 4) if doc.n_ports == 2 else (len(doc.points), doc.n_ports, doc.n_ports)
+    points = np.array([m.T if doc.n_ports == 2 else m for _, m in doc.points], dtype=complex)
+    bits = points.reshape(shape).view(np.uint64)
+    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)[inverse.reshape(bits.shape)]
     per_line = 2 * _VALUES_PER_LINE
-    for freq_hz, matrix in doc.points:
-        # One row per matrix row; a 2-port point is one row in v1 order S11 S21 S12 S22 (column-major quirk).
-        rows = matrix.T.reshape(1, 4) if doc.n_ports == 2 else matrix
+    for (freq_hz, _), rows in zip(doc.points, text.tolist()):
         prefix = f"{freq_hz!r} "
-        for row in np.ascontiguousarray(rows).view(float).tolist():
+        for row in rows:
             for j in range(0, len(row), per_line):
-                lines.append(prefix + " ".join(map(repr, row[j : j + per_line])))
+                lines.append(prefix + " ".join(row[j : j + per_line]))
                 prefix = ""
     return "\n".join(lines) + "\n"
 
@@ -322,12 +344,18 @@ def matrix_at_frequency(
     """
     if not doc.points:
         raise FrequencyNotFoundError("document contains no frequency points")
-    deltas = [abs(f - f_hz) for f in doc.frequencies_hz]
-    best = int(np.argmin(deltas))
-    if deltas[best] > tol_hz:
+    best = _nearest(doc.frequencies_hz, f_hz, tol_hz)
+    if best is None:
         available = ", ".join(f"{f / 1e9:.9g} GHz" for f in doc.frequencies_hz)
         raise FrequencyNotFoundError(
             f"no point within {tol_hz:g} Hz of {f_hz / 1e9:.9g} GHz; available: {available}"
         )
     freq_hz, matrix = doc.points[best]
     return ScatterMatrix.ris_only(matrix, freq_hz, element_numbers, doc.options.z0_ohm)
+
+
+def _nearest(freqs_hz: Sequence[float], f_hz: float, tol_hz: float) -> int | None:
+    """Index of the first frequency nearest ``f_hz``, or None if it lies farther than ``tol_hz``."""
+    deltas = [abs(f - f_hz) for f in freqs_hz]
+    best = int(np.argmin(deltas))
+    return None if deltas[best] > tol_hz else best

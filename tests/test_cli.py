@@ -516,12 +516,16 @@ class TestTouchstoneCache:
         assert warm == cold and len(cold) == 6
         digest = hashlib.sha256(export.read_bytes()).hexdigest()
         commands = ("synthesize", "optimize", "sweep")
-        assert {cold[f"manifest.{c}.json"]["input_hashes"]["ris"] for c in commands} == {digest}
+        for run in (cold, warm):  # the first command of the cold run missed, every other one hit
+            assert {run[f"manifest.{c}.json"]["input_hashes"]["ris"] for c in commands} == {digest}
         assert not any(p.name == CACHE_DIR for p in (tmp_path / "cold").rglob("*"))
 
         export.write_bytes(export.read_bytes().replace(b"HZ", b"Hz", 1))  # same document, other bytes: a miss
-        assert self.pipeline(board, tmp_path / "edited")["full.s16p"] == cold["full.s16p"]
+        edited = self.pipeline(board, tmp_path / "edited")
+        assert edited["full.s16p"] == cold["full.s16p"]
         assert parses == [export, export]
+        digest = hashlib.sha256(export.read_bytes()).hexdigest()
+        assert {edited[f"manifest.{c}.json"]["input_hashes"]["ris"] for c in commands} == {digest}
 
     @pytest.mark.parametrize(
         "damage", ["garbage", "truncated", "wrong_digest", "wrong_shape", "point_missing", "nan", "not_increasing"]
@@ -531,13 +535,14 @@ class TestTouchstoneCache:
         assert main(["synthesize", cfg, "--out", str(tmp_path / "cold")]) == 0
         entry = board / CACHE_DIR / "board.s14p.npz"
         digest = hashlib.sha256(export.read_bytes()).hexdigest()
-        freqs, matrices = np.array([3.5e9, 3.55e9]), np.array([m for _, m in read_touchstone(export).points])
+        freqs, matrices = np.array([3.5e9, 3.55e9]), [m for _, m in read_touchstone(export).points]
         if damage == "wrong_shape":
-            matrices = matrices[:, :13, :13]
+            matrices[1] = matrices[1][:13, :13]
         elif damage == "point_missing":
-            matrices = matrices[1:]
+            matrices = matrices[:1]
         elif damage == "nan":
-            matrices[0, 3, 4] = np.nan
+            matrices[1] = matrices[1].copy()
+            matrices[1][3, 4] = np.nan
         elif damage == "not_increasing":
             freqs, matrices = freqs[::-1], matrices[::-1]
         if damage == "garbage":
@@ -549,15 +554,31 @@ class TestTouchstoneCache:
         else:
             with open(entry, "wb") as file:
                 np.savez(file, key=np.array(cache.key(digest, rislink.touchstone.__file__)),
-                         options=np.array("hz s ri r 50.0"), freqs_hz=freqs, matrices=matrices)
-        assert load_cached(export, digest) is None
+                         options=np.array("hz s ri r 50.0"), freqs_hz=freqs,
+                         **{f"point{k}": m for k, m in enumerate(matrices)})
+        assert self.hit(export, digest) is None
         assert main(["synthesize", cfg, "--out", str(tmp_path / "again")]) == 0
         assert (tmp_path / "again" / "full.s16p").read_bytes() == (tmp_path / "cold" / "full.s16p").read_bytes()
         assert len(parses) == 2
-        cached = load_cached(export, digest)
-        assert cached is not None and all(
-            a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(cached.points, read_touchstone(export).points)
-        )
+        cached, fresh = self.hit(export, digest), read_touchstone(export).points[1][1]
+        assert cached is not None and cached.entries.tobytes() == fresh.tobytes()
+
+    def hit(self, export, digest):
+        """The cached point the board's scenario selects, or None."""
+        scn = read_scenario(export.parent / "scenario.cfg").scenario
+        return load_cached(export, digest, scn.freq_hz, 1e6, scn.element_numbers)
+
+    @pytest.mark.parametrize("freq", ["3.5012 GHz", "3.62 GHz"])
+    def test_frequency_outside_the_tolerance_exits_2_alike_cold_and_warm(self, board, tmp_path, capsys, parses, freq):
+        cfg = board / "scenario.cfg"
+        cfg.write_text(cfg.read_text().replace("freq = 3.55 GHz", f"freq = {freq}"))
+        errors = []
+        for run in ("cold", "warm"):
+            assert main(["synthesize", str(cfg), "--out", str(tmp_path / run)]) == 2
+            errors.append(capsys.readouterr().err)
+        available = "available: 3.5 GHz, 3.55 GHz"
+        assert errors[0] == errors[1] == f"error: no point within 1e+06 Hz of {freq[:-4]} GHz; {available}\n"
+        assert len(parses) == 2 and (board / CACHE_DIR / "board.s14p.npz").is_file()
 
     def test_invalid_export_fails_alike_twice_and_is_not_cached(self, board, tmp_path, capsys):
         export = board / "board.s14p"

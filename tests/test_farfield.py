@@ -268,6 +268,12 @@ class TestSynth:
         ris = synth_ris_matrix(board_elements(), F_CARRIER, ExpDecayCoupling(0.0, c0=0.0))
         assert np.array_equal(ris.entries, np.zeros((14, 14)))
 
+    @pytest.mark.parametrize("freq_hz", [0.0, math.inf])
+    def test_refuses_a_zero_or_infinite_frequency_by_name(self, freq_hz):
+        els = (ElementGeometry(1, 0.0, 0.0), ElementGeometry(2, 0.04, 0.0))
+        with pytest.raises(ValueError, match=f"^freq_hz must be positive and finite, got {freq_hz}$"):
+            synth_ris_matrix(els, freq_hz, ExpDecayCoupling(0.3, c0=0.2))
+
     def test_exp_decay_offdiagonal_oracle(self):
         els = (ElementGeometry(1, 0.0, 0.0), ElementGeometry(2, 0.04, 0.0))
         ris = synth_ris_matrix(els, F_CARRIER, ExpDecayCoupling(0.3, c0=0.2, rolloff_m=0.05))

@@ -7,6 +7,7 @@ import pytest
 from conftest import coordinate_terms, grid_transfer, random_full_link, random_passive
 from rislink import (
     ElementGeometry,
+    InputError,
     LoadBounds,
     LoadVector,
     OptimizerOptions,
@@ -285,6 +286,13 @@ class TestOptimize:
         full = ScatterMatrix.full_link(s, F_CARRIER, [1])
         with pytest.raises(UnoptimizableError, match="no Tx or Rx coupling"):
             optimize(full, BOUNDS)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c_min_f", [5e-324, 1e-320])
+    def test_c_min_whose_reactance_overflows_is_refused_by_name(self, c_min_f):
+        bounds = LoadBounds(c_min_f, 2.1e-12)
+        with pytest.raises(InputError, match=f"^c_min_f = {c_min_f} F: its reactance at 3550000000.0 Hz overflows"):
+            optimize(link_n1(), bounds)
 
 
 class TestCoordinateAscent:

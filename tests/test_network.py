@@ -9,6 +9,7 @@ from conftest import brute_force_reduce, check_reciprocity, random_full_link, ra
 from rislink import (
     IDEAL_VARACTOR,
     IllConditionedLoadError,
+    InputError,
     LoadBounds,
     LoadVector,
     OptimizerOptions,
@@ -161,6 +162,13 @@ class TestReduceLoaded:
     def test_load_count_mismatch(self):
         with pytest.raises(ValueError, match="loads"):
             reduce_loaded(three_port_link(), ReflectionVector.of([0.1, 0.1]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_is_an_input_error_that_names_it(self):
+        s = three_port_link().entries.copy()
+        s[1, 2] = s[2, 1] = 1e308  # finite, so the matrix builds; the reduction overflows
+        with pytest.raises(InputError, match="^the reduced two-port overflows a float"):
+            reduce_loaded(ScatterMatrix.full_link(s, 3.55e9, [1]), ReflectionVector.of([0.5j]))
 
 
 class TestLinkKernel:

@@ -20,7 +20,7 @@ from rislink import (
     read_touchstone,
     write_touchstone,
 )
-from rislink import touchstone
+from rislink import cache, touchstone
 from rislink.cache import CACHE_DIR
 from rislink.touchstone import load_cached, store_cached
 
@@ -289,14 +289,17 @@ def test_document_from_matrix_round_trip(rng):
     assert np.array_equal(again.points[0][1], sm.entries)
 
 
-def same_document(a, b):
-    """Equal port count, options and frequencies, and every matrix equal bit for bit."""
-    return (a.n_ports, a.options, a.frequencies_hz) == (b.n_ports, b.options, b.frequencies_hz) and all(
-        (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()) for (_, x), (_, y) in zip(a.points, b.points)
+def same_matrix(a, b):
+    """Equal frequency, reference impedance and element numbers, and entries equal bit for bit."""
+    x, y = a.entries, b.entries
+    return (a.freq_hz, a.z0_ohm, a.element_numbers, x.dtype, x.shape, x.tobytes()) == (
+        b.freq_hz, b.z0_ohm, b.element_numbers, y.dtype, y.shape, y.tobytes()
     )
 
 
 class TestCache:
+    TOL_HZ = 1e3
+
     @pytest.fixture(params=[2, 5])
     def export(self, request, rng, tmp_path):
         """A 3-point DB-format export, with -0.0 and a value that round-trips only as written."""
@@ -312,29 +315,84 @@ class TestCache:
     def digest(self, path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
+    def hit(self, export, f_hz, digest=None):
+        return load_cached(export, digest or self.digest(export), f_hz, self.TOL_HZ)
+
+    def write_entry(self, export, points):
+        """An entry under the export's key, with the parse's options and frequencies and ``points`` as its members."""
+        doc = read_touchstone(export)
+        o = doc.options
+        with open(export.parent / CACHE_DIR / f"{export.name}.npz", "wb") as file:
+            np.savez(file, key=np.array(cache.key(self.digest(export), touchstone.__file__)),
+                     options=np.array(f"{o.freq_unit} {o.parameter} {o.value_format} r {o.z0_ohm!r}"),
+                     freqs_hz=np.array(doc.frequencies_hz), **points)
+
     def test_hit_equals_a_fresh_parse_bit_for_bit(self, export):
-        digest = self.digest(export)
-        assert load_cached(export, digest) is None
-        store_cached(export, digest, read_touchstone(export))
+        digest, fresh = self.digest(export), read_touchstone(export)
+        assert self.hit(export, fresh.frequencies_hz[0], digest) is None
+        store_cached(export, digest, fresh)
         assert [p.name for p in (export.parent / CACHE_DIR).iterdir()] == [f"{export.name}.npz"]
-        cached = load_cached(export, digest)
-        assert cached is not None and same_document(cached, read_touchstone(export))
-        assert not any(matrix.flags.writeable for _, matrix in cached.points)
+        with np.load(export.parent / CACHE_DIR / f"{export.name}.npz") as entry:
+            assert sorted(entry.files) == ["freqs_hz", "key", "options", "point0", "point1", "point2"]
+        for f_hz in fresh.frequencies_hz:
+            for asked in (f_hz, f_hz - 0.4 * self.TOL_HZ, f_hz + self.TOL_HZ):
+                cached = self.hit(export, asked, digest)
+                assert same_matrix(cached, matrix_at_frequency(fresh, asked, self.TOL_HZ))
+                assert not cached.entries.flags.writeable
+        numbers = tuple(range(11, 11 + fresh.n_ports))
+        cached = load_cached(export, digest, fresh.frequencies_hz[2], self.TOL_HZ, numbers)
+        assert same_matrix(cached, matrix_at_frequency(fresh, fresh.frequencies_hz[2], self.TOL_HZ, numbers))
+
+    def test_frequency_outside_the_tolerance_or_port_count_off_misses(self, export):
+        digest, fresh = self.digest(export), read_touchstone(export)
+        store_cached(export, digest, fresh)
+        assert self.hit(export, fresh.frequencies_hz[-1] + 1.01 * self.TOL_HZ, digest) is None
+        assert load_cached(export, digest, fresh.frequencies_hz[0], self.TOL_HZ, range(1, fresh.n_ports)) is None
+
+    def test_other_points_may_be_damaged_and_the_selected_point_is_still_served(self, export):
+        fresh = read_touchstone(export)
+        matrices = [m for _, m in fresh.points]
+        store_cached(export, self.digest(export), fresh)
+        nan = np.full_like(matrices[0], np.nan)
+        self.write_entry(export, {"point0": nan, "point1": matrices[1], "point2": nan[:1]})
+        assert same_matrix(self.hit(export, fresh.frequencies_hz[1]),
+                           matrix_at_frequency(fresh, fresh.frequencies_hz[1], self.TOL_HZ))
+        assert self.hit(export, fresh.frequencies_hz[0]) is None and self.hit(export, fresh.frequencies_hz[2]) is None
+
+    @pytest.mark.parametrize("damage", ["nan", "inf", "wrong_shape", "real", "missing"])
+    def test_damaged_selected_point_misses_and_is_rewritten(self, export, damage):
+        fresh = read_touchstone(export)
+        points = {f"point{k}": m for k, (_, m) in enumerate(fresh.points)}
+        selected = points["point1"].copy()
+        if damage in ("nan", "inf"):
+            selected[0, -1] = complex(0.5, float(damage))
+        points["point1"] = {"wrong_shape": selected[:, :-1], "real": selected.real}.get(damage, selected)
+        if damage == "missing":
+            del points["point1"]
+        (export.parent / CACHE_DIR).mkdir()
+        self.write_entry(export, points)
+        f_hz, other_hz = fresh.frequencies_hz[1], fresh.frequencies_hz[0]
+        assert self.hit(export, f_hz) is None
+        assert same_matrix(self.hit(export, other_hz), matrix_at_frequency(fresh, other_hz, self.TOL_HZ))
+        store_cached(export, self.digest(export), fresh)
+        assert same_matrix(self.hit(export, f_hz), matrix_at_frequency(fresh, f_hz, self.TOL_HZ))
 
     def test_one_byte_edit_misses(self, export):
+        f_hz = read_touchstone(export).frequencies_hz[0]
         store_cached(export, self.digest(export), read_touchstone(export))
         text = export.read_text()
         export.write_text(text.replace("75.25", "75.35"))
-        assert load_cached(export, self.digest(export)) is None
+        assert self.hit(export, f_hz) is None
 
     def test_entry_of_another_parser_version_is_not_served(self, export, monkeypatch, tmp_path):
+        f_hz = read_touchstone(export).frequencies_hz[0]
         other = tmp_path / "touchstone.py"
         other.write_bytes(Path(touchstone.__file__).read_bytes() + b"# another version\n")
         with monkeypatch.context() as patched:
             patched.setattr(touchstone, "__file__", str(other))
             store_cached(export, self.digest(export), read_touchstone(export))
-            assert load_cached(export, self.digest(export)) is not None
-        assert load_cached(export, self.digest(export)) is None
+            assert self.hit(export, f_hz) is not None
+        assert self.hit(export, f_hz) is None
 
     def test_damaged_entries_miss_and_never_raise(self, export, rng):
         digest = self.digest(export)
@@ -353,11 +411,12 @@ class TestCache:
                 for k in [where, *rng.integers(len(good), size=trial % 3)]:
                     damaged[k] ^= 1 << rng.integers(8)
             entry.write_bytes(bytes(damaged))
-            cached = load_cached(export, digest)
-            assert cached is None or same_document(cached, fresh), trial
+            f_hz = fresh.frequencies_hz[trial % 3]
+            cached = self.hit(export, f_hz, digest)
+            assert cached is None or same_matrix(cached, matrix_at_frequency(fresh, f_hz, self.TOL_HZ)), trial
 
     def test_unwritable_cache_directory_is_skipped(self, export):
         (export.parent / CACHE_DIR).write_text("a file where the directory belongs")
         store_cached(export, self.digest(export), read_touchstone(export))
-        assert load_cached(export, self.digest(export)) is None
+        assert self.hit(export, read_touchstone(export).frequencies_hz[0]) is None
         assert sorted(p.name for p in export.parent.iterdir()) == sorted([CACHE_DIR, export.name])
