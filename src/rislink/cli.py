@@ -20,7 +20,6 @@ import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, TypeVar
 
 from . import __version__
 from .brcs import export_csv, flat_reflector_reference, sweep_rx_angle
@@ -40,9 +39,6 @@ from .touchstone import (document_from_matrix, load_cached, matrix_at_frequency,
                          write_touchstone)
 
 CAPS_HEADER = "m,c_pf,gamma_re,gamma_im"
-#: Bytes of an input file hashed at a time.
-_HASH_CHUNK = 1 << 20
-_T = TypeVar("_T")
 
 
 def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
@@ -59,78 +55,57 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
     return cfg._replace(scenario=scenario, out_dir=out_dir, optimizer=optimizer)
 
 
-def _sha256(path: Path) -> str:
-    """The SHA-256 of the file at ``path``, streamed in chunks rather than held in memory."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as file:
-        while chunk := file.read(_HASH_CHUNK):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _cached(path: Path, load: Callable[[str], _T | None], parse: Callable[[bytes, str], _T],
-            digests: dict[str, str] | None, name: str) -> _T:
-    """``load(digest)`` for the streamed SHA-256 of ``path``; on a miss, ``parse(data, digest)`` of the bytes read then.
-
-    ``digests[name]`` gets the SHA-256 of the bytes the value came from: on a miss, those ``parse`` got, hashed again.
-    """
-    digest = _sha256(path)
-    value = load(digest)
-    if value is None:
-        data = path.read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        value = parse(data, digest)
-    if digests is not None:
-        digests[name] = digest
-    return value
-
-
 def _build_ris(cfg: ScenarioConfig, digests: dict[str, str] | None = None) -> ScatterMatrix:
-    """The RIS matrix, from the model or from ``ris.file``: one cached point, or else the file parsed and cached.
+    """The RIS matrix, from the model or from ``ris.file``: read once; its one cached point, else the file parsed.
 
-    The file's SHA-256 goes into ``digests["ris"]`` for the manifest.
+    The file's SHA-256 goes into ``digests["ris"]`` for the manifest. A parse is cached only once its point is
+    selected, so a run that fails on the port count or the frequency writes no entry.
     """
     scn = cfg.scenario
     if isinstance(cfg.ris, RisFile):
         path, tol_hz = cfg.ris.path, cfg.ris.freq_tol_hz
-
-        def parse(data: bytes, digest: str) -> ScatterMatrix:
+        data = path.read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        if digests is not None:
+            digests["ris"] = digest
+        ris = load_cached(path, digest, scn.freq_hz, tol_hz, scn.element_numbers)
+        if ris is None:
             doc = read_touchstone(path)
-            if path.read_bytes() == data:  # the parse read the hashed bytes: no writer replaced the file between
-                store_cached(path, digest, doc)
             if doc.n_ports != len(scn.elements):
                 raise InputError(f"{path}: {doc.n_ports} ports for {len(scn.elements)} scenario elements")
-            return matrix_at_frequency(doc, scn.freq_hz, tol_hz, element_numbers=scn.element_numbers)
-
-        return _cached(path, lambda d: load_cached(path, d, scn.freq_hz, tol_hz, scn.element_numbers), parse,
-                       digests, "ris")
+            ris = matrix_at_frequency(doc, scn.freq_hz, tol_hz, element_numbers=scn.element_numbers)
+            if path.read_bytes() == data:  # the parse read the hashed bytes: no writer replaced the file between
+                store_cached(path, digest, doc)
+        return ris
     return synth_ris_matrix(scn.elements, scn.freq_hz, cfg.ris.model)
 
 
-def _utf8(data: bytes, path: Path, error: type[InputError]) -> str:
-    """``data``, the bytes of the input file ``path``, as text; ``error`` names the file if they are not UTF-8."""
+def _read_text(path: Path, error: type[InputError], digests: dict[str, str] | None, name: str) -> tuple[str, str]:
+    """The UTF-8 text of an input file, read once, and the SHA-256 of those bytes, which ``digests[name]`` gets too."""
+    data = path.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    if digests is not None:
+        digests[name] = digest
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8"), digest
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not valid UTF-8 text: {exc}") from None
 
 
 def _build_patterns(cfg: ScenarioConfig, ris: ScatterMatrix,
                     digests: dict[str, str] | None = None) -> list[ElementPattern]:
-    """The element patterns, uniform or from ``patterns.file``: the cached parse, or else the file parsed and cached.
+    """The element patterns, uniform or from ``patterns.file``: read once, parsed unless cached for its bytes.
 
     The file's SHA-256 goes into ``digests["patterns"]`` for the manifest.
     """
     scn = cfg.scenario
     if isinstance(cfg.patterns, PatternsFile):
         path = cfg.patterns.path
-
-        def parse(data: bytes, digest: str) -> list[ElementPattern]:
-            table = parse_pattern_table(_utf8(data, path, PatternError))
+        text, digest = _read_text(path, PatternError, digests, "patterns")
+        table = load_cached_patterns(path, digest)
+        if table is None:
+            table = parse_pattern_table(text)
             store_cached_patterns(path, digest, table)
-            return table
-
-        table = _cached(path, lambda d: load_cached_patterns(path, d), parse, digests, "patterns")
         parsed = {p.index_m: p for p in table}
         missing = [m for m in scn.element_numbers if m not in parsed]
         if missing:
@@ -157,7 +132,7 @@ def _write_manifest(cfg: ScenarioConfig, args: argparse.Namespace, outputs: list
         paths["ris"] = cfg.ris.path
     if isinstance(cfg.patterns, PatternsFile):
         paths["patterns"] = cfg.patterns.path
-    hashes = {name: _sha256(p) for name, p in paths.items() if name not in digests}
+    hashes = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items() if name not in digests}
     manifest = {
         "command": args.command,
         "version": __version__,
@@ -214,9 +189,7 @@ def _read_caps_csv(path: Path, cfg: ScenarioConfig, digests: dict[str, str]) -> 
     """The capacitances of a ``caps.csv``, checked against the scenario; its SHA-256 goes into ``digests["caps"]``."""
     if not path.is_file():
         raise InputError(f"caps file does not exist: {path}")
-    data = path.read_bytes()
-    digests["caps"] = hashlib.sha256(data).hexdigest()
-    lines = [ln.strip() for ln in _utf8(data, path, InputError).splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path, InputError, digests, "caps")[0].splitlines() if ln.strip()]
     if not lines or lines[0].split(",")[0:2] != ["m", "c_pf"]:
         raise InputError(f"{path}: expected header starting with 'm,c_pf'")
     caps_by_m: dict[int, float] = {}

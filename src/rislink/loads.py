@@ -333,7 +333,7 @@ def optimize(
         If the Tx or Rx side has no coupling to any RIS port, making the
         objective constant.
     InputError
-        If ``c_max_f`` in pF, or the reactance at ``c_min_f``, overflows a float.
+        If ``c_max_f`` in pF, or the square of the reactance at ``c_min_f``, overflows a float.
     """
     opts = opts or OptimizerOptions()
     kernel, f, z0 = full.kernel, full.freq_hz, full.z0_ohm
@@ -352,8 +352,8 @@ def optimize(
         raise InputError(f"c_max_f = {bounds.c_max_f} F overflows a float in pF")
     w = 2.0 * math.pi * f
     x_min = model.reactance(bounds.c_min_f, w) if w * bounds.c_min_f > 0.0 else -math.inf
-    if not -math.inf < x_min < math.inf:  # else _coordinate_max would divide inf by inf
-        raise InputError(f"c_min_f = {bounds.c_min_f} F: its reactance at {f} Hz overflows a float")
+    if not math.isfinite(x_min * x_min):  # else _coordinate_max's quadratics in X overflow at c_min_f
+        raise InputError(f"c_min_f = {bounds.c_min_f} F: the square of its reactance at {f} Hz overflows a float")
     if opts.initial is not None:
         first = np.array([bounds.clip(c) * 1e12 for c in opts.initial.caps_f])
         if first.size != n:

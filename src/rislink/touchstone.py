@@ -294,23 +294,16 @@ def store_cached(path: str | Path, digest: str, doc: TouchstoneDocument) -> None
 
 
 def dumps_touchstone(doc: TouchstoneDocument) -> str:
-    """Serialize to normalized v1 text (# HZ S RI R z0, exact decimals).
-
-    Each distinct float64 bit pattern is formatted once, by ``repr``, and its text reused.
-    """
+    """Serialize to normalized v1 text (# HZ S RI R z0, exact decimals)."""
     lines = [f"# HZ S RI R {doc.options.z0_ohm!r}"]
-    # One row per matrix row; a 2-port point is one row in v1 order S11 S21 S12 S22 (column-major quirk).
-    shape = (len(doc.points), 1, 4) if doc.n_ports == 2 else (len(doc.points), doc.n_ports, doc.n_ports)
-    points = np.array([m.T if doc.n_ports == 2 else m for _, m in doc.points], dtype=complex)
-    bits = points.reshape(shape).view(np.uint64)
-    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
-    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)[inverse.reshape(bits.shape)]
     per_line = 2 * _VALUES_PER_LINE
-    for (freq_hz, _), rows in zip(doc.points, text.tolist()):
+    for freq_hz, matrix in doc.points:
+        # One row per matrix row; a 2-port point is one row in v1 order S11 S21 S12 S22 (column-major quirk).
+        rows = matrix.T.reshape(1, 4) if doc.n_ports == 2 else matrix
         prefix = f"{freq_hz!r} "
-        for row in rows:
+        for row in np.ascontiguousarray(rows).view(float).tolist():
             for j in range(0, len(row), per_line):
-                lines.append(prefix + " ".join(row[j : j + per_line]))
+                lines.append(prefix + " ".join(map(repr, row[j : j + per_line])))
                 prefix = ""
     return "\n".join(lines) + "\n"
 

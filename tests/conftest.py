@@ -273,22 +273,6 @@ def line_dumps_touchstone(doc):
     return "\n".join(lines) + "\n"
 
 
-def row_dumps_touchstone(doc):
-    """The former ``dumps_touchstone``: ``repr`` of every value, row by row, repeats included.
-
-    The reference of the writer that formats each distinct value once.
-    """
-    lines = [f"# HZ S RI R {doc.options.z0_ohm!r}"]
-    for freq_hz, matrix in doc.points:
-        rows = matrix.T.reshape(1, 4) if doc.n_ports == 2 else matrix
-        prefix = f"{freq_hz!r} "
-        for row in np.ascontiguousarray(rows).view(float).tolist():
-            for j in range(0, len(row), 8):
-                lines.append(prefix + " ".join(map(repr, row[j : j + 8])))
-                prefix = ""
-    return "\n".join(lines) + "\n"
-
-
 def line_parse_pattern_table(text):
     """A pattern table read row by row, one ``int()``/``float()`` per cell: the oracle of ``parse_pattern_table``.
 

@@ -218,6 +218,7 @@ class TestInputFiles:
         assert main(["synthesize", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "3 ports for 2 scenario elements" in err and "Traceback" not in err
+        assert not (tmp_path / CACHE_DIR).exists()
 
     @pytest.mark.parametrize("z0", ["inf", "1e400"])
     @pytest.mark.parametrize("command", ["synthesize", "optimize", "sweep"])
@@ -578,7 +579,7 @@ class TestTouchstoneCache:
             errors.append(capsys.readouterr().err)
         available = "available: 3.5 GHz, 3.55 GHz"
         assert errors[0] == errors[1] == f"error: no point within 1e+06 Hz of {freq[:-4]} GHz; {available}\n"
-        assert len(parses) == 2 and (board / CACHE_DIR / "board.s14p.npz").is_file()
+        assert len(parses) == 2 and not (board / CACHE_DIR / "board.s14p.npz").exists()  # a failed run stores nothing
 
     def test_invalid_export_fails_alike_twice_and_is_not_cached(self, board, tmp_path, capsys):
         export = board / "board.s14p"

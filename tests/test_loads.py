@@ -288,11 +288,17 @@ class TestOptimize:
             optimize(full, BOUNDS)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("c_min_f", [5e-324, 1e-320])
-    def test_c_min_whose_reactance_overflows_is_refused_by_name(self, c_min_f):
+    @pytest.mark.parametrize("c_min_f", [5e-324, 1e-320, 1e-310, 1e-300, 1e-200])
+    def test_c_min_whose_squared_reactance_overflows_is_refused_by_name(self, c_min_f):
         bounds = LoadBounds(c_min_f, 2.1e-12)
-        with pytest.raises(InputError, match=f"^c_min_f = {c_min_f} F: its reactance at 3550000000.0 Hz overflows"):
+        message = f"^c_min_f = {c_min_f} F: the square of its reactance at 3550000000.0 Hz overflows"
+        with pytest.raises(InputError, match=message):
             optimize(link_n1(), bounds)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_c_min_whose_squared_reactance_is_finite_runs_clean(self):
+        result = optimize(link_n1(), LoadBounds(1e-160, 2.1e-12))
+        assert math.isfinite(result.objective)
 
 
 class TestCoordinateAscent:

@@ -18,7 +18,6 @@ from conftest import (
     line_parse_pattern_table,
     line_parse_touchstone,
     random_full_link,
-    row_dumps_touchstone,
     random_passive,
     scalar_coupling,
 )
@@ -172,28 +171,6 @@ def test_dumps_equals_value_by_value_writer(n, fortran, data):
         points.append((f, np.asfortranarray(matrix) if fortran else matrix))
     doc = TouchstoneDocument(n, TouchstoneOptions("hz", "s", "ri", data.draw(st.floats(1e-3, 1e6))), tuple(points))
     assert dumps_touchstone(doc) == line_dumps_touchstone(doc)
-
-
-_POOL_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300, -1e300)
-
-
-@PROPERTY
-@given(st.sampled_from([1, 2, 3, 5, 9]), st.booleans(), st.data())
-def test_dumps_equals_former_row_writer(n, symmetric, data):
-    """Byte equality with the writer that called ``repr`` on every value, for matrices full of repeated values.
-
-    Values come from a small pool (signed zeros, subnormals, +-1e300 and finite draws), and a symmetric S
-    repeats each off-diagonal value; the 2-port rows keep their column-major order.
-    """
-    pool = data.draw(st.lists(st.one_of(st.sampled_from(_POOL_VALUES), finite), min_size=1, max_size=6))
-    value = st.sampled_from(pool)
-    points = []
-    for f in sorted(data.draw(st.sets(st.floats(1.0, 1e12), min_size=1, max_size=3))):
-        matrix = np.array(data.draw(st.lists(value, min_size=2 * n * n, max_size=2 * n * n))).view(complex)
-        matrix = matrix.reshape(n, n)
-        points.append((f, np.where(np.triu(np.ones((n, n), bool)), matrix, matrix.T) if symmetric else matrix))
-    doc = TouchstoneDocument(n, TouchstoneOptions("hz", "s", "ri", data.draw(st.floats(1e-3, 1e6))), tuple(points))
-    assert dumps_touchstone(doc) == row_dumps_touchstone(doc)
 
 
 _FORMATS = (repr, "{:.6e}".format, "{:g}".format, "{:+.3f}".format)
