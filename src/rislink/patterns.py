@@ -12,7 +12,9 @@ File layout, bit-exact::
 Blank lines and lines starting with '#' are ignored. Gain rows may appear
 in any order; each element needs a single s_mm row and azimuth coverage of
 at least [-90, +90] degrees. Gains are converted dBi -> linear and azimuths
-degrees -> radians on parse. A parsed table can be cached beside it through
+degrees -> radians on parse. The parser reads the lines once, checks the
+rows as arrays, and names the line of the first defective row in the file.
+A parsed table can be cached beside it through
 ``cache`` (``load_cached_patterns``/``store_cached_patterns``): its rows'
 element numbers, azimuths and linear gains, and each element's s_mm, keyed
 by the SHA-256 of the file's bytes and of this module's code.
@@ -21,11 +23,7 @@ by the SHA-256 of the file's bytes and of this module's code.
 from __future__ import annotations
 
 import math
-import re
-from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -41,50 +39,91 @@ _REQUIRED_COVERAGE_DEG = 90.0
 _COVERAGE_SLACK_DEG = 1e-9
 #: Largest |s_mm| accepted, as in :class:`ElementPattern`.
 _MAX_SMM = 1.0 + 1e-9
-#: Every byte but ',' and '\n', which the row check deletes.
-_NOT_COMMA_OR_EOL = bytes(sorted(set(range(256)) - set(b",\n")))
-
-
-def _header(line: str) -> tuple[str, ...]:
-    return tuple(cell.strip().lower() for cell in line.split(","))
 
 
 def parse_pattern_table(text: str | bytes) -> list[ElementPattern]:
     """Parse a pattern CSV into per-element patterns, sorted by element number.
 
-    Each column of a section is converted in one call and checked as an
-    array, and every element's azimuths are checked at once. A defective
-    row sends the table through a row-by-row re-scan that raises the error
-    of the first one, with its line. NaN or infinite azimuths, NaN gains and
-    |s_mm| > 1 are defects too.
+    One pass over the lines checks the headers and the cell count of each
+    row in file order and keeps each data row's line number. Each column is
+    then converted in one call (``int()`` or ``float()`` per cell) and each
+    row checked as an array: a bad number, an element number outside int64,
+    a NaN or infinite azimuth, a NaN or +inf gain or one that overflows in
+    linear, a repeated s_mm row and |s_mm| > 1. The error names the line of
+    the first defective row, which wins over a structural defect on a later
+    line. Every element's azimuths are then checked at once.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    lines = list(map(str.strip, text.splitlines()))
-    numbers: Sequence[int] = range(1, len(lines) + 1)
-    if "" in lines or "#" in text:
-        numbers = [no for no, line in zip(numbers, lines) if line[:1] not in ("", "#")]
-        lines = [line for line in lines if line[:1] not in ("", "#")]
-    heads = [h.start() for h in re.finditer("[mM]", "".join(map(itemgetter(0), lines)))]
-    split = heads[1] if len(heads) > 1 else len(lines)
+    rows, numbers, section, defect = [], [], None, None
+    for line_no, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        if not line or line[0] == "#":
+            continue
+        if line[0] in "mM":  # a header, or a row whose element number is not a number
+            header = tuple(cell.strip().lower() for cell in line.split(","))
+            if header == GAIN_HEADER and section is not None:
+                defect = line_no, "unexpected repeated gain header"
+                break
+            if header == SMM_HEADER and section != "gain":
+                defect = line_no, "s_mm section before the gain section"
+                break
+            if header in _HEADERS:
+                section, split = ("gain" if header == GAIN_HEADER else "smm"), len(rows)
+                continue
+        if section is None:
+            defect = line_no, f"expected header '{','.join(GAIN_HEADER)}' first"
+            break
+        if line.count(",") != 2:
+            defect = line_no, "expected 3 comma-separated values"
+            break
+        rows.append(line)
+        numbers.append(line_no)
+    if section != "smm":
+        split = len(rows)
+
+    def columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Element numbers and the two values of ``rows``, one ``int()``/``float()`` per cell, a column per call."""
+        cells = ",".join(rows).split(",") if rows else []
+        return np.array(cells[0::3], np.int64), np.array(cells[1::3], float), np.array(cells[2::3], float)
+
     try:
-        headers = [_header(lines[h]) for h in heads]
-        if lines and heads[:1] != [0] or headers != _HEADERS[: len(heads)]:
-            raise ValueError("misplaced header")
-        gain_m, az_deg, gain_db = _columns(lines[1:split])
-        smm_m, smm_re, smm_im = _columns(lines[split + 1 :])
-        smm = dict(zip(smm_m.tolist(), map(complex, smm_re.tolist(), smm_im.tolist())))
-        if (
-            len(smm) < smm_m.size
-            or not all(abs(s_mm) <= _MAX_SMM for s_mm in smm.values())
-            or np.any(~np.isfinite(az_deg) | ~(gain_db < math.inf))
-        ):
-            raise ValueError("a row's values are out of range")
-        # Python's pow per sample: numpy's power rounds some samples differently.
-        gain_lin = np.fromiter(map(pow, repeat(10.0), (gain_db / 10.0).tolist()), float, gain_db.size)
-    except (ValueError, OverflowError):
-        _rescan(lines, numbers)
-        raise
+        m, a, b = columns(rows)
+    except (ValueError, OverflowError):  # a bad cell: its row is the defect, and the rows before it are checked
+        for r, cells in enumerate(row.split(",") for row in rows):
+            try:
+                k = int(cells[0])
+                float(cells[1]), float(cells[2])
+            except ValueError:
+                defect = numbers[r], "invalid numeric value"
+                break
+            if not -(2**63) <= k < 2**63:
+                defect = numbers[r], f"element number {k} is out of range"
+                break
+        rows, split = rows[:r], min(split, r)
+        m, a, b = columns(rows)
+    gain_m, az_deg, gain_db, smm_m = m[:split], a[:split], b[:split], m[split:]
+    # Python's pow per sample: numpy's power rounds some samples differently.
+    gain_lin = np.fromiter(map(_linear, (gain_db / 10.0).tolist()), float, split)
+    with np.errstate(over="ignore"):
+        magnitude = np.hypot(a, b)  # |s_mm| on the s_mm rows, as abs(complex) computes it
+    repeated = np.ones(smm_m.size, bool)
+    repeated[np.unique(smm_m, return_index=True)[1]] = False
+    failed = np.zeros((5, m.size), bool)  # each row's checks, in order
+    failed[:3, :split] = ~np.isfinite(az_deg), ~(gain_db < math.inf), gain_lin == math.inf
+    failed[3:, split:] = repeated, ~(magnitude[split:] <= _MAX_SMM)
+    if failed.any():
+        r = int(np.argmax(failed.any(axis=0)))
+        k, x, y = m[r].item(), a[r].item(), b[r].item()
+        defect = numbers[r], [
+            f"azimuth {x} deg is not finite",
+            f"gain {'+inf dBi is not physical' if y > 0 else 'is not a number'}",
+            f"gain {y:g} dBi overflows a float",
+            f"duplicate s_mm row for element {k}",
+            f"|s_mm| = {magnitude[r]:.6f} exceeds 1",
+        ][int(np.argmax(failed[:, r]))]
+    if defect:
+        raise PatternError("line {}: {}".format(*defect))
+    smm = dict(zip(smm_m.tolist(), map(complex, a[split:].tolist(), b[split:].tolist())))
 
     if not gain_m.size:
         raise PatternError("pattern table contains no gain rows")
@@ -169,52 +208,9 @@ def store_cached_patterns(path: str | Path, digest: str, patterns: list[ElementP
     )
 
 
-def _columns(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Element numbers and the two float columns of data rows, parsed as ``int()`` and ``float()`` do."""
-    section = "\n".join(lines)
-    # Two commas on every row: the section's commas and line breaks alone read ",,\n,,\n...,,".
-    if section.encode().translate(None, _NOT_COMMA_OR_EOL) != b"\n".join(repeat(b",,", len(lines))):
-        raise ValueError("expected 3 comma-separated values")
-    cells = section.replace("\n", ",").split(",") if lines else []
-    return np.array(cells[0::3], dtype=np.int64), *(np.array(cells[k::3], dtype=float) for k in (1, 2))
-
-
-def _rescan(lines: list[str], numbers: Sequence[int]) -> None:
-    """Raise the error of the first defective row, with its line: the error path only."""
-    section: str | None = None
-    smm: set[int] = set()
-    for line_no, line in zip(numbers, lines):
-        header = _header(line)
-        if header == GAIN_HEADER and section is not None:
-            raise PatternError(f"line {line_no}: unexpected repeated gain header")
-        if header == SMM_HEADER and section != "gain":
-            raise PatternError(f"line {line_no}: s_mm section before the gain section")
-        if header in _HEADERS:
-            section = "gain" if header == GAIN_HEADER else "smm"
-            continue
-        if section is None:
-            raise PatternError(f"line {line_no}: expected header '{','.join(GAIN_HEADER)}' first")
-        if len(header) != 3:
-            raise PatternError(f"line {line_no}: expected 3 comma-separated values")
-        try:
-            m, a, b = int(header[0]), float(header[1]), float(header[2])
-        except ValueError:
-            raise PatternError(f"line {line_no}: invalid numeric value") from None
-        if not -(2**63) <= m < 2**63:
-            raise PatternError(f"line {line_no}: element number {m} is out of range")
-        if section == "gain" and not math.isfinite(a):
-            raise PatternError(f"line {line_no}: azimuth {a} deg is not finite")
-        if section == "gain" and not b < math.inf:
-            what = "+inf dBi is not physical" if b > 0 else "is not a number"
-            raise PatternError(f"line {line_no}: gain {what}")
-        if section == "gain":
-            try:
-                pow(10.0, b / 10.0)
-            except OverflowError:
-                raise PatternError(f"line {line_no}: gain {b:g} dBi overflows a float") from None
-        if section == "smm" and m in smm:
-            raise PatternError(f"line {line_no}: duplicate s_mm row for element {m}")
-        if section == "smm" and not abs(complex(a, b)) <= _MAX_SMM:
-            raise PatternError(f"line {line_no}: |s_mm| = {abs(complex(a, b)):.6f} exceeds 1")
-        if section == "smm":
-            smm.add(m)
+def _linear(tenth_db: float) -> float:
+    """``10 ** tenth_db`` as Python's pow rounds it, or inf where that overflows."""
+    try:
+        return pow(10.0, tenth_db)
+    except OverflowError:
+        return math.inf

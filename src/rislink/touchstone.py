@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,10 +39,8 @@ _EXTENSION_RE = re.compile(r"\.s([0-9]+)p$", re.IGNORECASE)
 
 #: Complex values written per line before wrapping (v1 readability limit).
 _VALUES_PER_LINE = 4
-#: The line boundaries of ``str.splitlines``.
-_EOL_RE = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
-#: Characters of data per block of the exact conversion (about 2,000 lines), which bounds its peak memory.
-_BLOCK_CHARS = 1 << 18
+#: Data tokens the reader converts at a time, which bounds the memory their strings take (about 4 MB).
+_CHUNK_TOKENS = 1 << 16
 
 
 class TouchstoneOptions(NamedTuple):
@@ -120,52 +119,55 @@ def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> Touchston
 
     ``n_ports`` may be omitted for 1- and 2-port files, whose single-line
     points make the count unambiguous; larger files need the explicit count
-    (``read_touchstone`` derives it from the file extension). The data after
-    the option line is converted in blocks of lines, one ``float()`` per
-    token. Only a defect sends the text through a line-by-line re-scan,
-    which names its line. NaN and infinities are rejected, and so are values that
-    overflow when converted to hertz or to a linear magnitude.
+    (``read_touchstone`` derives it from the file extension). One pass over
+    the lines checks the grammar in file order and keeps the running count
+    of data tokens at the end of each line, from which a defect's line is
+    found. The tokens are converted with one ``float()`` each, in arrays of
+    ``_CHUNK_TOKENS``, and a bad token is reported before a structural
+    defect on a later line. NaN and infinities are rejected, and so are
+    values that overflow when converted to hertz or to a linear magnitude.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TouchstoneError(f"file is not valid UTF-8 text: {exc}") from None
+    options, defect, tokens, ends, blocks, done = None, None, [], [], [], 0
 
-    pieces, pos = [], 0
-    while (bang := text.find("!", pos)) >= 0:  # a comment runs from '!' to the end of its line
-        pieces.append(text[pos:bang])
-        eol = _EOL_RE.search(text, bang)
-        pos = eol.start() if eol else len(text)
-    pieces.append(text[pos:])
-    body = "".join(filter(None, pieces))  # one piece is joined without a copy
-    start = body.find("#")
-    if start < 0 or body[:start].strip():
-        _rescan(body)
+    def line_of(k: int) -> int:
+        return bisect_right(ends, k) + 1
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        row = (raw.partition("!")[0] if "!" in raw else raw).split()  # a comment runs from '!' to the end of its line
+        if row and (options is None or row[0][0] in "#["):
+            if row[0][0] != "#" or options is not None:
+                defect = TouchstoneError(
+                    "Touchstone v2 keywords are not supported; export as Touchstone v1" if row[0][0] == "["
+                    else "multiple option lines" if options else "data before the option line",
+                    line_no,
+                )
+                break
+            options, row = _parse_option_line(" ".join(row)[1:].split(), line_no), []
+        tokens += row
+        ends.append(done + len(tokens))  # the tokens up to the end of each line: token k is on line line_of(k)
+        if len(tokens) >= _CHUNK_TOKENS:
+            blocks.append(_floats(tokens, done, line_of))
+            done, tokens = ends[-1], []
+    blocks.append(_floats(tokens, done, line_of))  # a bad token before a structural defect is reported first
+    if defect:
+        raise defect
+    if options is None:
         raise TouchstoneError("missing option line ('#')")
-    eol = _EOL_RE.search(body, start)
-    data = end = eol.start() if eol else len(body)
-    options = _parse_option_line(body[start + 1 : data].split(), len(body[: start + 1].splitlines()))
-    blocks = [np.empty(0)]
-    try:  # a '#' or '[' among the data fails the float conversion too
-        while end < len(body):
-            start, end = end, body.find("\n", end + _BLOCK_CHARS)
-            end = len(body) if end < 0 else end
-            blocks.append(np.array(body[start:end].split(), dtype=float))
-    except ValueError:
-        _rescan(body)
-        raise
     values = np.concatenate(blocks)
+    if not values.size:
+        raise TouchstoneError("file contains no data")
     finite = np.isfinite(values)
     if not finite.all():
         k = int(np.argmin(finite))
-        raise TouchstoneError(f"non-finite value {float(values[k])!r}", _rescan(body, k))
-    if not values.size:
-        raise TouchstoneError("file contains no data")
+        raise TouchstoneError(f"non-finite value {float(values[k])!r}", line_of(k))
 
     if n_ports is None:
-        first_line = next(line.split() for line in body[data:].splitlines() if line.strip())
-        n_ports = {3: 1, 9: 2}.get(len(first_line))
+        n_ports = {3: 1, 9: 2}.get(ends[line_of(0) - 1])  # the token count of the first data line
         if n_ports is None:
             raise TouchstoneError(
                 "cannot infer port count from line shape; pass n_ports explicitly "
@@ -177,7 +179,7 @@ def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> Touchston
         raise TouchstoneError(
             f"wrong value count for {n_ports}-port data: {values.size} values is not "
             f"a multiple of {per_point}",
-            _rescan(body, min(boundary, values.size - 1)),
+            line_of(min(boundary, values.size - 1)),
         )
     table = values.reshape(-1, per_point)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -187,47 +189,27 @@ def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> Touchston
     if not (np.isfinite(freqs).all() and np.isfinite(flat).all()):
         finite = np.column_stack((np.isfinite(freqs), np.isfinite(flat).reshape(len(table), -1).repeat(2, axis=1)))
         k = int(np.argmin(finite))
-        raise TouchstoneError(f"value {float(values[k])!r} overflows in conversion", _rescan(body, k))
+        raise TouchstoneError(f"value {float(values[k])!r} overflows in conversion", line_of(k))
     falling = np.flatnonzero(freqs[1:] <= freqs[:-1])
     if falling.size:
-        line = _rescan(body, per_point * (1 + falling[0]))
-        raise TouchstoneError("frequencies must be strictly increasing", line)
+        raise TouchstoneError("frequencies must be strictly increasing", line_of(per_point * (1 + falling[0])))
     matrices = flat.reshape(len(table), n_ports, n_ports)
     if n_ports == 2:  # v1 two-port order is S11 S21 S12 S22 (column-major quirk).
         matrices = matrices.transpose(0, 2, 1)
     return TouchstoneDocument(n_ports, options, tuple(zip(freqs, matrices)))
 
 
-def _rescan(body: str, index: int = -1) -> int:
-    """Raise the first grammar error with its line, else return the line of data value ``index``.
-
-    The error path only: the bulk conversion found a defect, and this line-by-line re-scan names its line.
-    """
-    options_seen, seen = False, 0
-    for line_no, raw in enumerate(body.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            raise TouchstoneError(
-                "Touchstone v2 keywords are not supported; export as Touchstone v1", line_no
-            )
-        if line.startswith("#"):
-            if options_seen:
-                raise TouchstoneError("multiple option lines", line_no)
-            options_seen = True
-            continue
-        if not options_seen:
-            raise TouchstoneError("data before the option line", line_no)
-        for token in line.split():
+def _floats(tokens: list[str], first: int, line_of: Callable[[int], int]) -> np.ndarray:
+    """Data tokens ``first`` on as floats, one ``float()`` each; the first bad one raises with its line."""
+    try:
+        return np.array(tokens, dtype=float)
+    except ValueError:
+        for k, token in enumerate(tokens, start=first):
             try:
                 float(token)
             except ValueError:
-                raise TouchstoneError(f"invalid numeric token {token!r}", line_no) from None
-            seen += 1
-            if seen > index >= 0:
-                return line_no
-    return 0
+                raise TouchstoneError(f"invalid numeric token {token!r}", line_of(k)) from None
+        raise
 
 
 def ports_from_filename(path: str | Path) -> int:

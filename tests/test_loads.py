@@ -288,7 +288,7 @@ class TestOptimize:
             optimize(full, BOUNDS)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("c_min_f", [5e-324, 1e-320, 1e-310, 1e-300, 1e-200])
+    @pytest.mark.parametrize("c_min_f", [5e-324, 1e-320, 1e-310, 1e-300, 1e-200, 4e-165, 3.5e-165])
     def test_c_min_whose_squared_reactance_overflows_is_refused_by_name(self, c_min_f):
         bounds = LoadBounds(c_min_f, 2.1e-12)
         message = f"^c_min_f = {c_min_f} F: the square of its reactance at 3550000000.0 Hz overflows"

@@ -87,6 +87,14 @@ class TestParse:
                         parsed[0] = 1.0
 
 
+def big_table(last_gain_row):
+    """20 elements at 1-degree steps whose last of 3,620 gain rows is ``last_gain_row``: (text, that row's line)."""
+    rows = [f"{m},{az},{0.1 * az}" for m in range(1, 21) for az in range(-90, 91)]
+    rows[-1] = last_gain_row
+    lines = ["m,azimuth_deg,gain_dbi", *rows, "m,smm_re,smm_im", *(f"{m},0.1,0" for m in range(1, 21))]
+    return "\n".join(lines) + "\n", len(rows) + 1
+
+
 class TestParseErrors:
     def test_coverage_gap(self):
         text = "m,azimuth_deg,gain_dbi\n1,-45,0\n1,90,0\nm,smm_re,smm_im\n1,0,0\n"
@@ -157,12 +165,15 @@ class TestParseErrors:
     def test_non_finite_gain_row_names_its_line(self, row, message):
         with pytest.raises(PatternError, match=f"^{message}$"):
             parse_pattern_table(BASIC.replace("1,0,5", row))
+        text, line = big_table(row)
+        with pytest.raises(PatternError, match=f"^line {line}: {message.split(': ', 1)[1]}$"):
+            parse_pattern_table(text)
 
     def test_largest_gain_short_of_overflow_accepted(self):
         (pattern,) = parse_pattern_table(BASIC.replace("1,0,5", "1,0,3082"))
         assert pattern.gain_lin.max() == pow(10.0, 308.2)
 
-    @pytest.mark.parametrize("smm", ["1.2,0", "0.8,0.8", "nan,0", "0,inf"])
+    @pytest.mark.parametrize("smm", ["1.2,0", "0.8,0.8", "nan,0", "0,inf", "1.7e308,1.7e308"])
     def test_smm_outside_unit_disk_names_its_line(self, smm):
         with pytest.raises(PatternError, match=r"^line 6: \|s_mm\| = .* exceeds 1$"):
             parse_pattern_table(BASIC.replace("1,0.1,-0.05", f"1,{smm}"))

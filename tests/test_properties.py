@@ -182,9 +182,9 @@ _MUTANTS = ("zz", "1.2.3", "#", "[x]", "1e5x", None,
 
 @st.composite
 def touchstone_layouts(draw, mutate=True):
-    """Random v1 text: comment lines, trailing comments, free wrapping, CRLF or LF, tabs; sometimes one bad token.
+    """Random v1 text: comment lines, trailing comments, free wrapping, CRLF or LF, tabs; sometimes one or two bad tokens.
 
-    Returns (text, n_ports argument).
+    A bad token at the start of a line can be a structural defect ('#' or '[x]'). Returns (text, n_ports argument).
     """
     n = draw(st.integers(1, 3))
     fmt = draw(st.sampled_from(["ri", "ma", "db"]))
@@ -196,7 +196,7 @@ def touchstone_layouts(draw, mutate=True):
         freq += draw(st.floats(-0.5, 10.0))
         tokens.append(repr(freq))
         tokens += [draw(st.sampled_from(_FORMATS))(draw(value)) for _ in range(2 * n * n)]
-    if mutate and draw(st.booleans()):
+    for _ in range(draw(st.integers(0, 2)) if mutate else 0):
         k = draw(st.integers(0, len(tokens) - 1))
         mutant = draw(st.sampled_from(_MUTANTS))
         tokens[k : k + 1] = [] if mutant is None else [mutant]
@@ -224,6 +224,7 @@ def _outcome(parse, text, n_ports):
 @settings(max_examples=400, deadline=None)
 @given(touchstone_layouts())
 def test_bulk_parser_equals_line_parser(layout):
+    """Same document or same error; with two defects, the first in file order wins, as in the line parser."""
     text, n_ports = layout
     assert _outcome(parse_touchstone, text, n_ports) == _outcome(line_parse_touchstone, text, n_ports)
 
@@ -246,7 +247,7 @@ _ROW_MUTANTS = ("1,zz,0", "1,0", "1,0,0,0", "1.0,0,0", "1,0,inf", "2,0,0", "1,,0
 
 @st.composite
 def pattern_tables(draw):
-    """Random tables: shuffled rows, comment and blank lines, header spelling, CRLF; sometimes one bad row."""
+    """Random tables: shuffled rows, comment and blank lines, header spelling, CRLF; sometimes one or two bad rows."""
     n = draw(st.integers(1, 4))
     fmt = draw(st.sampled_from(_FORMATS))
     gain = st.one_of(st.floats(-60.0, 30.0), st.just(-math.inf))
@@ -261,7 +262,7 @@ def pattern_tables(draw):
              draw(st.sampled_from(["m,smm_re,smm_im", "m , SMM_re,smm_IM "])), *draw(st.permutations(smm))]
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# note", "  ", "#m,smm_re,smm_im"])))
-    if draw(st.booleans()):
+    for _ in range(draw(st.integers(0, 2))):
         k = draw(st.integers(0, len(lines) - 1))
         lines[k] = draw(st.sampled_from(_ROW_MUTANTS))
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
@@ -278,6 +279,7 @@ def _patterns_outcome(parse, text):
 @settings(max_examples=300, deadline=None)
 @given(pattern_tables())
 def test_bulk_pattern_parser_equals_row_parser(text):
+    """Same patterns or same error; with two bad rows, the first in file order wins, as in the row parser."""
     outcome = _patterns_outcome(parse_pattern_table, text)
     try:
         expected = _patterns_outcome(line_parse_pattern_table, text)

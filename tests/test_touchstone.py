@@ -104,6 +104,19 @@ class TestParseBasics:
         np.testing.assert_allclose(doc.points[0][1].real, np.arange(1, 10).reshape(3, 3))
 
 
+def big_export(last_token):
+    """A 2-port export with over 256 KB of data whose last data line ends in ``last_token``: (text, that line's number).
+
+    Its 72,000 tokens span more than one array of the reader's conversion.
+    """
+    rng = np.random.default_rng(7)
+    lines = ["! 8,000 points", "# GHz S RI R 50"]
+    lines += [" ".join(map(repr, [1.0 + k, *rng.uniform(-0.5, 0.5, 8).tolist()])) for k in range(8000)]
+    lines[-1] = f"{lines[-1].rsplit(' ', 1)[0]} {last_token}"
+    assert sum(map(len, lines[2:])) > 256 * 1024
+    return "\n".join(lines) + "\n", len(lines)
+
+
 class TestParseErrors:
     def test_rejects_v2(self):
         with pytest.raises(TouchstoneError, match="v2"):
@@ -139,14 +152,16 @@ class TestParseErrors:
             parse_touchstone("# GHz S RI R 50\n2.0 0.5 0.0\n1.0 0.5 0.0\n")
 
     def test_rejects_bad_token(self):
-        with pytest.raises(TouchstoneError, match="invalid numeric token"):
-            parse_touchstone("# GHz S RI R 50\n1.0 0.5 zz\n")
+        for text, line in [("# GHz S RI R 50\n1.0 0.5 zz\n", 2), big_export("zz")]:
+            with pytest.raises(TouchstoneError, match=f"^line {line}: invalid numeric token 'zz'$"):
+                parse_touchstone(text)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
     def test_rejects_non_finite_value_with_line_number(self, token):
         text = f"! c\n# GHz S RI R 50\n1.0 0.5 0.0\n2.0 0.5\n{token}\n"
-        with pytest.raises(TouchstoneError, match="^line 5: non-finite value"):
-            parse_touchstone(text)
+        for text, line in [(text, 5), big_export(token)]:
+            with pytest.raises(TouchstoneError, match=f"^line {line}: non-finite value"):
+                parse_touchstone(text)
 
     def test_rejects_non_finite_frequency_with_line_number(self):
         with pytest.raises(TouchstoneError, match="^line 3: non-finite value nan"):
