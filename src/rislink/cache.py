@@ -43,14 +43,18 @@ def load(path: str | Path, digest: str, parser: str, convert: Callable[..., Any]
         return None
 
 
-def store(path: str | Path, digest: str, parser: str, **arrays: np.ndarray) -> None:
-    """Write ``arrays`` as the entry of ``path`` under ``key(digest, parser)``."""
+def store(path: str | Path, digest: str, parser: str, **arrays: np.ndarray | Callable[[], np.ndarray]) -> None:
+    """Write ``arrays`` as the entry of ``path`` under ``key(digest, parser)``.
+
+    A callable value is called for its array once the entry's file is open, so an unwritable directory skips it.
+    """
     target = entry_path(path)
     temporary = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
         target.parent.mkdir(exist_ok=True)
         with open(temporary, "wb") as file:
-            np.savez(file, key=np.array(key(digest, parser)), **arrays)
+            values = {name: a() if callable(a) else a for name, a in arrays.items()}
+            np.savez(file, key=np.array(key(digest, parser)), **values)
         os.replace(temporary, target)
     except OSError:
         with contextlib.suppress(OSError):

@@ -35,8 +35,8 @@ from .scenario import (
     ScenarioConfig,
     read_scenario,
 )
-from .touchstone import (document_from_matrix, load_cached, matrix_at_frequency, read_touchstone, store_cached,
-                         write_touchstone)
+from .touchstone import (document_from_matrix, load_cached, load_cached_text, matrix_at_frequency, read_touchstone,
+                         store_cached, write_touchstone)
 
 CAPS_HEADER = "m,c_pf,gamma_re,gamma_im"
 
@@ -59,7 +59,8 @@ def _build_ris(cfg: ScenarioConfig, digests: dict[str, str] | None = None) -> Sc
     """The RIS matrix, from the model or from ``ris.file``: read once; its one cached point, else the file parsed.
 
     The file's SHA-256 goes into ``digests["ris"]`` for the manifest. A parse is cached only once its point is
-    selected, so a run that fails on the port count or the frequency writes no entry.
+    selected, so a run that fails on the port count or the frequency writes no entry; the entry also holds that
+    point's text, which only ``cmd_synthesize`` reads back (``load_cached_text``).
     """
     scn = cfg.scenario
     if isinstance(cfg.ris, RisFile):
@@ -75,7 +76,7 @@ def _build_ris(cfg: ScenarioConfig, digests: dict[str, str] | None = None) -> Sc
                 raise InputError(f"{path}: {doc.n_ports} ports for {len(scn.elements)} scenario elements")
             ris = matrix_at_frequency(doc, scn.freq_hz, tol_hz, element_numbers=scn.element_numbers)
             if path.read_bytes() == data:  # the parse read the hashed bytes: no writer replaced the file between
-                store_cached(path, digest, doc)
+                store_cached(path, digest, doc, doc.frequencies_hz.index(ris.freq_hz))
         return ris
     return synth_ris_matrix(scn.elements, scn.freq_hz, cfg.ris.model)
 
@@ -154,7 +155,11 @@ def cmd_synthesize(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / f"full.s{full.n_ports}p"
-    write_touchstone(document_from_matrix(full), out_path)
+    spelled = None
+    if isinstance(cfg.ris, RisFile):  # the RIS block is the export's point, whose text is cached with its parse
+        text = load_cached_text(cfg.ris.path, digests["ris"], cfg.scenario.freq_hz, cfg.ris.freq_tol_hz)
+        spelled = None if text is None else (ris.entries, text)
+    write_touchstone(document_from_matrix(full), out_path, spelled)
     _write_manifest(cfg, args, [out_path.name], digests)
     print(f"wrote {out_path} ({full.n_ports} ports at {full.freq_hz / 1e9:.9g} GHz)")
     return 0

@@ -251,7 +251,8 @@ def _real_roots(a: float, b: float, c: float) -> tuple[float, ...]:
 
 
 def _coordinate_max(
-    terms: tuple[complex, complex, complex], full: ScatterMatrix, bounds: LoadBounds, model: VaractorModel
+    terms: tuple[complex, complex, complex], bounds: LoadBounds, model: VaractorModel,
+    w: float, rs: float, z0: float, x_lo: float, x_hi: float,
 ) -> tuple[float, float]:
     """Capacitance of one element, in farads, that maximizes the transfer with every other load held, and that transfer.
 
@@ -259,12 +260,13 @@ def _coordinate_max(
     load g (``_terms``), and with z = R_s + jX the load's
     g = (z - z0)/(z + z0), so S = (p0 + p1*X)/(q0 + q1*X) and
     |S|^2 = N(X)/D(X) is a ratio of real quadratics in the reactance X. Its
-    maximum over [X(c_min), X(c_max)] lies at an endpoint or at a real root of
-    the derivative's numerator, a quadratic, mapped back by ``model.capacitance``.
+    maximum over [X(c_min), X(c_max)] = [``x_lo``, ``x_hi``] lies at an endpoint
+    or at a real root of the derivative's numerator, a quadratic, mapped back
+    by ``model.capacitance``. ``w`` is the angular frequency, ``rs`` the
+    varactor's series resistance and ``z0`` the reference impedance; ``optimize``
+    passes them and the reactances, computed once, to every step.
     """
     a, b, c = terms
-    w = 2.0 * math.pi * full.freq_hz
-    rs, z0 = model.series_resistance_ohm, full.z0_ohm
     p0, p1 = a * (rs + z0) + (b - a * c) * (rs - z0), 1j * (a + b - a * c)
     q0, q1 = (rs + z0) - c * (rs - z0), 1j * (1.0 - c)
     n0, n1, n2 = abs(p0) ** 2, 2.0 * (p0 * p1.conjugate()).real, abs(p1) ** 2
@@ -274,7 +276,6 @@ def _coordinate_max(
         x = model.reactance(c_f, w)
         return (n0 + x * (n1 + x * n2)) / (d0 + x * (d1 + x * d2))
 
-    x_lo, x_hi = model.reactance(bounds.c_min_f, w), model.reactance(bounds.c_max_f, w)
     roots = _real_roots(n2 * d1 - n1 * d2, 2.0 * (n2 * d0 - n0 * d2), n1 * d0 - n0 * d1)
     inside = [bounds.clip(model.capacitance(x, w)) for x in roots if x_lo < x < x_hi]
     best = max((bounds.c_min_f, bounds.c_max_f, *inside), key=power)
@@ -296,7 +297,7 @@ def _terms(
     u = q[:, -1] - v * (gam[k] * q[k, -1])
     held = rg.copy()
     held[k] = 0.0
-    return kernel.s_ee[1, 0] + held @ u, (kernel.s_ei[1, k] + held @ v) * u[k], v[k]
+    return complex(kernel.s_ee[1, 0] + held @ u), complex((kernel.s_ei[1, k] + held @ v) * u[k]), complex(v[k])
 
 
 def optimize(
@@ -359,6 +360,8 @@ def optimize(
             f"c_min_f = {bounds.c_min_f} F: the square of its reactance at {f} Hz overflows a float "
             f"once scaled by the link's coefficients"
         )
+    # What every step of _coordinate_max needs: w, R_s, z0 and the reactances at the bounds.
+    step = (w, model.series_resistance_ohm, z0, model.reactance(bounds.c_min_f, w), model.reactance(bounds.c_max_f, w))
     if opts.initial is not None:
         first = np.array([bounds.clip(c) * 1e12 for c in opts.initial.caps_f])
         if first.size != n:
@@ -384,7 +387,7 @@ def optimize(
             for k in range(n):
                 if len(history) == opts.max_evals:
                     break
-                c_k, value = _coordinate_max(_terms(kernel, q, gam, rg, k), full, bounds, model)
+                c_k, value = _coordinate_max(_terms(kernel, q, gam, rg, k), bounds, model, *step)
                 g = model.gamma(c_k, f, z0)
                 if kernel.checks_conditioning:
                     kernel.system(np.where(np.arange(n) == k, g, gam))

@@ -54,7 +54,10 @@ def parse_pattern_table(text: str | bytes) -> list[ElementPattern]:
     line. Every element's azimuths are then checked at once.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise PatternError(f"file is not valid UTF-8 text: {exc}") from None
     rows, numbers, section, defect = [], [], None, None
     for line_no, line in enumerate(map(str.strip, text.splitlines()), start=1):
         if not line or line[0] == "#":

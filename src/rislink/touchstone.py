@@ -16,6 +16,9 @@ A parsed export can be cached beside it through ``cache``
 (``load_cached``/``store_cached``): its options, its frequencies and one
 member per frequency point, keyed by the SHA-256 of the file's bytes and of
 this module's code. A hit reads the frequencies and the one point it serves.
+The entry also holds the writer's ``repr`` tokens of the point the parsing
+run selected (``load_cached_text``), which the writer splices into a link
+matrix whose RIS block is that point instead of formatting it again.
 """
 
 from __future__ import annotations
@@ -261,43 +264,105 @@ def load_cached(
     return cache.load(path, digest, __file__, convert)
 
 
-def store_cached(path: str | Path, digest: str, doc: TouchstoneDocument) -> None:
+def store_cached(path: str | Path, digest: str, doc: TouchstoneDocument, selected: int | None = None) -> None:
     """Cache ``doc`` as the parse of the export ``path`` whose bytes have SHA-256 ``digest`` (best effort).
 
-    Each frequency point is a member of its own, so a hit reads one.
+    Each frequency point is a member of its own, so a hit reads one. Point ``selected``, if given, also gets
+    ``text<selected>``: the ``repr`` of its values, row-major, re/im interleaved and joined by single spaces, in ASCII.
     """
     o = doc.options
+    texts = {} if selected is None else {f"text{selected}": lambda: _text(doc.points[selected][1])}
     cache.store(
         path, digest, __file__,
         options=np.array(f"{o.freq_unit} {o.parameter} {o.value_format} r {o.z0_ohm!r}"),
         freqs_hz=np.array(doc.frequencies_hz, dtype=float),
         **{f"point{k}": matrix for k, (_, matrix) in enumerate(doc.points)},
+        **texts,
     )
 
 
-def dumps_touchstone(doc: TouchstoneDocument) -> str:
-    """Serialize to normalized v1 text (# HZ S RI R z0, exact decimals)."""
+def _text(matrix: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each value of ``matrix``, row-major, re/im interleaved and joined by single spaces, in ASCII."""
+    values = np.ascontiguousarray(matrix).view(float).ravel().tolist()
+    return np.frombuffer(" ".join(map(repr, values)).encode("ascii"), np.uint8)
+
+
+def load_cached_text(path: str | Path, digest: str, f_hz: float, tol_hz: float) -> str | None:
+    """The text ``store_cached`` kept of the point ``load_cached`` serves, or None.
+
+    The text is trusted under the entry's key, as the point is. None when the entry has no text for that point
+    (a missing member raises, which ``cache.load`` makes a miss), or when its text is not 2*N*N tokens of printable
+    ASCII joined by single spaces, for the N ports the file name says.
+    """
+    def convert(entry) -> str | None:
+        raw = entry[f"text{_nearest(entry['freqs_hz'].tolist(), f_hz, tol_hz)}"]
+        spaces = np.flatnonzero(raw == 32)
+        printable = np.count_nonzero((raw > 32) & (raw < 127))
+        if not (raw.dtype == np.uint8 and spaces.size == 2 * ports_from_filename(path) ** 2 - 1
+                and printable + spaces.size == raw.size and (np.diff(spaces, prepend=-1, append=raw.size) > 1).all()):
+            return None
+        return raw.tobytes().decode("ascii")
+
+    return cache.load(path, digest, __file__, convert)
+
+
+def _wrapped_rows(text: str, n: int, per_line: int) -> list[str]:
+    """The rows of 2n tokens of ``text``, each wrapped as the writer wraps it after the row's first two values.
+
+    The space before a row's first token becomes the split point, and the space before each token that starts a
+    line becomes a line break; no token is copied out on its own.
+    """
+    chars = np.frombuffer(text.encode("ascii"), np.uint8).copy()
+    spaces = np.flatnonzero(chars == 32)
+    k = np.arange(1, spaces.size + 1) % (2 * n)  # the index within its row of the token after each space
+    chars[spaces[k == 0]] = 0
+    chars[spaces[(k + 2) % per_line == 0]] = ord("\n")
+    return chars.tobytes().decode("ascii").split("\0")
+
+
+def dumps_touchstone(doc: TouchstoneDocument, spelled: tuple[np.ndarray, str] | None = None) -> str:
+    """Serialize to normalized v1 text (# HZ S RI R z0, exact decimals).
+
+    ``spelled`` is (matrix, text), with ``text`` the ``repr`` of ``matrix``'s values, row-major, re/im interleaved
+    and joined by single spaces, in ASCII (``load_cached_text``). A point whose inner block, ports 2 to P - 1, is
+    bitwise ``matrix`` takes that block from ``text``; every other value is formatted with ``repr``.
+    """
     lines = [f"# HZ S RI R {doc.options.z0_ohm!r}"]
-    per_line = 2 * _VALUES_PER_LINE
+    per_line, n = 2 * _VALUES_PER_LINE, doc.n_ports - 2
+    inner = rows = None
+    if spelled is not None and n > 0 and spelled[1].count(" ") == 2 * n * n - 1:
+        inner = np.ascontiguousarray(spelled[0], dtype=complex).tobytes()
+    tail = "\n" if (2 * n + 2) % per_line == 0 else " "  # a wrap, or not, before a RIS row's Rx value
     for freq_hz, matrix in doc.points:
         # One row per matrix row; a 2-port point is one row in v1 order S11 S21 S12 S22 (column-major quirk).
-        rows = matrix.T.reshape(1, 4) if doc.n_ports == 2 else matrix
+        values = np.ascontiguousarray(matrix.T.reshape(1, 4) if doc.n_ports == 2 else matrix).view(float)
+        spliced = inner is not None and matrix[1:-1, 1:-1].tobytes() == inner
+        if spliced:  # each RIS row is its Tx value, its text and its Rx value
+            rows = rows or _wrapped_rows(spelled[1], n, per_line)
+            edges = values[1:-1, [0, 1, -2, -1]].tolist()
         prefix = f"{freq_hz!r} "
-        for row in np.ascontiguousarray(rows).view(float).tolist():
+        for i in range(len(values)):
+            if spliced and 0 < i <= n:
+                a, b, c, d = edges[i - 1]
+                lines.append(f"{a!r} {b!r} {rows[i - 1]}{tail}{c!r} {d!r}")
+                continue
+            row = values[i].tolist()
             for j in range(0, len(row), per_line):
                 lines.append(prefix + " ".join(map(repr, row[j : j + per_line])))
                 prefix = ""
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
-def write_touchstone(doc: TouchstoneDocument, path: str | Path) -> None:
+def write_touchstone(doc: TouchstoneDocument, path: str | Path, spelled: tuple[np.ndarray, str] | None = None) -> None:
+    """Write ``dumps_touchstone(doc, spelled)`` to ``path``, whose .sNp extension, if any, must match the port count."""
     path = Path(path)
     if _EXTENSION_RE.search(path.name) and ports_from_filename(path) != doc.n_ports:
         raise TouchstoneError(
             f"filename {path.name!r} implies {ports_from_filename(path)} ports "
             f"but document has {doc.n_ports}"
         )
-    path.write_text(dumps_touchstone(doc), encoding="utf-8")
+    path.write_text(dumps_touchstone(doc, spelled), encoding="utf-8")
 
 
 def document_from_matrix(matrix: ScatterMatrix) -> TouchstoneDocument:

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import rislink.cli
-from conftest import grid_transfer, same_patterns
+from conftest import grid_transfer, line_dumps_touchstone, same_patterns
 from rislink import (
     FarFieldValidityWarning,
     SweepGrid,
     TouchstoneDocument,
+    TouchstoneOptions,
     __version__,
     document_from_matrix,
     read_scenario,
@@ -27,7 +28,7 @@ from rislink.farfield import assemble_full_matrix
 from rislink import cache
 from rislink.cache import CACHE_DIR
 from rislink.patterns import load_cached_patterns, parse_pattern_table, store_cached_patterns
-from rislink.touchstone import load_cached, store_cached
+from rislink.touchstone import load_cached, load_cached_text, store_cached
 
 TOY = """\
 freq = 3.55 GHz
@@ -615,6 +616,100 @@ class TestTouchstoneCache:
         assert self.pipeline(board, tmp_path / "a") == self.pipeline(board, tmp_path / "b")
         made = [Path(CACHE_DIR)] if blocked == "rename_refused" else []  # the directory, empty
         assert sorted(p.relative_to(board) for p in board.rglob("*")) == sorted(before + made)
+
+
+class TestExportText:
+    """A miss caches the text of the point it selected; only a warm synthesize reads it, into the RIS block."""
+
+    @pytest.fixture
+    def export(self, tmp_path, rng):
+        """A non-reciprocal two-point ris.s14p (random complex S, largest singular value 0.95) beside its config."""
+        run = tmp_path / "export"
+        run.mkdir()
+        points = []
+        for f_hz in (3.5e9, 3.55e9):
+            s = rng.normal(size=(14, 14)) + 1j * rng.normal(size=(14, 14))
+            points.append((f_hz, s * (0.95 / np.linalg.svd(s, compute_uv=False)[0])))
+        assert not np.allclose(points[1][1], points[1][1].T)
+        write_touchstone(TouchstoneDocument(14, TouchstoneOptions("hz", "s", "ri", 50.0), tuple(points)), run / "ris.s14p")
+        lines = [ln for ln in (BOARD / "scenario.cfg").read_text().splitlines()
+                 if not ln.startswith(("ris.", "patterns."))]
+        (run / "scenario.cfg").write_text(
+            "\n".join(lines) + "\nris.file = ris.s14p\nris.freq_tol = 1 MHz\npatterns.gain_db = 5 dB\n"
+        )
+        return run / "ris.s14p"
+
+    def synthesize(self, export, out, *overrides):
+        assert main(["synthesize", str(export.parent / "scenario.cfg"), "--out", str(out), *overrides]) == 0
+        return (out / "full.s16p").read_bytes()
+
+    def text(self, export):
+        """The text the board's scenario reads back, or None."""
+        digest = hashlib.sha256(export.read_bytes()).hexdigest()
+        return load_cached_text(export, digest, 3.55e9, 1e6)
+
+    def rewrite_text(self, export, text):
+        """The entry with ``text1``, the selected point's text, replaced by ``text`` (bytes) or removed (None)."""
+        entry = export.parent / CACHE_DIR / f"{export.name}.npz"
+        with np.load(entry) as old:
+            members = {name: old[name] for name in old.files if name != "text1"}
+        if text is not None:
+            members["text1"] = np.frombuffer(text, np.uint8)
+        with open(entry, "wb") as file:
+            np.savez(file, **members)
+
+    def test_warm_synthesize_at_another_geometry_equals_a_cold_run(self, export, tmp_path):
+        self.synthesize(export, tmp_path / "first")
+        with np.load(export.parent / CACHE_DIR / f"{export.name}.npz") as entry:
+            assert "text1" in entry.files and "text0" not in entry.files
+        values = read_touchstone(export).points[1][1].view(float).ravel().tolist()
+        assert self.text(export) == " ".join(map(repr, values))
+        warm = self.synthesize(export, tmp_path / "warm", "--alpha", "10", "--beta", "-20")
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        for name in ("ris.s14p", "scenario.cfg"):
+            (fresh / name).write_bytes((export.parent / name).read_bytes())
+        assert self.synthesize(fresh / "ris.s14p", tmp_path / "cold", "--alpha", "10", "--beta", "-20") == warm
+        assert warm.decode() == line_dumps_touchstone(read_touchstone(tmp_path / "warm" / "full.s16p"))
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["missing", "one_token_short", "one_token_over", "not_ascii", "line_break", "empty_token"],
+    )
+    def test_damaged_text_falls_back_to_repr_with_the_same_bytes(self, export, tmp_path, monkeypatch, damage):
+        cold = self.synthesize(export, tmp_path / "cold")
+        text = self.text(export).encode()
+        self.rewrite_text(export, {  # each one token off, or one check failed with the count right
+            "missing": None, "one_token_short": text.rsplit(b" ", 1)[0], "one_token_over": text + b" 0.5",
+            "not_ascii": text.replace(b".", b"\xa0", 1), "line_break": text.replace(b".", b"\n", 1),
+            "empty_token": b" " + text.split(b" ", 1)[1],
+        }[damage])
+        assert self.text(export) is None
+        parses = []
+        monkeypatch.setattr(rislink.cli, "read_touchstone", lambda path: parses.append(path))
+        assert self.synthesize(export, tmp_path / "warm") == cold and not parses
+
+    def test_planted_spelling_is_what_the_warm_run_writes(self, export, tmp_path):
+        cold = self.synthesize(export, tmp_path / "cold").decode()
+        tokens = self.text(export).split(" ")
+        k = 2 * (3 * 14 + 4)  # the real part of S[3, 4]
+        planted = f"{float(tokens[k]):.17e}"  # another spelling of the same double
+        assert float(planted) == float(tokens[k]) and planted not in cold
+        self.rewrite_text(export, " ".join(tokens[:k] + [planted] + tokens[k + 1 :]).encode())
+        warm = self.synthesize(export, tmp_path / "warm").decode()
+        assert warm.count(planted) == 1 and warm.replace(planted, tokens[k]) == cold
+
+    def test_only_synthesize_reads_the_text(self, export, tmp_path, monkeypatch):
+        reads = []
+        read = rislink.cli.load_cached_text
+        monkeypatch.setattr(rislink.cli, "load_cached_text", lambda *args: reads.append(args) or read(*args))
+        cfg, out = str(export.parent / "scenario.cfg"), tmp_path / "out"
+        for _ in range(2):  # the first optimize misses and stores the text; every later command hits
+            assert main(["optimize", cfg, "--seed", "7", "--out", str(out)]) == 0
+            assert main(["sweep", cfg, str(out / "caps.csv"), "--out", str(out)]) == 0
+        assert reads == [] and self.text(export) is not None
+        self.synthesize(export, out)
+        assert len(reads) == 1
 
 
 class TestPatternCache:

@@ -321,7 +321,10 @@ class TestCoordinateAscent:
             k = int(rng.integers(n))
             stepped = caps.copy()
             terms = coordinate_terms(full.kernel, model.gammas(caps, full.freq_hz, full.z0_ohm), k)
-            stepped[k], _ = loads._coordinate_max(terms, full, BOUNDS, model)
+            w = 2.0 * math.pi * full.freq_hz
+            x_lo, x_hi = model.reactance(BOUNDS.c_min_f, w), model.reactance(BOUNDS.c_max_f, w)
+            step = (w, model.series_resistance_ohm, full.z0_ohm, x_lo, x_hi)
+            stepped[k], _ = loads._coordinate_max(terms, BOUNDS, model, *step)
             assert BOUNDS.c_min_f <= stepped[k] <= BOUNDS.c_max_f
             rows = np.repeat(caps[np.newaxis], grid.size, axis=0)
             rows[:, k] = grid

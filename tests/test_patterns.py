@@ -197,6 +197,10 @@ class TestParseErrors:
         with pytest.raises(PatternError, match="no gain rows"):
             parse_pattern_table("m,azimuth_deg,gain_dbi\nm,smm_re,smm_im\n")
 
+    def test_bytes_that_are_not_utf8(self):
+        with pytest.raises(PatternError, match=r"^file is not valid UTF-8 text: .*0xff in position 27"):
+            parse_pattern_table(b"m,azimuth_deg,gain_dbi\n1,0,\xff\n")
+
 
 class TestFormat:
     def test_round_trip(self):

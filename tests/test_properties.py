@@ -173,6 +173,39 @@ def test_dumps_equals_value_by_value_writer(n, fortran, data):
     assert dumps_touchstone(doc) == line_dumps_touchstone(doc)
 
 
+@PROPERTY
+@given(st.sampled_from([3, 4, 5, 7, 10]), st.booleans(), st.data())
+def test_dumps_with_spelled_inner_block_equals_value_by_value_writer(n, fortran, data):
+    """A spliced text takes the place of the inner block (ports 2 to n - 1) of each point where it is bitwise its own.
+
+    Each token is a planted spelling, its value's ``repr`` with a 0 after the sign, so the output shows where the
+    tokens went: removing those zeros gives the oracle's text. A point whose block differs from the text's only in
+    the sign of a zero keeps ``repr``, and so does every point given a text one token short.
+    """
+    value = st.one_of(st.sampled_from(_EDGE_VALUES), finite)
+
+    def matrix():
+        return np.array(data.draw(st.lists(value, min_size=2 * n * n, max_size=2 * n * n))).view(complex).reshape(n, n)
+
+    spelled = matrix()
+    spelled[1, 1] = complex(0.0, spelled[1, 1].imag)
+    twin = spelled.copy()
+    twin[1, 1] = complex(-0.0, twin[1, 1].imag)
+    kinds = data.draw(st.lists(st.sampled_from(["spelled", "twin", "other"]), min_size=1, max_size=3))
+    points = [(float(f), {"spelled": spelled, "twin": twin}.get(kind) if kind != "other" else matrix())
+              for f, kind in enumerate(kinds, start=1)]
+    points = tuple((f, np.asfortranarray(m) if fortran else m) for f, m in points)
+    doc = TouchstoneDocument(n, TouchstoneOptions("hz", "s", "ri", data.draw(st.floats(1e-3, 1e6))), points)
+    inner = spelled[1:-1, 1:-1]
+    tokens = [re.sub("^(-?)", r"\g<1>0", repr(v)) for v in np.ascontiguousarray(inner).view(float).ravel().tolist()]
+    text = " ".join(tokens)
+    restored, planted = re.subn(r"(?<![^ \n])(-?)0(?=[0-9])", r"\1", dumps_touchstone(doc, (inner, text)))
+    assert restored == line_dumps_touchstone(doc)
+    assert planted == len(tokens) * sum(m[1:-1, 1:-1].tobytes() == inner.tobytes() for _, m in doc.points)
+    assert "twin" not in kinds or planted < len(tokens) * len(kinds)
+    assert dumps_touchstone(doc, (inner, " ".join(tokens[:-1]))) == line_dumps_touchstone(doc)
+
+
 _FORMATS = (repr, "{:.6e}".format, "{:g}".format, "{:+.3f}".format)
 # The last eight are tokens that ``np.fromstring`` and ``float()`` read differently, and their
 # neighbours; the reader converts with ``float()`` alone, so they probe that block conversion.

@@ -22,7 +22,7 @@ from rislink import (
 )
 from rislink import cache, touchstone
 from rislink.cache import CACHE_DIR
-from rislink.touchstone import load_cached, store_cached
+from rislink.touchstone import load_cached, load_cached_text, store_cached
 
 GOLDEN = Path(__file__).parent / "golden" / "sample.s2p"
 
@@ -357,6 +357,19 @@ class TestCache:
         numbers = tuple(range(11, 11 + fresh.n_ports))
         cached = load_cached(export, digest, fresh.frequencies_hz[2], self.TOL_HZ, numbers)
         assert same_matrix(cached, matrix_at_frequency(fresh, fresh.frequencies_hz[2], self.TOL_HZ, numbers))
+
+    def test_text_of_the_selected_point_is_its_repr_tokens_in_row_major_order(self, export):
+        digest, fresh = self.digest(export), read_touchstone(export)
+        store_cached(export, digest, fresh, 1)
+        with np.load(export.parent / CACHE_DIR / f"{export.name}.npz") as entry:
+            assert "text1" in entry.files and "text0" not in entry.files
+        matrix = np.ascontiguousarray(fresh.points[1][1])  # a 2-port point is stored transposed, in column order
+        expected = " ".join(repr(v) for v in matrix.view(float).ravel().tolist())
+        for asked in (fresh.frequencies_hz[1], fresh.frequencies_hz[1] + 0.4 * self.TOL_HZ):
+            assert load_cached_text(export, digest, asked, self.TOL_HZ) == expected
+        assert load_cached_text(export, digest, fresh.frequencies_hz[0], self.TOL_HZ) is None
+        assert load_cached_text(export, digest, fresh.frequencies_hz[1] + 2 * self.TOL_HZ, self.TOL_HZ) is None
+        assert load_cached_text(export, "0" * 64, fresh.frequencies_hz[1], self.TOL_HZ) is None
 
     def test_frequency_outside_the_tolerance_or_port_count_off_misses(self, export):
         digest, fresh = self.digest(export), read_touchstone(export)
