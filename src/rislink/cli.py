@@ -35,8 +35,8 @@ from .scenario import (
     ScenarioConfig,
     read_scenario,
 )
-from .touchstone import (document_from_matrix, load_cached, load_cached_text, matrix_at_frequency, read_touchstone,
-                         store_cached, write_touchstone)
+from .touchstone import (document_from_matrix, load_cached, matrix_at_frequency, read_touchstone, store_cached,
+                         write_touchstone)
 
 CAPS_HEADER = "m,c_pf,gamma_re,gamma_im"
 
@@ -55,12 +55,14 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
     return cfg._replace(scenario=scenario, out_dir=out_dir, optimizer=optimizer)
 
 
-def _build_ris(cfg: ScenarioConfig, digests: dict[str, str] | None = None) -> ScatterMatrix:
-    """The RIS matrix, from the model or from ``ris.file``: read once; its one cached point, else the file parsed.
+def _build_ris(cfg: ScenarioConfig, digests: dict[str, str] | None = None,
+               spelled: bool = False) -> ScatterMatrix | tuple[ScatterMatrix, str | None]:
+    """The RIS matrix, from the model or from ``ris.file``: read once; its one cached point, else those bytes parsed.
 
     The file's SHA-256 goes into ``digests["ris"]`` for the manifest. A parse is cached only once its point is
     selected, so a run that fails on the port count or the frequency writes no entry; the entry also holds that
-    point's text, which only ``cmd_synthesize`` reads back (``load_cached_text``).
+    point's text, and then serves the run as it would a warm one. With ``spelled`` (``cmd_synthesize`` only), the
+    matrix and that text, or None where there is none (a model, or no entry).
     """
     scn = cfg.scenario
     if isinstance(cfg.ris, RisFile):
@@ -69,16 +71,18 @@ def _build_ris(cfg: ScenarioConfig, digests: dict[str, str] | None = None) -> Sc
         digest = hashlib.sha256(data).hexdigest()
         if digests is not None:
             digests["ris"] = digest
-        ris = load_cached(path, digest, scn.freq_hz, tol_hz, scn.element_numbers)
-        if ris is None:
-            doc = read_touchstone(path)
+        hit = load_cached(path, digest, scn.freq_hz, tol_hz, scn.element_numbers, spelled=spelled)
+        if hit is None:
+            doc = read_touchstone(path, data)
             if doc.n_ports != len(scn.elements):
                 raise InputError(f"{path}: {doc.n_ports} ports for {len(scn.elements)} scenario elements")
             ris = matrix_at_frequency(doc, scn.freq_hz, tol_hz, element_numbers=scn.element_numbers)
-            if path.read_bytes() == data:  # the parse read the hashed bytes: no writer replaced the file between
-                store_cached(path, digest, doc, doc.frequencies_hz.index(ris.freq_hz))
-        return ris
-    return synth_ris_matrix(scn.elements, scn.freq_hz, cfg.ris.model)
+            store_cached(path, digest, doc, doc.frequencies_hz.index(ris.freq_hz))
+            parsed = (ris, None) if spelled else ris  # what serves the run when no entry could be stored
+            hit = load_cached(path, digest, scn.freq_hz, tol_hz, scn.element_numbers, spelled=spelled) or parsed
+        return hit
+    ris = synth_ris_matrix(scn.elements, scn.freq_hz, cfg.ris.model)
+    return (ris, None) if spelled else ris
 
 
 def _read_text(path: Path, error: type[InputError], digests: dict[str, str] | None, name: str) -> tuple[str, str]:
@@ -149,17 +153,13 @@ def _write_manifest(cfg: ScenarioConfig, args: argparse.Namespace, outputs: list
 
 def cmd_synthesize(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     digests: dict[str, str] = {}
-    ris = _build_ris(cfg, digests)
+    ris, text = _build_ris(cfg, digests, spelled=True)  # the text of an export's point, cached with its parse
     patterns = _build_patterns(cfg, ris, digests)
     full = assemble_full_matrix(cfg.scenario, ris, patterns)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / f"full.s{full.n_ports}p"
-    spelled = None
-    if isinstance(cfg.ris, RisFile):  # the RIS block is the export's point, whose text is cached with its parse
-        text = load_cached_text(cfg.ris.path, digests["ris"], cfg.scenario.freq_hz, cfg.ris.freq_tol_hz)
-        spelled = None if text is None else (ris.entries, text)
-    write_touchstone(document_from_matrix(full), out_path, spelled)
+    write_touchstone(document_from_matrix(full), out_path, None if text is None else (ris.entries, text))
     _write_manifest(cfg, args, [out_path.name], digests)
     print(f"wrote {out_path} ({full.n_ports} ports at {full.freq_hz / 1e9:.9g} GHz)")
     return 0

@@ -17,7 +17,9 @@ rows as arrays, and names the line of the first defective row in the file.
 A parsed table can be cached beside it through
 ``cache`` (``load_cached_patterns``/``store_cached_patterns``): its rows'
 element numbers, azimuths and linear gains, and each element's s_mm, keyed
-by the SHA-256 of the file's bytes and of this module's code.
+by the SHA-256 of the file's bytes and of this module's code. A hit builds
+the patterns from the members as they were stored, which ``cache`` checks,
+and repeats none of the parse's checks.
 """
 
 from __future__ import annotations
@@ -170,33 +172,20 @@ def parse_pattern_table(text: str | bytes) -> list[ElementPattern]:
 def load_cached_patterns(path: str | Path, digest: str) -> list[ElementPattern] | None:
     """The cached parse of the table ``path`` whose bytes have SHA-256 ``digest``, or None.
 
-    The entry must carry this digest and this parser's key (see ``cache``),
-    and pass the parse's checks: rows sorted by element, finite azimuths that
-    strictly increase within each element and cover [-90, 90] deg, finite
-    gains >= 0, and one s_mm with |s_mm| <= 1 per element. Anything else is a miss.
+    The entry must carry this digest and this parser's key, and its members must be as
+    ``store_cached_patterns`` wrote them (see ``cache``): then they are the checked output of a parse, rows
+    sorted by element and azimuth, and the patterns are built without repeating its checks. Anything else is a miss.
     """
     return cache.load(path, digest, __file__, _patterns_of)
 
 
-def _patterns_of(entry) -> list[ElementPattern] | None:
-    m, az, gain, smm = (entry[name] for name in ("m", "azimuth_rad", "gain_lin", "smm"))
-    if not (
-        m.dtype == np.int64 and az.dtype == gain.dtype == np.float64 and smm.dtype == np.complex128
-        and m.ndim == smm.ndim == 1 and m.size and m.shape == az.shape == gain.shape
-    ):
-        return None
+def _patterns_of(read) -> list[ElementPattern]:
+    m, az, gain, smm = map(read, ("m", "azimuth_rad", "gain_lin", "smm"))
     starts = np.flatnonzero(np.r_[True, m[1:] != m[:-1]])
-    stops, s_mm = np.r_[starts[1:], m.size], smm.tolist()
-    reach = math.radians(_REQUIRED_COVERAGE_DEG - _COVERAGE_SLACK_DEG)
-    if not (  # each row starts a larger element number or has a larger azimuth than the one before
-        ((m[1:] > m[:-1]) | ((m[1:] == m[:-1]) & (az[1:] > az[:-1]))).all() and len(s_mm) == starts.size
-        and np.isfinite(az).all() and (az[starts] <= -reach).all() and (az[stops - 1] >= reach).all()
-        and ((gain >= 0) & (gain < math.inf)).all() and all(abs(s) <= _MAX_SMM for s in s_mm)
-    ):
-        return None
+    stops = np.r_[starts[1:], m.size]
     return [
         ElementPattern._checked(k, az[a:b], gain[a:b], s)
-        for k, a, b, s in zip(m[starts].tolist(), starts.tolist(), stops.tolist(), s_mm)
+        for k, a, b, s in zip(m[starts].tolist(), starts.tolist(), stops.tolist(), smm.tolist())
     ]
 
 

@@ -15,10 +15,11 @@ document exactly.
 A parsed export can be cached beside it through ``cache``
 (``load_cached``/``store_cached``): its options, its frequencies and one
 member per frequency point, keyed by the SHA-256 of the file's bytes and of
-this module's code. A hit reads the frequencies and the one point it serves.
-The entry also holds the writer's ``repr`` tokens of the point the parsing
-run selected (``load_cached_text``), which the writer splices into a link
-matrix whose RIS block is that point instead of formatting it again.
+this module's code. A hit reads the frequencies and the one point it serves,
+each as ``store_cached`` wrote it (``cache`` checks that), so it repeats
+none of the parse's checks. The entry also holds the writer's ``repr``
+tokens of the point the parsing run selected, which the writer splices into
+a link matrix whose RIS block is that point instead of formatting it again.
 """
 
 from __future__ import annotations
@@ -223,43 +224,36 @@ def ports_from_filename(path: str | Path) -> int:
     return int(match.group(1))
 
 
-def read_touchstone(path: str | Path) -> TouchstoneDocument:
-    """Read a .sNp file, cross-checking the extension's port count."""
+def read_touchstone(path: str | Path, data: bytes | None = None) -> TouchstoneDocument:
+    """Read a .sNp file, or parse ``data``, its bytes already read, cross-checking the extension's port count."""
     path = Path(path)
     n_ports = ports_from_filename(path)
-    return parse_touchstone(path.read_bytes(), n_ports=n_ports)
+    return parse_touchstone(path.read_bytes() if data is None else data, n_ports=n_ports)
 
 
 def load_cached(
-    path: str | Path, digest: str, f_hz: float, tol_hz: float, element_numbers: Sequence[int] | None = None
-) -> ScatterMatrix | None:
+    path: str | Path, digest: str, f_hz: float, tol_hz: float, element_numbers: Sequence[int] | None = None,
+    spelled: bool = False,
+) -> ScatterMatrix | tuple[ScatterMatrix, str | None] | None:
     """``matrix_at_frequency`` of the cached parse of the export ``path`` whose bytes have SHA-256 ``digest``, or None.
 
-    The entry must carry this digest and this parser's key (see ``cache``),
-    and hold what a parse would accept: the options and finite frequencies
-    that strictly increase. Only the point that ``matrix_at_frequency`` picks
-    is read, and it must be a complex matrix with as many ports as the file
-    name says, which ``ScatterMatrix`` accepts (so finite). Anything else, a
-    frequency outside ``tol_hz`` or a count of ``element_numbers`` that does
-    not match included, is a miss.
+    The entry must carry this digest and this parser's key, and every member read must be as ``store_cached``
+    wrote it (see ``cache``): the frequencies, the options and the one point that ``matrix_at_frequency`` picks.
+    Anything else, a frequency outside ``tol_hz`` or a count of ``element_numbers`` that does not match included,
+    is a miss. With ``spelled``, the point and its text (``store_cached``), or None for a text the entry does not
+    hold as stored, which costs the point nothing.
     """
-    def convert(entry) -> ScatterMatrix | None:
-        n_ports = ports_from_filename(path)
-        z0 = _parse_option_line(str(entry["options"]).split(), 0).z0_ohm
-        freqs = entry["freqs_hz"]
-        if not (
-            freqs.dtype == np.float64 and freqs.ndim == 1 and freqs.size
-            and np.isfinite(freqs).all() and (freqs[1:] > freqs[:-1]).all()
-        ):
-            return None
-        freqs = freqs.tolist()
+    def convert(read) -> ScatterMatrix | tuple[ScatterMatrix, str | None] | None:
+        freqs = read("freqs_hz").tolist()
         best = _nearest(freqs, f_hz, tol_hz)
         if best is None:
             return None
-        matrix = entry[f"point{best}"]
-        if not (matrix.dtype == np.complex128 and matrix.shape == (n_ports, n_ports)):
-            return None
-        return ScatterMatrix.ris_only(matrix, freqs[best], element_numbers, z0)
+        z0_ohm = float(str(read("options")).split()[-1])
+        ris = ScatterMatrix.ris_only(read(f"point{best}"), freqs[best], element_numbers, z0_ohm)
+        try:
+            return (ris, read(f"text{best}").tobytes().decode("ascii")) if spelled else ris
+        except KeyError:  # the point is served without its text
+            return ris, None
 
     return cache.load(path, digest, __file__, convert)
 
@@ -288,22 +282,9 @@ def _text(matrix: np.ndarray) -> np.ndarray:
 
 
 def load_cached_text(path: str | Path, digest: str, f_hz: float, tol_hz: float) -> str | None:
-    """The text ``store_cached`` kept of the point ``load_cached`` serves, or None.
-
-    The text is trusted under the entry's key, as the point is. None when the entry has no text for that point
-    (a missing member raises, which ``cache.load`` makes a miss), or when its text is not 2*N*N tokens of printable
-    ASCII joined by single spaces, for the N ports the file name says.
-    """
-    def convert(entry) -> str | None:
-        raw = entry[f"text{_nearest(entry['freqs_hz'].tolist(), f_hz, tol_hz)}"]
-        spaces = np.flatnonzero(raw == 32)
-        printable = np.count_nonzero((raw > 32) & (raw < 127))
-        if not (raw.dtype == np.uint8 and spaces.size == 2 * ports_from_filename(path) ** 2 - 1
-                and printable + spaces.size == raw.size and (np.diff(spaces, prepend=-1, append=raw.size) > 1).all()):
-            return None
-        return raw.tobytes().decode("ascii")
-
-    return cache.load(path, digest, __file__, convert)
+    """The text ``store_cached`` kept of the point ``load_cached`` serves, or None."""
+    hit = load_cached(path, digest, f_hz, tol_hz, spelled=True)
+    return None if hit is None else hit[1]
 
 
 def _wrapped_rows(text: str, n: int, per_line: int) -> list[str]:
@@ -324,7 +305,7 @@ def dumps_touchstone(doc: TouchstoneDocument, spelled: tuple[np.ndarray, str] | 
     """Serialize to normalized v1 text (# HZ S RI R z0, exact decimals).
 
     ``spelled`` is (matrix, text), with ``text`` the ``repr`` of ``matrix``'s values, row-major, re/im interleaved
-    and joined by single spaces, in ASCII (``load_cached_text``). A point whose inner block, ports 2 to P - 1, is
+    and joined by single spaces, in ASCII (``store_cached``). A point whose inner block, ports 2 to P - 1, is
     bitwise ``matrix`` takes that block from ``text``; every other value is formatted with ``repr``.
     """
     lines = [f"# HZ S RI R {doc.options.z0_ohm!r}"]

@@ -495,7 +495,7 @@ class TestTouchstoneCache:
         """The paths the CLI parses in full."""
         calls = []
         read = rislink.cli.read_touchstone
-        monkeypatch.setattr(rislink.cli, "read_touchstone", lambda path: calls.append(path) or read(path))
+        monkeypatch.setattr(rislink.cli, "read_touchstone", lambda path, data: calls.append(path) or read(path, data))
         return calls
 
     def pipeline(self, board, out):
@@ -564,6 +564,39 @@ class TestTouchstoneCache:
         assert len(parses) == 2
         cached, fresh = self.hit(export, digest), read_touchstone(export).points[1][1]
         assert cached is not None and cached.entries.tobytes() == fresh.tobytes()
+
+    def test_entries_without_a_record_miss_and_are_rewritten(self, board, tmp_path, parses, monkeypatch):
+        """Entries as an earlier version wrote them: every member under the right key, and no record of them."""
+        tables, parse = [], rislink.cli.parse_pattern_table
+        monkeypatch.setattr(rislink.cli, "parse_pattern_table", lambda text: tables.append(text) or parse(text))
+        cfg, export, table = str(board / "scenario.cfg"), board / "board.s14p", board / "patterns.csv"
+        assert main(["synthesize", cfg, "--out", str(tmp_path / "cold")]) == 0
+        for entry in (board / CACHE_DIR).iterdir():
+            with np.load(entry) as stored:
+                members = {name: stored[name] for name in stored.files if name != "crc32"}
+            with open(entry, "wb") as file:
+                np.savez(file, **members)
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (export, table)]
+        assert self.hit(export, digests[0]) is None and load_cached_patterns(table, digests[1]) is None
+        assert main(["synthesize", cfg, "--out", str(tmp_path / "again")]) == 0
+        assert (tmp_path / "again" / "full.s16p").read_bytes() == (tmp_path / "cold" / "full.s16p").read_bytes()
+        assert len(parses) == len(tables) == 2
+        assert self.hit(export, digests[0]) is not None and load_cached_patterns(table, digests[1]) is not None
+
+    def test_cold_synthesize_reads_the_export_once(self, board, tmp_path, monkeypatch):
+        reads, read_bytes = [], Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path.name) or read_bytes(path))
+        assert main(["synthesize", str(board / "scenario.cfg"), "--out", str(tmp_path / "out")]) == 0
+        assert reads.count("board.s14p") == 1 and (board / CACHE_DIR / "board.s14p.npz").exists()
+
+    def test_warm_synthesize_opens_the_export_entry_once(self, board, tmp_path, monkeypatch):
+        cfg = str(board / "scenario.cfg")
+        assert main(["synthesize", cfg, "--out", str(tmp_path / "cold")]) == 0
+        opened, load = [], rislink.cache.load  # the entries the run opens, by their input's name
+        monkeypatch.setattr(rislink.cache, "load", lambda path, *rest: opened.append(path.name) or load(path, *rest))
+        assert main(["synthesize", cfg, "--out", str(tmp_path / "warm")]) == 0
+        assert opened.count("board.s14p") == 1
+        assert (tmp_path / "warm" / "full.s16p").read_bytes() == (tmp_path / "cold" / "full.s16p").read_bytes()
 
     def hit(self, export, digest):
         """The cached point the board's scenario selects, or None."""
@@ -648,13 +681,22 @@ class TestExportText:
         digest = hashlib.sha256(export.read_bytes()).hexdigest()
         return load_cached_text(export, digest, 3.55e9, 1e6)
 
-    def rewrite_text(self, export, text):
-        """The entry with ``text1``, the selected point's text, replaced by ``text`` (bytes) or removed (None)."""
+    def rewrite_text(self, export, text, recorded=False):
+        """The entry with ``text1``, the selected point's text, replaced by ``text`` (bytes) or removed (None).
+
+        The entry's record of its members is kept as stored, so a new text is damage, unless ``recorded``: then the
+        entry is written again through ``cache.store``, which records the new text as its own.
+        """
         entry = export.parent / CACHE_DIR / f"{export.name}.npz"
         with np.load(entry) as old:
             members = {name: old[name] for name in old.files if name != "text1"}
         if text is not None:
             members["text1"] = np.frombuffer(text, np.uint8)
+        if recorded:
+            del members["key"], members["crc32"]
+            digest = hashlib.sha256(export.read_bytes()).hexdigest()
+            cache.store(export, digest, rislink.touchstone.__file__, **members)
+            return
         with open(entry, "wb") as file:
             np.savez(file, **members)
 
@@ -686,7 +728,7 @@ class TestExportText:
         }[damage])
         assert self.text(export) is None
         parses = []
-        monkeypatch.setattr(rislink.cli, "read_touchstone", lambda path: parses.append(path))
+        monkeypatch.setattr(rislink.cli, "read_touchstone", lambda path, data: parses.append(path))
         assert self.synthesize(export, tmp_path / "warm") == cold and not parses
 
     def test_planted_spelling_is_what_the_warm_run_writes(self, export, tmp_path):
@@ -695,14 +737,20 @@ class TestExportText:
         k = 2 * (3 * 14 + 4)  # the real part of S[3, 4]
         planted = f"{float(tokens[k]):.17e}"  # another spelling of the same double
         assert float(planted) == float(tokens[k]) and planted not in cold
-        self.rewrite_text(export, " ".join(tokens[:k] + [planted] + tokens[k + 1 :]).encode())
+        self.rewrite_text(export, " ".join(tokens[:k] + [planted] + tokens[k + 1 :]).encode(), recorded=True)
         warm = self.synthesize(export, tmp_path / "warm").decode()
         assert warm.count(planted) == 1 and warm.replace(planted, tokens[k]) == cold
 
     def test_only_synthesize_reads_the_text(self, export, tmp_path, monkeypatch):
         reads = []
-        read = rislink.cli.load_cached_text
-        monkeypatch.setattr(rislink.cli, "load_cached_text", lambda *args: reads.append(args) or read(*args))
+        load = rislink.cli.load_cached
+
+        def load_cached(*args, spelled=False):  # spelled asks for the point's text too
+            if spelled:
+                reads.append(args)
+            return load(*args, spelled=spelled)
+
+        monkeypatch.setattr(rislink.cli, "load_cached", load_cached)
         cfg, out = str(export.parent / "scenario.cfg"), tmp_path / "out"
         for _ in range(2):  # the first optimize misses and stores the text; every later command hits
             assert main(["optimize", cfg, "--seed", "7", "--out", str(out)]) == 0
@@ -710,6 +758,24 @@ class TestExportText:
         assert reads == [] and self.text(export) is not None
         self.synthesize(export, out)
         assert len(reads) == 1
+
+    def test_cold_synthesize_splices_the_text_it_stored(self, export, tmp_path, monkeypatch):
+        spelled, write = [], rislink.cli.write_touchstone
+        monkeypatch.setattr(rislink.cli, "write_touchstone", lambda doc, path, s: spelled.append(s) or write(doc, path, s))
+        self.synthesize(export, tmp_path / "cold")
+        assert spelled[0] is not None and spelled[0][1] == self.text(export)
+
+    def test_blocked_cache_directory_never_formats_the_text(self, export, tmp_path, monkeypatch):
+        calls, text = [], rislink.touchstone._text
+        monkeypatch.setattr(rislink.touchstone, "_text", lambda matrix: calls.append(matrix) or text(matrix))
+        (export.parent / CACHE_DIR).write_text("")  # a file where the directory belongs blocks the write, for root too
+        cfg, out = str(export.parent / "scenario.cfg"), tmp_path / "out"
+        blocked = self.synthesize(export, out)
+        assert main(["optimize", cfg, "--seed", "7", "--out", str(out)]) == 0
+        assert main(["sweep", cfg, str(out / "caps.csv"), "--out", str(out)]) == 0
+        assert calls == []
+        (export.parent / CACHE_DIR).unlink()
+        assert self.synthesize(export, tmp_path / "cached") == blocked and len(calls) == 1
 
 
 class TestPatternCache:

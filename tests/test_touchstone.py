@@ -20,7 +20,7 @@ from rislink import (
     read_touchstone,
     write_touchstone,
 )
-from rislink import cache, touchstone
+from rislink import touchstone
 from rislink.cache import CACHE_DIR
 from rislink.touchstone import load_cached, load_cached_text, store_cached
 
@@ -334,13 +334,13 @@ class TestCache:
         return load_cached(export, digest or self.digest(export), f_hz, self.TOL_HZ)
 
     def write_entry(self, export, points):
-        """An entry under the export's key, with the parse's options and frequencies and ``points`` as its members."""
-        doc = read_touchstone(export)
-        o = doc.options
-        with open(export.parent / CACHE_DIR / f"{export.name}.npz", "wb") as file:
-            np.savez(file, key=np.array(cache.key(self.digest(export), touchstone.__file__)),
-                     options=np.array(f"{o.freq_unit} {o.parameter} {o.value_format} r {o.z0_ohm!r}"),
-                     freqs_hz=np.array(doc.frequencies_hz), **points)
+        """The entry ``store_cached`` writes, damaged after: its points replaced by ``points``, its record kept."""
+        store_cached(export, self.digest(export), read_touchstone(export))
+        entry = export.parent / CACHE_DIR / f"{export.name}.npz"
+        with np.load(entry) as stored:
+            members = {name: stored[name] for name in stored.files if not name.startswith("point")}
+        with open(entry, "wb") as file:
+            np.savez(file, **members, **points)
 
     def test_hit_equals_a_fresh_parse_bit_for_bit(self, export):
         digest, fresh = self.digest(export), read_touchstone(export)
@@ -348,7 +348,7 @@ class TestCache:
         store_cached(export, digest, fresh)
         assert [p.name for p in (export.parent / CACHE_DIR).iterdir()] == [f"{export.name}.npz"]
         with np.load(export.parent / CACHE_DIR / f"{export.name}.npz") as entry:
-            assert sorted(entry.files) == ["freqs_hz", "key", "options", "point0", "point1", "point2"]
+            assert sorted(entry.files) == ["crc32", "freqs_hz", "key", "options", "point0", "point1", "point2"]
         for f_hz in fresh.frequencies_hz:
             for asked in (f_hz, f_hz - 0.4 * self.TOL_HZ, f_hz + self.TOL_HZ):
                 cached = self.hit(export, asked, digest)
@@ -387,14 +387,16 @@ class TestCache:
                            matrix_at_frequency(fresh, fresh.frequencies_hz[1], self.TOL_HZ))
         assert self.hit(export, fresh.frequencies_hz[0]) is None and self.hit(export, fresh.frequencies_hz[2]) is None
 
-    @pytest.mark.parametrize("damage", ["nan", "inf", "wrong_shape", "real", "missing"])
+    @pytest.mark.parametrize("damage", ["nan", "inf", "wrong_shape", "real", "missing", "another_point"])
     def test_damaged_selected_point_misses_and_is_rewritten(self, export, damage):
         fresh = read_touchstone(export)
         points = {f"point{k}": m for k, (_, m) in enumerate(fresh.points)}
         selected = points["point1"].copy()
         if damage in ("nan", "inf"):
             selected[0, -1] = complex(0.5, float(damage))
-        points["point1"] = {"wrong_shape": selected[:, :-1], "real": selected.real}.get(damage, selected)
+        points["point1"] = {  # another_point: a member as it was stored under another name
+            "wrong_shape": selected[:, :-1], "real": selected.real, "another_point": points["point0"],
+        }.get(damage, selected)
         if damage == "missing":
             del points["point1"]
         (export.parent / CACHE_DIR).mkdir()
