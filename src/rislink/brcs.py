@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MAX_ANGLE_RAD, InputError, check
-from .farfield import ElementPattern, Scenario, assemble_full_matrix, coupling_rows, element_paths
+from .farfield import ElementPattern, Scenario, _rows, assemble_full_matrix, element_paths
 from .loads import IDEAL_VARACTOR, LoadVector, VaractorModel, load_gammas
 from .network import ScatterMatrix
 
@@ -95,15 +95,15 @@ def sweep_rx_angle(
     S_RxTx(alpha) = S_RxTx + r(alpha) @ Gamma*(I - S_ii*Gamma)^-1 * t.
     S_ii, the Tx column and the zero direct term do not depend on alpha, so
     the full matrix is assembled once and its kernel (``full.kernel``) solves
-    for the loaded-port waves once; the coupling rows of every angle then
-    come from one call, each row dotted with them.
+    for the loaded-port waves once; each row is then dotted with them.
 
-    Assembly takes alpha at the grid end that brings the Rx nearest an
-    element, so its one far-field warning covers every angle of the sweep.
-    An end suffices: the Rx at alpha lies d^2 = R^2 + x^2 + z^2 +
-    2*x*R*sin(alpha) from the element at (x, z) (:func:`element_paths`),
-    monotone in alpha on [-90, 90] deg, so each element is nearest at the
-    smallest or the largest grid angle.
+    The Rx paths of every grid angle come from one :func:`element_paths`
+    call. They give every angle's row, and they pick the angle at which the
+    full matrix is assembled: the grid angle whose nearest element distance
+    is the smallest, the first such angle on a tie. So the assembly's one
+    far-field warning covers every angle of the sweep and names its nearest
+    distance. That angle is a grid end on [-90, 90] deg, but the pick reads
+    the distances themselves and does not rely on it.
     """
     alphas = np.asarray(alphas_rad, dtype=float)
     if alphas.size == 0:
@@ -111,16 +111,16 @@ def sweep_rx_angle(
     if not np.all(np.abs(alphas) <= MAX_ANGLE_RAD):
         raise ValueError("sweep angles must lie within [-90, 90] deg (front halfspace)")
 
-    ends = [float(alphas.min()), float(alphas.max())]
-    nearest = element_paths(scn, "rx", ends)[0].min(axis=1, initial=math.inf)
-    full = assemble_full_matrix(scn.replace(alpha_rad=ends[int(np.argmin(nearest))]), ris, patterns)
+    d, gamma = element_paths(scn, "rx", alphas)
+    nearest = alphas.flat[int(np.argmin(d.min(axis=1, initial=math.inf)))]
+    full = assemble_full_matrix(scn.replace(alpha_rad=float(nearest)), ris, patterns)
     kernel = full.kernel
     if len(caps) != kernel.n_ris:
         raise ValueError(f"{len(caps)} loads for {kernel.n_ris} RIS ports")
     wave = kernel.tx_wave(load_gammas(caps, full.freq_hz, full.z0_ohm, model).as_array)
 
     # One dot per row: a matrix-vector product sums in another order and moves sigma in its last bits.
-    s21 = kernel.s_ee[1, 0] + np.array([r @ wave for r in coupling_rows(scn, patterns, "rx", alphas)])
+    s21 = kernel.s_ee[1, 0] + np.array([r @ wave for r in _rows(scn, patterns, "rx", d, gamma)])
     sigma = _sigma_m2(s21.tolist(), scn.r_m, scn.r_m, scn.g_tx_lin, scn.g_rx_lin, scn.wavelength_m)
     return BrcsCurve.from_sigma_m2(alphas, sigma, "ris")
 

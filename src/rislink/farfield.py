@@ -173,11 +173,17 @@ def coupling_rows(
 ) -> np.ndarray:
     """The side's full-link matrix rows, its coupling to each of ``scn.elements``, one per angle.
 
-    ``angles_rad`` are antenna angles as in :func:`element_paths`. ``patterns`` are those of
-    ``scn.elements``, in their order, as :func:`assemble_full_matrix` checks. A coupling, or
-    a squared distance in :func:`element_paths`, that overflows a float is an :class:`InputError`.
+    ``angles_rad`` are antenna angles as in :func:`element_paths`, whose distances and azimuths
+    the rows are made from. ``patterns`` are those of ``scn.elements``, in their order, as
+    :func:`assemble_full_matrix` checks. A coupling, or a squared distance in
+    :func:`element_paths`, that overflows a float is an :class:`InputError`.
     """
-    d, gamma = element_paths(scn, side, angles_rad)
+    return _rows(scn, patterns, side, *element_paths(scn, side, angles_rad))
+
+
+def _rows(scn: Scenario, patterns: Sequence[ElementPattern], side: Side, d: np.ndarray,
+          gamma: np.ndarray) -> np.ndarray:
+    """:func:`coupling_rows` from the paths ``d``, ``gamma`` that :func:`element_paths` gives for ``side``."""
     gain = np.empty_like(gamma)
     for k, pat in enumerate(patterns):
         gain[:, k] = pat.gain(gamma[:, k])
@@ -203,19 +209,6 @@ def farfield_limit_distance(scn: Scenario) -> float:
     return 2.0 * diag * diag / scn.wavelength_m  # a product overflows to inf, where ** raises OverflowError
 
 
-def _warn_if_nearfield(scn: Scenario) -> None:
-    limit = farfield_limit_distance(scn)
-    d_min = min(float(element_paths(scn, side)[0].min(initial=math.inf)) for side in ("tx", "rx"))
-    if d_min < limit:
-        warnings.warn(
-            FarFieldValidityWarning(
-                f"antenna distance {d_min:.3f} m is below the far-field limit "
-                f"{limit:.3f} m; coupling accuracy degrades"
-            ),
-            stacklevel=3,
-        )
-
-
 def assemble_full_matrix(
     scn: Scenario,
     ris: ScatterMatrix,
@@ -225,10 +218,12 @@ def assemble_full_matrix(
 
     The Tx port comes first, the RIS block (copied verbatim from ``ris``)
     in the middle and the Rx port last. Tx-RIS and Rx-RIS rows/columns are
-    filled with :func:`coupling_rows`; the Tx and Rx self terms and
-    the direct Tx-Rx term are zero (obstructed line of sight). The result
-    is symmetric by construction. Warns with :class:`FarFieldValidityWarning`
-    when an antenna is closer to an element than 2*D^2/lambda.
+    filled with the rows of :func:`coupling_rows`; the Tx and Rx self terms
+    and the direct Tx-Rx term are zero (obstructed line of sight). The result
+    is symmetric by construction. Each side's paths come from one
+    :func:`element_paths` call, which gives both its row and the distances
+    checked against 2*D^2/lambda: a :class:`FarFieldValidityWarning` names
+    the nearest antenna distance when it is below that limit.
     """
     if not ris.is_ris_only:
         raise PatternError("assemble_full_matrix expects a RIS-only scatter matrix")
@@ -251,12 +246,17 @@ def assemble_full_matrix(
                 f"ris diagonal {ris.entries[i, i]:.8f}"
             )
 
-    _warn_if_nearfield(scn)
+    tx, rx = element_paths(scn, "tx"), element_paths(scn, "rx")
+    limit = farfield_limit_distance(scn)
+    d_min = min(float(d.min(initial=math.inf)) for d, _ in (tx, rx))
+    if d_min < limit:
+        warnings.warn(FarFieldValidityWarning(f"antenna distance {d_min:.3f} m is below the far-field limit "
+                                              f"{limit:.3f} m; coupling accuracy degrades"), stacklevel=2)
 
     full = np.zeros((n + 2, n + 2), dtype=complex)
     full[1 : n + 1, 1 : n + 1] = ris.entries
-    full[0, 1 : n + 1] = full[1 : n + 1, 0] = coupling_rows(scn, patterns, "tx")[0]
-    full[n + 1, 1 : n + 1] = full[1 : n + 1, n + 1] = coupling_rows(scn, patterns, "rx")[0]
+    full[0, 1 : n + 1] = full[1 : n + 1, 0] = _rows(scn, patterns, "tx", *tx)[0]
+    full[n + 1, 1 : n + 1] = full[1 : n + 1, n + 1] = _rows(scn, patterns, "rx", *rx)[0]
 
     return ScatterMatrix.full_link(full, scn.freq_hz, scn.element_numbers, ris.z0_ohm)
 
@@ -303,7 +303,7 @@ def synth_ris_matrix(
                 )
                 value = model.c0 * math.exp(-d / model.rolloff_m) * np.exp(-2j * math.pi * d / lam)
                 entries[i, j] = entries[j, i] = value
-    s_max = float(np.linalg.svd(entries, compute_uv=False).max()) if n else 0.0
+    s_max = float(np.linalg.svd(entries, compute_uv=False).max())
     if s_max > 1.0:
         entries /= s_max
     return ScatterMatrix.ris_only(entries, freq_hz, [e.index_m for e in elements], z0_ohm)

@@ -193,11 +193,12 @@ def _build(keys: str, make, **fields):
 def _grid_elements(
     rows: int, cols: int, pitch_x_m: float, pitch_z_m: float, offset_x_m: float = 0.0, offset_z_m: float = 0.0
 ) -> tuple[ElementGeometry, ...]:
-    """Regular element grid: cols along x, rows along z, centered, numbered row by row from 1."""
+    """Regular element grid: cols along x, rows along z, centered, numbered row by row from 1.
+
+    The pitches arrive positive: :data:`KEYS` refuses any other ``grid.pitch_x|z``.
+    """
     if rows < 1 or cols < 1:
         raise ConfigError("grid.rows and grid.cols must be >= 1")
-    if not (pitch_x_m > 0 and pitch_z_m > 0):
-        raise ConfigError("grid pitches must be positive")
     return _build("grid.*", lambda: tuple(
         ElementGeometry(
             r * cols + c + 1,

@@ -281,12 +281,6 @@ def _text(matrix: np.ndarray) -> np.ndarray:
     return np.frombuffer(" ".join(map(repr, values)).encode("ascii"), np.uint8)
 
 
-def load_cached_text(path: str | Path, digest: str, f_hz: float, tol_hz: float) -> str | None:
-    """The text ``store_cached`` kept of the point ``load_cached`` serves, or None."""
-    hit = load_cached(path, digest, f_hz, tol_hz, spelled=True)
-    return None if hit is None else hit[1]
-
-
 def _wrapped_rows(text: str, n: int, per_line: int) -> list[str]:
     """The rows of 2n tokens of ``text``, each wrapped as the writer wraps it after the row's first two values.
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import rislink.brcs
+import rislink.farfield
 from conftest import peak_alpha_rad, random_passive, value_at
 from rislink import (
     BrcsCurve,
@@ -235,6 +237,26 @@ class TestSweep:
         with pytest.warns(FarFieldValidityWarning) as record:
             sweep_rx_angle(scn, ris, patterns, LoadVector.uniform(1e-12, 2), np.radians([-30.0, 0.0, 30.0]))
         assert len(record) == 1
+
+    def test_one_element_paths_pass_per_antenna(self, monkeypatch):
+        # Assembly reads each side's paths once, for its rows and its far-field warning; the sweep adds one
+        # pass over its whole grid, which gives its rows and the angle it assembles at.
+        sides = []
+        element_paths = rislink.farfield.element_paths
+
+        def spy(scn, side, *args):
+            sides.append(side)
+            return element_paths(scn, side, *args)
+
+        for module in (rislink.farfield, rislink.brcs):
+            monkeypatch.setattr(module, "element_paths", spy)
+        scn = pair_scenario()
+        ris, patterns = setup_pair(scn)
+        assemble_full_matrix(scn, ris, patterns)
+        assert sides == ["tx", "rx"]
+        sides.clear()
+        sweep_rx_angle(scn, ris, patterns, LoadVector.uniform(1e-12, 2), np.radians([-30.0, 0.0, 30.0]))
+        assert sides == ["rx", "tx", "rx"]
 
 
 class TestExportCsv:

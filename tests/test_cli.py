@@ -28,7 +28,7 @@ from rislink.farfield import assemble_full_matrix
 from rislink import cache
 from rislink.cache import CACHE_DIR
 from rislink.patterns import load_cached_patterns, parse_pattern_table, store_cached_patterns
-from rislink.touchstone import load_cached, load_cached_text, store_cached
+from rislink.touchstone import load_cached, store_cached
 
 TOY = """\
 freq = 3.55 GHz
@@ -414,6 +414,7 @@ class TestSweep:
             assert record == []
             assert main(["sweep", str(cfg), str(caps), "--out", str(tmp_path / "o")]) == 0
         assert [type(w.message) for w in record] == [FarFieldValidityWarning] * n_warnings
+        assert all(str(w.message).startswith("antenna distance 1.330 m is below") for w in record)
 
     @pytest.mark.parametrize("c_pf", ["5.0", "nan", "inf", "0", "-1"])
     def test_caps_out_of_bounds_exit_2(self, toy_cfg, tmp_path, capsys, c_pf):
@@ -679,7 +680,8 @@ class TestExportText:
     def text(self, export):
         """The text the board's scenario reads back, or None."""
         digest = hashlib.sha256(export.read_bytes()).hexdigest()
-        return load_cached_text(export, digest, 3.55e9, 1e6)
+        hit = load_cached(export, digest, 3.55e9, 1e6, spelled=True)
+        return None if hit is None else hit[1]
 
     def rewrite_text(self, export, text, recorded=False):
         """The entry with ``text1``, the selected point's text, replaced by ``text`` (bytes) or removed (None).

@@ -70,8 +70,9 @@ class TestGrid:
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
             _grid_elements(rows=0, cols=7, pitch_x_m=0.04, pitch_z_m=0.04)
-        with pytest.raises(ConfigError):
-            _grid_elements(rows=1, cols=1, pitch_x_m=-0.04, pitch_z_m=0.04)
+        # A negative pitch reaches no grid: the config entry, the only path to one, refuses it.
+        with pytest.raises(ConfigError, match="grid.pitch_x must be positive"):
+            load_scenario(BOARD_7X2_CFG.replace("grid.pitch_x = 40 mm", "grid.pitch_x = -40 mm"))
 
 
 class TestLoadScenario:

@@ -22,7 +22,7 @@ from rislink import (
 )
 from rislink import touchstone
 from rislink.cache import CACHE_DIR
-from rislink.touchstone import load_cached, load_cached_text, store_cached
+from rislink.touchstone import load_cached, store_cached
 
 GOLDEN = Path(__file__).parent / "golden" / "sample.s2p"
 
@@ -333,6 +333,11 @@ class TestCache:
     def hit(self, export, f_hz, digest=None):
         return load_cached(export, digest or self.digest(export), f_hz, self.TOL_HZ)
 
+    def text(self, export, digest, f_hz):
+        """The text ``load_cached(..., spelled=True)`` serves with the point, or None."""
+        hit = load_cached(export, digest, f_hz, self.TOL_HZ, spelled=True)
+        return None if hit is None else hit[1]
+
     def write_entry(self, export, points):
         """The entry ``store_cached`` writes, damaged after: its points replaced by ``points``, its record kept."""
         store_cached(export, self.digest(export), read_touchstone(export))
@@ -366,10 +371,10 @@ class TestCache:
         matrix = np.ascontiguousarray(fresh.points[1][1])  # a 2-port point is stored transposed, in column order
         expected = " ".join(repr(v) for v in matrix.view(float).ravel().tolist())
         for asked in (fresh.frequencies_hz[1], fresh.frequencies_hz[1] + 0.4 * self.TOL_HZ):
-            assert load_cached_text(export, digest, asked, self.TOL_HZ) == expected
-        assert load_cached_text(export, digest, fresh.frequencies_hz[0], self.TOL_HZ) is None
-        assert load_cached_text(export, digest, fresh.frequencies_hz[1] + 2 * self.TOL_HZ, self.TOL_HZ) is None
-        assert load_cached_text(export, "0" * 64, fresh.frequencies_hz[1], self.TOL_HZ) is None
+            assert self.text(export, digest, asked) == expected
+        assert self.text(export, digest, fresh.frequencies_hz[0]) is None
+        assert self.text(export, digest, fresh.frequencies_hz[1] + 2 * self.TOL_HZ) is None
+        assert self.text(export, "0" * 64, fresh.frequencies_hz[1]) is None
 
     def test_frequency_outside_the_tolerance_or_port_count_off_misses(self, export):
         digest, fresh = self.digest(export), read_touchstone(export)
