@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .brcs import export_csv, flat_reflector_reference, sweep_rx_angle
-from .errors import InputError, PatternError, RislinkError
+from .errors import InputError, PatternError, RislinkError, TouchstoneError, decoded
 from .farfield import ElementPattern, assemble_full_matrix, synth_ris_matrix
 from .loads import LoadVector, _check_caps, load_gammas, optimize, phase_gradient_seed
 from .network import ScatterMatrix
@@ -55,25 +55,32 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
     return cfg._replace(scenario=scenario, out_dir=out_dir, optimizer=optimizer)
 
 
+def _read(path: Path, name: str, digests: dict[str, str] | None) -> tuple[bytes, str]:
+    """The bytes of the input file ``name``, read once, and their SHA-256, which ``digests[name]`` gets too."""
+    data = path.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    if digests is not None:
+        digests[name] = digest
+    return data, digest
+
+
 def _build_ris(cfg: ScenarioConfig, digests: dict[str, str] | None = None,
                spelled: bool = False) -> ScatterMatrix | tuple[ScatterMatrix, str | None]:
     """The RIS matrix, from the model or from ``ris.file``: read once; its one cached point, else those bytes parsed.
 
-    The file's SHA-256 goes into ``digests["ris"]`` for the manifest. A parse is cached only once its point is
-    selected, so a run that fails on the port count or the frequency writes no entry; the entry also holds that
-    point's text, and then serves the run as it would a warm one. With ``spelled`` (``cmd_synthesize`` only), the
-    matrix and that text, or None where there is none (a model, or no entry).
+    The file's SHA-256 goes into ``digests["ris"]`` for the manifest. Only a miss decodes the bytes (an error names
+    the file if they are not UTF-8); a hit's key is the SHA-256 of bytes that already parsed. A parse is cached only
+    once its point is selected, so a run that fails on the port count or the frequency writes no entry; the entry
+    also holds that point's text, and then serves the run as it would a warm one. With ``spelled``
+    (``cmd_synthesize`` only), the matrix and that text, or None where there is none (a model, or no entry).
     """
     scn = cfg.scenario
     if isinstance(cfg.ris, RisFile):
         path, tol_hz = cfg.ris.path, cfg.ris.freq_tol_hz
-        data = path.read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        if digests is not None:
-            digests["ris"] = digest
+        data, digest = _read(path, "ris", digests)
         hit = load_cached(path, digest, scn.freq_hz, tol_hz, scn.element_numbers, spelled=spelled)
         if hit is None:
-            doc = read_touchstone(path, data)
+            doc = read_touchstone(path, decoded(data, TouchstoneError, f"{path}: "))
             if doc.n_ports != len(scn.elements):
                 raise InputError(f"{path}: {doc.n_ports} ports for {len(scn.elements)} scenario elements")
             ris = matrix_at_frequency(doc, scn.freq_hz, tol_hz, element_numbers=scn.element_numbers)
@@ -85,31 +92,19 @@ def _build_ris(cfg: ScenarioConfig, digests: dict[str, str] | None = None,
     return (ris, None) if spelled else ris
 
 
-def _read_text(path: Path, error: type[InputError], digests: dict[str, str] | None, name: str) -> tuple[str, str]:
-    """The UTF-8 text of an input file, read once, and the SHA-256 of those bytes, which ``digests[name]`` gets too."""
-    data = path.read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    if digests is not None:
-        digests[name] = digest
-    try:
-        return data.decode("utf-8"), digest
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not valid UTF-8 text: {exc}") from None
-
-
 def _build_patterns(cfg: ScenarioConfig, ris: ScatterMatrix,
                     digests: dict[str, str] | None = None) -> list[ElementPattern]:
     """The element patterns, uniform or from ``patterns.file``: read once, parsed unless cached for its bytes.
 
-    The file's SHA-256 goes into ``digests["patterns"]`` for the manifest.
+    The file's SHA-256 goes into ``digests["patterns"]`` for the manifest; only a miss decodes the bytes.
     """
     scn = cfg.scenario
     if isinstance(cfg.patterns, PatternsFile):
         path = cfg.patterns.path
-        text, digest = _read_text(path, PatternError, digests, "patterns")
+        data, digest = _read(path, "patterns", digests)
         table = load_cached_patterns(path, digest)
         if table is None:
-            table = parse_pattern_table(text)
+            table = parse_pattern_table(decoded(data, PatternError, f"{path}: "))
             store_cached_patterns(path, digest, table)
         parsed = {p.index_m: p for p in table}
         missing = [m for m in scn.element_numbers if m not in parsed]
@@ -137,7 +132,7 @@ def _write_manifest(cfg: ScenarioConfig, args: argparse.Namespace, outputs: list
         paths["ris"] = cfg.ris.path
     if isinstance(cfg.patterns, PatternsFile):
         paths["patterns"] = cfg.patterns.path
-    hashes = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items() if name not in digests}
+    hashes = {name: _read(p, name, None)[1] for name, p in paths.items() if name not in digests}
     manifest = {
         "command": args.command,
         "version": __version__,
@@ -194,7 +189,8 @@ def _read_caps_csv(path: Path, cfg: ScenarioConfig, digests: dict[str, str]) -> 
     """The capacitances of a ``caps.csv``, checked against the scenario; its SHA-256 goes into ``digests["caps"]``."""
     if not path.is_file():
         raise InputError(f"caps file does not exist: {path}")
-    lines = [ln.strip() for ln in _read_text(path, InputError, digests, "caps")[0].splitlines() if ln.strip()]
+    text = decoded(_read(path, "caps", digests)[0], InputError, f"{path}: ")
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split(",")[0:2] != ["m", "c_pf"]:
         raise InputError(f"{path}: expected header starting with 'm,c_pf'")
     caps_by_m: dict[int, float] = {}

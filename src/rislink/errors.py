@@ -6,7 +6,8 @@ subclasses and exit with code 2, as does an ``OSError`` from a file read or
 write; everything else derived from :class:`RislinkError` exits with code 1.
 
 A number from a caller is checked once, where it enters a constructor or an
-entry function, by :func:`check` against one of :data:`RULES`.
+entry function, by :func:`check` against one of :data:`RULES`. The bytes of
+every input file become text in :func:`decoded`, whose error names the file.
 """
 
 import math
@@ -40,6 +41,14 @@ def check(name: str, value, rule: str = "finite"):
     if not kept:
         raise ValueError(f"{name} must be {rule}, got {value}")
     return value
+
+
+def decoded(data: bytes, error: type["InputError"], where: str = "file is ") -> str:
+    """``data`` as UTF-8 text, else ``error("<where>not valid UTF-8 text: <reason>")``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}not valid UTF-8 text: {exc}") from None
 
 
 class RislinkError(Exception):

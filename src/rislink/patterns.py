@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cache
-from .errors import PatternError
+from .errors import PatternError, decoded
 from .farfield import ElementPattern
 
 GAIN_HEADER = ("m", "azimuth_deg", "gain_dbi")
@@ -56,10 +56,7 @@ def parse_pattern_table(text: str | bytes) -> list[ElementPattern]:
     line. Every element's azimuths are then checked at once.
     """
     if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise PatternError(f"file is not valid UTF-8 text: {exc}") from None
+        text = decoded(text, PatternError)
     rows, numbers, section, defect = [], [], None, None
     for line_no, line in enumerate(map(str.strip, text.splitlines()), start=1):
         if not line or line[0] == "#":

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MAX_ANGLE_RAD, ConfigError
+from .errors import MAX_ANGLE_RAD, ConfigError, decoded
 from .farfield import ElementGeometry, ExpDecayCoupling, Scenario
 from .loads import LoadBounds, OptimizerOptions, VaractorModel
 
@@ -327,8 +327,4 @@ def read_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file does not exist: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not valid UTF-8 text: {exc}") from None
-    return load_scenario(text, base_dir=path.parent)
+    return load_scenario(decoded(path.read_bytes(), ConfigError, f"{path}: "), base_dir=path.parent)

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import cache
-from .errors import FrequencyNotFoundError, TouchstoneError
+from .errors import FrequencyNotFoundError, TouchstoneError, decoded
 from .network import ScatterMatrix
 
 FREQ_MULTIPLIERS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
@@ -132,10 +132,7 @@ def parse_touchstone(text: str | bytes, n_ports: int | None = None) -> Touchston
     values that overflow when converted to hertz or to a linear magnitude.
     """
     if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TouchstoneError(f"file is not valid UTF-8 text: {exc}") from None
+        text = decoded(text, TouchstoneError)
     options, defect, tokens, ends, blocks, done = None, None, [], [], [], 0
 
     def line_of(k: int) -> int:
@@ -224,8 +221,8 @@ def ports_from_filename(path: str | Path) -> int:
     return int(match.group(1))
 
 
-def read_touchstone(path: str | Path, data: bytes | None = None) -> TouchstoneDocument:
-    """Read a .sNp file, or parse ``data``, its bytes already read, cross-checking the extension's port count."""
+def read_touchstone(path: str | Path, data: str | bytes | None = None) -> TouchstoneDocument:
+    """Read a .sNp file, or parse ``data``, its text or bytes already read; the extension gives the port count."""
     path = Path(path)
     n_ports = ports_from_filename(path)
     return parse_touchstone(path.read_bytes() if data is None else data, n_ports=n_ports)

@@ -231,15 +231,16 @@ class TestInputFiles:
         assert err.splitlines() == ["error: line 1: reference impedance must be positive and finite, got inf"]
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("damaged", ["config", "patterns", "caps"])
+    @pytest.mark.parametrize("damaged", ["config", "ris", "patterns", "caps"])
     def test_latin_1_byte_exits_2_naming_the_file(self, tmp_path, capsys, damaged):
         cfg = self.write(tmp_path)
-        path = {"config": cfg, "patterns": tmp_path / "patterns.csv", "caps": tmp_path / "caps.csv"}[damaged]
+        path = {"config": cfg, "ris": tmp_path / "ris.s2p", "patterns": tmp_path / "patterns.csv",
+                "caps": tmp_path / "caps.csv"}[damaged]
         path.write_bytes(path.read_bytes() + "# café\n".encode("latin-1"))
         assert main(["sweep", str(cfg), str(tmp_path / "caps.csv"), "--out", str(tmp_path / "o")]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {path}: not valid UTF-8 text: ") and "0xe9" in line
-        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "o").exists() and not (tmp_path / CACHE_DIR / f"{path.name}.npz").exists()
 
     def test_smm_above_one_exits_2(self, tmp_path, capsys):
         cfg = self.write(tmp_path, patterns=PATTERNS.replace("1,0.2,0", "1,1.5,0"))
@@ -598,6 +599,22 @@ class TestTouchstoneCache:
         assert main(["synthesize", cfg, "--out", str(tmp_path / "warm")]) == 0
         assert opened.count("board.s14p") == 1
         assert (tmp_path / "warm" / "full.s16p").read_bytes() == (tmp_path / "cold" / "full.s16p").read_bytes()
+
+    def test_a_hit_decodes_nothing(self, board, tmp_path, monkeypatch):
+        """Only a miss decodes an input's bytes: a hit's key is the SHA-256 of bytes that already parsed as UTF-8."""
+        decodes, decoded = [], rislink.cli.decoded  # the files the CLI decodes, as the error would name them
+        monkeypatch.setattr(rislink.cli, "decoded", lambda data, error, where: decodes.append(where) or
+                            decoded(data, error, where))
+        cfg, out = str(board / "scenario.cfg"), tmp_path / "out"
+        runs = [["synthesize", cfg], ["optimize", cfg, "--seed", "7"], ["sweep", cfg, str(out / "caps.csv")],
+                ["synthesize", cfg]]
+        seen = []
+        for args in runs:
+            assert main([*args, "--out", str(out)]) == 0
+            seen.append(decodes[:])
+            decodes.clear()
+        export, table, caps = (f"{path}: " for path in (board / "board.s14p", board / "patterns.csv", out / "caps.csv"))
+        assert seen == [[export, table], [], [caps], []]
 
     def hit(self, export, digest):
         """The cached point the board's scenario selects, or None."""

@@ -115,6 +115,17 @@ class TestLoadScenario:
         assert cfg.ris.freq_tol_hz == 1e3
         assert cfg.ris.path.name == "board.s14p"
 
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"])
+    def test_crlf_and_cr_only_configs_read_as_lf(self, board_dir, tmp_path, eol):
+        (tmp_path / "patterns.csv").write_bytes((board_dir / "patterns.csv").read_bytes())
+        text = (board_dir / "scenario.cfg").read_text().replace("\n", eol)
+        (tmp_path / "scenario.cfg").write_bytes(text.encode("utf-8"))
+        assert read_scenario(tmp_path / "scenario.cfg").raw == read_scenario(board_dir / "scenario.cfg").raw
+        (tmp_path / "scenario.cfg").write_bytes(text.replace("range = 2 m", "range 2 m").encode("utf-8"))
+        line = text.split(eol).index("range = 2 m") + 1
+        with pytest.raises(ConfigError, match=rf"^line {line}: expected 'key = value', got 'range 2 m'$"):
+            read_scenario(tmp_path / "scenario.cfg")
+
     def test_sweep_and_out_defaults(self, board_dir):
         cfg = read_scenario(board_dir / "scenario.cfg")
         alphas = cfg.sweep.alphas_rad()

@@ -13,10 +13,13 @@ private functions, so the base must have them: ``_build_ris(..., spelled=True)``
 exists from the commit that added ``load_cached(..., spelled=True)`` on.
 
 Each workload's inputs come from ``perfbench/workloads.prepare``
-(``board_7x2`` seed 7, ``wide_touchstone`` 301 and ``lossy_mid`` 4), copied
-into a directory of each tree's own, so neither tree sees the other's parse
-cache and nothing is written into the checkout or under ``perfbench/``. BLAS runs on one thread unless the environment sets
-``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``.
+(``board_7x2`` seed 7, ``wide_touchstone`` 301 and ``lossy_mid`` 4), and those
+of the non-reciprocal export ``board_nonreciprocal`` 11 from
+``tools/same_bytes.py``; each is copied into a directory of each tree's own,
+so neither tree sees the other's parse cache and nothing is written into the
+checkout or under ``perfbench/``. BLAS runs on one thread unless the
+environment sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS``.
 
 For each call, each round times base and change alternately, ``K`` times each,
 and prints the min of each side in ms and their ratio (change / base; below 1
@@ -45,7 +48,7 @@ sys.dont_write_bytecode = True  # the checkout and perfbench/ stay as checked ou
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 #: (workload, seed) pairs timed.
-CASES = [("board_7x2", 7), ("wide_touchstone", 301), ("lossy_mid", 4)]
+CASES = [("board_7x2", 7), ("wide_touchstone", 301), ("lossy_mid", 4), ("board_nonreciprocal", 11)]
 #: Rounds per workload, and timed runs per side and call within a round.
 ROUNDS, K = 3, 15
 
@@ -123,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")  # before numpy is first imported, below
-    from workloads import prepare
+    from same_bytes import prepare_case
 
     with tempfile.TemporaryDirectory(prefix="ab_") as tmp:
         trees = [load_package("rislink_base", base_src(args.base, Path(tmp) / "base_tree")),
@@ -131,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"min of {K} per side and round, ms: {args.base} -> working tree (ratio)")
         for name, seed in CASES:
             case = f"{name}-{seed}"
-            wl = prepare(name, seed, ROOT, Path(tmp) / "inputs" / case)
+            wl = prepare_case(name, seed, Path(tmp) / "inputs" / case)
             sides = [calls(m, wl, Path(tmp) / tree / case) for m, tree in zip(trees, ("base", "work"))]
             print(case)
             for call in sides[1]:
