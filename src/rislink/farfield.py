@@ -29,6 +29,11 @@ SPEED_OF_LIGHT = 299_792_458.0
 Side = Literal["tx", "rx"]
 
 _ASIN_SLACK = 1e-9
+#: How far short of +-90 deg a pattern table's samples may stop (``parse_pattern_table``).
+COVERAGE_SLACK_DEG = 1e-9
+#: How far past its samples ``ElementPattern.gain`` serves: twice that slack, which leaves room for an angle's own
+#: 1e-12 rad past +-pi/2 (``MAX_ANGLE_RAD``) and for rounding degrees to radians.
+_GAIN_SLACK_RAD = math.radians(2 * COVERAGE_SLACK_DEG)
 
 
 class FarFieldValidityWarning(UserWarning):
@@ -47,7 +52,8 @@ class ElementPattern:
     """Sampled azimuth gain pattern of one element plus its self coefficient.
 
     Gains are linear (not dB) and interpolated linearly between azimuth
-    samples; the sampling must cover every azimuth that will be queried.
+    samples; the sampling must cover every azimuth that will be queried, to
+    within ``2 * COVERAGE_SLACK_DEG``.
     """
 
     def __init__(self, index_m: int, azimuth_rad, gain_lin, s_mm: complex = 0j):
@@ -67,7 +73,8 @@ class ElementPattern:
 
     @classmethod
     def _checked(cls, index_m: int, azimuth_rad: np.ndarray, gain_lin: np.ndarray, s_mm: complex) -> "ElementPattern":
-        """For ``parse_pattern_table``: float arrays that pass every check of ``__init__``, locked, not copied."""
+        """For ``patterns``' parser and cache: an element number >= 1 and float arrays that pass every check of
+        ``__init__``, locked, not copied."""
         pattern = cls.__new__(cls)
         azimuth_rad.flags.writeable = gain_lin.flags.writeable = False
         pattern.index_m, pattern.azimuth_rad, pattern.gain_lin, pattern.s_mm = index_m, azimuth_rad, gain_lin, s_mm
@@ -90,7 +97,7 @@ class ElementPattern:
     def gain(self, azimuth_rad: float | np.ndarray) -> float | np.ndarray:
         az = np.asarray(azimuth_rad)
         lo, hi = self.coverage_rad
-        outside = (az < lo - 1e-12) | (az > hi + 1e-12)
+        outside = (az < lo - _GAIN_SLACK_RAD) | (az > hi + _GAIN_SLACK_RAD)
         if outside.any():
             raise PatternCoverageError(
                 f"element {self.index_m}: azimuth {math.degrees(az[outside].flat[0]):.3f} deg outside "

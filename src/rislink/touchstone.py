@@ -221,11 +221,14 @@ def ports_from_filename(path: str | Path) -> int:
     return int(match.group(1))
 
 
-def read_touchstone(path: str | Path, data: str | bytes | None = None) -> TouchstoneDocument:
-    """Read a .sNp file, or parse ``data``, its text or bytes already read; the extension gives the port count."""
+def read_touchstone(path: str | Path, data: str | None = None) -> TouchstoneDocument:
+    """Read a .sNp file, or parse ``data``, its text already read; the extension gives the port count.
+
+    A file that is not UTF-8 raises ``TouchstoneError("<path>: not valid UTF-8 text: ...")``.
+    """
     path = Path(path)
     n_ports = ports_from_filename(path)
-    return parse_touchstone(path.read_bytes() if data is None else data, n_ports=n_ports)
+    return parse_touchstone(decoded(path.read_bytes(), TouchstoneError, f"{path}: ") if data is None else data, n_ports)
 
 
 def load_cached(

@@ -303,6 +303,8 @@ def line_parse_pattern_table(text):
             m, a, b = int(cells[0]), float(cells[1]), float(cells[2])
         except ValueError:
             raise PatternError(f"line {line_no}: invalid numeric value") from None
+        if not 1 <= m < 2**63:
+            raise PatternError(f"line {line_no}: element number {m} is out of range")
         if section == "gain":
             if math.isinf(b) and b > 0:
                 raise PatternError(f"line {line_no}: gain +inf dBi is not physical")

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import format_pattern_table, same_patterns
-from rislink import ElementPattern, PatternError, parse_pattern_table, patterns
+from rislink import (ElementGeometry, ElementPattern, ExpDecayCoupling, LoadVector, PatternError, Scenario,
+                     parse_pattern_table, patterns, sweep_rx_angle, synth_ris_matrix)
 from rislink.cache import CACHE_DIR
+from rislink.errors import MAX_ANGLE_RAD
+from rislink.farfield import COVERAGE_SLACK_DEG
 from rislink.patterns import load_cached_patterns, store_cached_patterns
 
 BASIC = """\
@@ -68,6 +71,17 @@ class TestParse:
         text = "# export\n\n" + BASIC.replace("1,0.1,-0.05", "1,2,0").replace("m,smm_re", "# mid\n\nm,smm_re")
         with pytest.raises(PatternError, match=r"^line 10: \|s_mm\|"):
             parse_pattern_table(text)
+
+    @pytest.mark.parametrize("edge", [89.9999999995, 90.0 - COVERAGE_SLACK_DEG])
+    def test_table_short_of_90_deg_by_the_slack_serves_every_angle(self, edge):
+        text = f"m,azimuth_deg,gain_dbi\n1,{-edge!r},0\n1,{edge!r},0\nm,smm_re,smm_im\n1,0.1,0\n"
+        (pattern,) = parse_pattern_table(text)
+        for azimuth in (-MAX_ANGLE_RAD, -math.pi / 2, math.pi / 2, MAX_ANGLE_RAD):
+            assert pattern.gain(azimuth) == 1.0
+        scn = Scenario(2.0, 0.0, math.radians(30), 3.55e9, 10.0, 10.0, (ElementGeometry(1, 0.0, 0.0),))
+        ris = synth_ris_matrix(scn.elements, scn.freq_hz, ExpDecayCoupling(0.1))
+        curve = sweep_rx_angle(scn, ris, [pattern], LoadVector.uniform(1e-12, 1), np.radians([-90.0, 0.0, 90.0]))
+        assert np.isfinite(curve.sigma_dbsm).all()
 
     def test_headers_are_case_and_space_insensitive(self):
         text = BASIC.replace("m,azimuth_deg,gain_dbi", " M , Azimuth_Deg ,GAIN_DBI").replace("m,smm_re", "M ,smm_re")
@@ -184,8 +198,9 @@ class TestParseErrors:
     def test_element_number_keeps_int_semantics(self):
         with pytest.raises(PatternError, match="line 3: invalid numeric value"):
             parse_pattern_table(BASIC.replace("1,0,5", "1.0,0,5"))
-        with pytest.raises(PatternError, match="line 3: element number .* is out of range"):
-            parse_pattern_table(BASIC.replace("1,0,5", f"{2**63},0,5"))
+        for m in (2**63, 0, -1):  # ElementPattern refuses an element number below 1
+            with pytest.raises(PatternError, match=f"^line 3: element number {m} is out of range$"):
+                parse_pattern_table(BASIC.replace("1,0,5", f"{m},0,5"))
         assert parse_pattern_table(BASIC.replace("1,0,5", " +1 ,0,5"))[0].gain(0.0) == pytest.approx(10**0.5)
 
     def test_bad_cell(self):

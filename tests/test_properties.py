@@ -275,7 +275,8 @@ def test_non_finite_token_names_its_line(layout, token, data):
 
 
 _ROW_MUTANTS = ("1,zz,0", "1,0", "1,0,0,0", "1.0,0,0", "1,0,inf", "2,0,0", "1,,0", "m,azimuth_deg,gain_dbi",
-                "M, SMM_RE ,smm_im", "x,1,2", "1_0,0,0", "1,0,nan", "1,nan,0", "1,1.2,0", "1,0,4000")
+                "M, SMM_RE ,smm_im", "x,1,2", "1_0,0,0", "1,0,nan", "1,nan,0", "1,1.2,0", "1,0,4000",
+                "0,0,0", "-1,0,0")
 
 
 @st.composite

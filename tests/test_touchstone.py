@@ -208,6 +208,12 @@ class TestParseErrors:
         with pytest.raises(TouchstoneError, match="wrong value count"):
             read_touchstone(path)
 
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "bad.s1p"
+        path.write_bytes(b"# GHz S RI R 50\n! caf\xe9\n1.0 0.5 0.0\n")
+        with pytest.raises(TouchstoneError, match=f"^{re.escape(str(path))}: not valid UTF-8 text: .*0xe9"):
+            read_touchstone(path)
+
     def test_unknown_extension(self, tmp_path):
         path = tmp_path / "matrix.txt"
         path.write_text("# GHz S RI R 50\n1.0 0.5 0.0\n")

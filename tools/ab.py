@@ -25,9 +25,10 @@ For each call, each round times base and change alternately, ``K`` times each,
 and prints the min of each side in ms and their ratio (change / base; below 1
 is faster). A ratio that swings around 1 from round to round is noise. Calls:
 assembly, the sweep, ``_build_ris`` (a cache hit and a miss for a Touchstone
-export, the model's synthesis otherwise), ``_build_patterns`` (a cache hit for
-a pattern table), the Touchstone writer, the optimizer's seed and, where the
-workload runs ``optimize``, the optimizer.
+export, the model's synthesis otherwise), ``_build_patterns`` (a cache hit and
+a miss for a pattern table), the Touchstone writer, the optimizer's seed and,
+where the workload runs ``optimize``, the optimizer. Each miss is timed with
+the unlink of the cache entry that forces it.
 """
 
 from __future__ import annotations
@@ -100,7 +101,9 @@ def calls(m: dict, wl, work: Path) -> dict:
     else:
         timed["_build_ris"] = lambda: cli._build_ris(cfg, {})
     if isinstance(cfg.patterns, cli.PatternsFile):
+        table_entry = m["cache"].entry_path(cfg.patterns.path)
         timed["_build_patterns hit"] = lambda: cli._build_patterns(cfg, ris, {})
+        timed["_build_patterns miss"] = lambda: (table_entry.unlink(missing_ok=True), cli._build_patterns(cfg, ris, {}))
     timed["write_touchstone"] = lambda: cli.write_touchstone(doc, out, spelled)
     timed["phase_gradient_seed"] = lambda: cli.phase_gradient_seed(scn, cfg.bounds, cfg.varactor, z0_ohm=ris.z0_ohm)
     if "optimize" in wl.commands:
