@@ -167,8 +167,7 @@ def cmd_optimize(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     patterns = _build_patterns(cfg, ris, digests)
     full = assemble_full_matrix(scn, ris, patterns)
 
-    seed_vector = phase_gradient_seed(scn, cfg.bounds, cfg.varactor, z0_ohm=ris.z0_ohm)
-    opts = cfg.optimizer.replace(initial=seed_vector)
+    opts = cfg.optimizer.replace(initial=phase_gradient_seed(full, cfg.bounds, cfg.varactor))
     result = optimize(full, cfg.bounds, cfg.varactor, opts)
 
     gammas = load_gammas(result.caps, scn.freq_hz, ris.z0_ohm, cfg.varactor)

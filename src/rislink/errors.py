@@ -44,9 +44,9 @@ def check(name: str, value, rule: str = "finite"):
 
 
 def decoded(data: bytes, error: type["InputError"], where: str = "file is ") -> str:
-    """``data`` as UTF-8 text, else ``error("<where>not valid UTF-8 text: <reason>")``."""
+    """``data`` as UTF-8 text, a leading BOM dropped, else ``error("<where>not valid UTF-8 text: <reason>")``."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{where}not valid UTF-8 text: {exc}") from None
 

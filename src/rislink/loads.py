@@ -22,7 +22,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError, UnoptimizableError, check
-from .farfield import Scenario, element_paths
 from .network import LinkKernel, ReflectionVector, ScatterMatrix
 
 #: A start ends after a pass over every element that raises its best by no more than this, relatively.
@@ -170,36 +169,29 @@ def objective_gradient(
     return 2.0 * np.real(np.conj(s21) * ds_dgamma * model.dgamma_dc(caps_f, full.freq_hz, full.z0_ohm))
 
 
-def _wrap(angle: float) -> float:
-    return math.atan2(math.sin(angle), math.cos(angle))
-
-
 def phase_gradient_seed(
-    scn: Scenario,
+    full: ScatterMatrix,
     bounds: LoadBounds,
     model: VaractorModel = IDEAL_VARACTOR,
-    z0_ohm: float = 50.0,
 ) -> LoadVector:
-    """Physics-informed start vector for the optimizer.
+    """Physics-informed start vector for the optimizer, read from the assembled link ``full``.
 
-    Picks each capacitance so the element's reflection phase cancels the
-    round-trip path phase 2*pi*(d_tx + d_rx)/lambda modulo 2*pi, or the
-    nearest phase achievable inside the bounds. The phase -> capacitance
-    inversion assumes an ideal load; with parasitics it is still only a
-    starting point.
+    Picks each capacitance so the element's reflection phase cancels its path
+    phase -arg(t_k*r_k) (t the Tx column, r the Rx row), or the nearest phase
+    achievable inside the bounds; a pattern null (t_k or r_k zero) targets 0.
+    The phase -> capacitance inversion assumes an ideal load at ``full.z0_ohm``;
+    with parasitics it is still only a starting point.
     """
-    w = 2.0 * math.pi * scn.freq_hz
-    lam = scn.wavelength_m
+    f, z0 = full.freq_hz, full.z0_ohm
+    w = 2.0 * math.pi * f
     # arg(gamma) of an ideal load decreases with C, so c_max gives the lowest phase.
-    phase_lo, phase_hi = (float(np.angle(cap_to_gamma(c, scn.freq_hz, z0_ohm)))
-                          for c in (bounds.c_max_f, bounds.c_min_f))
+    phase_lo, phase_hi = (float(np.angle(cap_to_gamma(c, f, z0))) for c in (bounds.c_max_f, bounds.c_min_f))
 
     caps = []
-    for path in (element_paths(scn, "tx")[0][0] + element_paths(scn, "rx")[0][0]).tolist():
-        target = _wrap(2.0 * math.pi * path / lam)
+    for target in (-np.angle(full.kernel.s_ie[:, 0] * full.kernel.s_ei[1])).tolist():
         if phase_lo <= target <= phase_hi:
-            c = model.capacitance(z0_ohm / math.tan(target / 2.0), w)
-        elif abs(_wrap(target - phase_lo)) <= abs(_wrap(target - phase_hi)):
+            c = model.capacitance(z0 / math.tan(target / 2.0), w)
+        elif abs(math.remainder(target - phase_lo, math.tau)) <= abs(math.remainder(target - phase_hi, math.tau)):
             c = bounds.c_max_f
         else:
             c = bounds.c_min_f

@@ -205,7 +205,7 @@ def test_criterion_6_steering_behavior():
         patterns = _build_patterns(cfg, ris)
         full = assemble_full_matrix(scn, ris, patterns)
 
-        seed = phase_gradient_seed(scn, cfg.bounds)
+        seed = phase_gradient_seed(full, cfg.bounds)
         opts = OptimizerOptions(initial=seed)
         result = optimize(full, cfg.bounds, opts=opts)
 

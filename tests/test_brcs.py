@@ -104,6 +104,20 @@ class TestFlatReflector:
         curve = flat_reflector_reference(0.308, 0.096, LAM, 0.0, alphas)
         np.testing.assert_allclose(curve.sigma_dbsm, curve.sigma_dbsm[::-1], atol=1e-9)
 
+    def test_lobe_matches_physical_optics_off_specular(self):
+        # sigma = peak * (sin x / x)^2 with x = pi*w/lambda*(sin a - sin b): first nulls at sin a - sin b = +-lambda/w.
+        w, h, beta = 0.308, 0.096, math.radians(30)
+        offsets = [-1.5, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 1.5]  # in units of lambda/w
+        alphas = np.arcsin([math.sin(beta) + u * LAM / w for u in offsets])
+        curve = flat_reflector_reference(w, h, LAM, beta, alphas)
+        peak = 4 * math.pi * (w * h * math.cos(beta)) ** 2 / LAM**2
+        for u, sigma_dbsm in zip(offsets, curve.sigma_dbsm):
+            if abs(u) == 1.0:
+                assert sigma_dbsm == DBSM_FLOOR
+            else:
+                x = math.pi * u
+                assert sigma_dbsm == pytest.approx(10 * math.log10(peak * (math.sin(x) / x) ** 2), abs=1e-9)
+
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             flat_reflector_reference(0.0, 0.1, LAM, 0.0, np.array([0.0]))
@@ -237,6 +251,15 @@ class TestSweep:
         with pytest.warns(FarFieldValidityWarning) as record:
             sweep_rx_angle(scn, ris, patterns, LoadVector.uniform(1e-12, 2), np.radians([-30.0, 0.0, 30.0]))
         assert len(record) == 1
+
+    def test_warning_names_the_nearest_distance_of_a_grid_that_starts_elsewhere(self):
+        # On 0..90 deg the Rx comes nearest at 90 deg: 2 m - 0.3 m to element 1, nearer than the Tx (1.868 m).
+        els = (ElementGeometry(1, -0.3, 0.0), ElementGeometry(2, 0.3, 0.0))
+        scn = pair_scenario().replace(elements=els)
+        ris, patterns = setup_pair(scn)
+        with pytest.warns(FarFieldValidityWarning) as record:
+            sweep_rx_angle(scn, ris, patterns, LoadVector.uniform(1e-12, 2), np.radians([0.0, 30.0, 60.0, 90.0]))
+        assert len(record) == 1 and str(record[0].message).startswith("antenna distance 1.700 m is below")
 
     def test_one_element_paths_pass_per_antenna(self, monkeypatch):
         # Assembly reads each side's paths once, for its rows and its far-field warning; the sweep adds one

@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import hashlib
 import json
@@ -242,6 +243,28 @@ class TestInputFiles:
         assert line.startswith(f"error: {path}: not valid UTF-8 text: ") and "0xe9" in line
         assert not (tmp_path / "o").exists() and not (tmp_path / CACHE_DIR / f"{path.name}.npz").exists()
 
+    @pytest.mark.parametrize("marked", ["config", "ris", "patterns", "caps"])
+    def test_leading_byte_order_mark_reads_as_without_one(self, tmp_path, marked):
+        # Spreadsheet programs start a UTF-8 CSV with a byte-order mark by default.
+        outputs, manifests = {}, {}
+        for run in ("plain", "marked"):
+            (tmp_path / run).mkdir()
+            cfg = self.write(tmp_path / run)
+            path = {"config": cfg, "ris": tmp_path / run / "ris.s2p", "patterns": tmp_path / run / "patterns.csv",
+                    "caps": tmp_path / run / "caps.csv"}[marked]
+            if run == "marked":
+                path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+            out = tmp_path / run / "o"
+            assert main(["synthesize", str(cfg), "--out", str(out)]) == 0
+            assert main(["optimize", str(cfg), "--out", str(out)]) == 0
+            assert main(["sweep", str(cfg), str(path.parent / "caps.csv"), "--out", str(out)]) == 0
+            outputs[run] = {name: (out / name).read_bytes() for name in ("full.s4p", "caps.csv", "brcs.csv")}
+            manifests[run] = json.loads((out / "manifest.sweep.json").read_text())
+            assert manifests[run]["input_hashes"][marked] == hashlib.sha256(path.read_bytes()).hexdigest()
+            del manifests[run]["created_utc"], manifests[run]["input_hashes"][marked]
+        assert outputs["marked"] == outputs["plain"]
+        assert manifests["marked"] == manifests["plain"]
+
     def test_smm_above_one_exits_2(self, tmp_path, capsys):
         cfg = self.write(tmp_path, patterns=PATTERNS.replace("1,0.2,0", "1,1.5,0"))
         assert main(["synthesize", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -286,6 +309,23 @@ class TestOptimize:
         for row in rows:
             c_pf = float(row.split(",")[1])
             assert 0.23 <= c_pf <= 2.1
+
+    def test_one_element_paths_pass_per_antenna(self, toy_cfg, tmp_path, monkeypatch):
+        # The seed reads the assembled link, so assembly's one pass per antenna is the run's only geometry.
+        sides = []
+        element_paths = rislink.farfield.element_paths
+
+        def spy(scn, side, *args):
+            sides.append(side)
+            return element_paths(scn, side, *args)
+
+        for name, module in list(sys.modules.items()):  # every module that binds the function, under any name
+            if name.startswith("rislink"):
+                for attr, value in list(vars(module).items()):
+                    if value is element_paths:
+                        monkeypatch.setattr(module, attr, spy)
+        assert main(["optimize", str(toy_cfg), "--out", str(tmp_path / "o")]) == 0
+        assert sides == ["tx", "rx"]
 
     @pytest.mark.parametrize("line", [
         "opt.starts = 0",

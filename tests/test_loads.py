@@ -7,6 +7,8 @@ import pytest
 from conftest import coordinate_terms, grid_transfer, random_full_link, random_passive
 from rislink import (
     ElementGeometry,
+    ElementPattern,
+    ExpDecayCoupling,
     InputError,
     LoadBounds,
     LoadVector,
@@ -26,9 +28,11 @@ from rislink import (
     phase_gradient_seed,
     read_scenario,
     reduce_loaded,
+    synth_ris_matrix,
 )
 from rislink import loads
 from rislink.cli import _build_patterns, _build_ris
+from rislink.network import LinkKernel
 
 REPO = Path(__file__).resolve().parents[1]
 F_CARRIER = 3.55e9
@@ -174,13 +178,19 @@ class TestGradient:
             assert analytic == pytest.approx(fd, rel=1e-4)
 
 
+@pytest.mark.filterwarnings("ignore::rislink.FarFieldValidityWarning")
 class TestPhaseGradientSeed:
     def scenario(self, elements, r_m=2.0):
         return Scenario(r_m, 0.0, 0.0, F_CARRIER, 1.0, 1.0, tuple(elements))
 
+    def link(self, scn):
+        """The assembled link of ``scn``: isolated, matched elements with isotropic patterns."""
+        ris = synth_ris_matrix(scn.elements, scn.freq_hz, ExpDecayCoupling(c0=0.0))
+        return assemble_full_matrix(scn, ris, [ElementPattern.isotropic(m) for m in scn.element_numbers])
+
     def test_equidistant_elements_get_uniform_seed(self):
         scn = self.scenario([ElementGeometry(1, -0.05, 0.0), ElementGeometry(2, 0.05, 0.0)])
-        seed = phase_gradient_seed(scn, BOUNDS)
+        seed = phase_gradient_seed(self.link(scn), BOUNDS)
         assert seed.caps_f[0] == seed.caps_f[1]
 
     def test_half_wavelength_path_difference_gives_opposed_phases(self):
@@ -191,7 +201,7 @@ class TestPhaseGradientSeed:
         z2 = math.sqrt((r + lam / 4) ** 2 - r**2)
         scn = self.scenario([ElementGeometry(1, 0.0, 0.0), ElementGeometry(2, 0.0, z2)], r_m=r)
         wide = LoadBounds(0.01e-12, 100e-12)
-        seed = phase_gradient_seed(scn, wide)
+        seed = phase_gradient_seed(self.link(scn), wide)
         phases = [np.angle(cap_to_gamma(c, F_CARRIER)) for c in seed.caps_f]
         separation = abs(math.atan2(math.sin(phases[0] - phases[1]), math.cos(phases[0] - phases[1])))
         assert separation == pytest.approx(math.pi, abs=0.05)
@@ -208,8 +218,23 @@ class TestPhaseGradientSeed:
                 float(rng.uniform(-1.0, 1.0)),
                 F_CARRIER, 1.0, 1.0, tuple(elements),
             )
-            seed = phase_gradient_seed(scn, BOUNDS)
+            seed = phase_gradient_seed(self.link(scn), BOUNDS)
             assert all(BOUNDS.c_min_f <= c <= BOUNDS.c_max_f for c in seed.caps_f)
+
+    def test_targets_are_read_from_the_link_tx_column_and_rx_row(self):
+        # Targets -arg(t_k*r_k): one inside the window [arg gamma(c_max), arg gamma(c_min)] of about
+        # [-2.33, -0.50] rad, one above it (nearer c_min), one nearer c_max only once wrapped, and a Tx null (target 0).
+        # The Tx row and the Rx column, which the seed does not read, hold other phases: the link is not reciprocal.
+        targets = (-1.5, 0.5, 2.8)
+        s = np.zeros((6, 6), dtype=complex)
+        s[0, 1:5] = s[1:5, 5] = 0.1
+        for k, target in enumerate(targets, start=1):
+            s[k, 0] = 0.1 * np.exp(0.4j)
+            s[5, k] = 0.1 * np.exp(-1j * (target + 0.4))
+        s[5, 4] = 0.1
+        seed = phase_gradient_seed(ScatterMatrix.full_link(s, F_CARRIER, [1, 2, 3, 4]), BOUNDS)
+        assert float(np.angle(cap_to_gamma(seed.caps_f[0], F_CARRIER))) == pytest.approx(targets[0], abs=1e-9)
+        assert seed.caps_f[1:] == (BOUNDS.c_min_f, BOUNDS.c_max_f, BOUNDS.c_min_f)
 
     def test_interior_target_is_inverted_exactly(self):
         # An in-window target must map to a capacitance whose reflection
@@ -218,7 +243,7 @@ class TestPhaseGradientSeed:
         target = -1.5  # rad, inside the achievable window for these bounds
         path = (target / (2 * math.pi) + 40) * lam
         scn = self.scenario([ElementGeometry(1, 0.0, 0.0)], r_m=path / 2)
-        seed = phase_gradient_seed(scn, BOUNDS)
+        seed = phase_gradient_seed(self.link(scn), BOUNDS)
         phase = float(np.angle(cap_to_gamma(seed.caps_f[0], F_CARRIER)))
         assert phase == pytest.approx(target, abs=1e-9)
 
@@ -279,6 +304,14 @@ class TestOptimize:
         opts = OptimizerOptions(starts=2, seed=0, initial=initial)
         result = optimize(link_n2(), BOUNDS, opts=opts)
         assert result.trace[0].initial_pf == pytest.approx((0.5, 1.5))
+
+    def test_exact_tie_between_starts_keeps_start_0(self, monkeypatch):
+        # A constant transfer above every coordinate maximum takes no step, so every start ties at its first point.
+        monkeypatch.setattr(LinkKernel, "transfer", lambda self, gam: 1.0)
+        initial = LoadVector.of([0.5e-12, 1.5e-12])
+        result = optimize(link_n2(), BOUNDS, opts=OptimizerOptions(starts=4, seed=0, initial=initial))
+        assert [trace.best_objective for trace in result.trace] == [1.0] * 4
+        assert result.caps.caps_f == pytest.approx(initial.caps_f, rel=1e-12)
 
     def test_zero_coupling_is_unoptimizable(self):
         s = np.zeros((3, 3), dtype=complex)
@@ -384,7 +417,7 @@ class TestCoordinateAscent:
         cfg = read_scenario(REPO / "scenarios" / "board_7x2" / "scenario.cfg")
         ris = _build_ris(cfg)
         full = assemble_full_matrix(cfg.scenario, ris, _build_patterns(cfg, ris))
-        initial = phase_gradient_seed(cfg.scenario, cfg.bounds, cfg.varactor)
+        initial = phase_gradient_seed(full, cfg.bounds, cfg.varactor)
         opts = OptimizerOptions(cfg.optimizer.starts, cfg.optimizer.max_evals, seed, initial)
         assert optimize(full, cfg.bounds, cfg.varactor, opts).objective >= self.BOARD_PREVIOUS[seed]
 

@@ -26,16 +26,21 @@ and prints the min of each side in ms and their ratio (change / base; below 1
 is faster). A ratio that swings around 1 from round to round is noise. Calls:
 assembly, the sweep, ``_build_ris`` (a cache hit and a miss for a Touchstone
 export, the model's synthesis otherwise), ``_build_patterns`` (a cache hit and
-a miss for a pattern table), the Touchstone writer, the optimizer's seed and,
-where the workload runs ``optimize``, the optimizer. Each miss is timed with
-the unlink of the cache entry that forces it.
+a miss for a pattern table), the Touchstone writer, the optimizer's seed (called
+as each tree's signature takes it: the assembled link, or before that the
+scenario and ``z0_ohm``) and, where the workload runs ``optimize``, the
+optimizer; on ``wide_touchstone`` (N = 128), which never runs it, the optimizer
+with one start and with 8. Each miss is timed with the unlink of the cache
+entry that forces it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import importlib.util
+import inspect
 import os
 import shutil
 import subprocess
@@ -83,7 +88,12 @@ def calls(m: dict, wl, work: Path) -> dict:
     ris, text = cli._build_ris(cfg, {}, spelled=True)  # a Touchstone export is now cached, with its text
     patterns = cli._build_patterns(cfg, ris, {})  # and so is a pattern table
     full = m["farfield"].assemble_full_matrix(scn, ris, patterns)
-    seed = cli.phase_gradient_seed(scn, cfg.bounds, cfg.varactor, z0_ohm=ris.z0_ohm)
+    # Each tree's seed is called as its signature takes it: a tree whose seed has ``z0_ohm`` reads the scenario.
+    if "z0_ohm" in inspect.signature(cli.phase_gradient_seed).parameters:
+        seed_call = functools.partial(cli.phase_gradient_seed, scn, cfg.bounds, cfg.varactor, z0_ohm=ris.z0_ohm)
+    else:
+        seed_call = functools.partial(cli.phase_gradient_seed, full, cfg.bounds, cfg.varactor)
+    seed = seed_call()
     caps = seed if wl.caps_input is None else cli._read_caps_csv(work / wl.caps_input.name, cfg, {})
     alphas = cfg.sweep.alphas_rad()
     doc = m["touchstone"].document_from_matrix(full)
@@ -105,10 +115,14 @@ def calls(m: dict, wl, work: Path) -> dict:
         timed["_build_patterns hit"] = lambda: cli._build_patterns(cfg, ris, {})
         timed["_build_patterns miss"] = lambda: (table_entry.unlink(missing_ok=True), cli._build_patterns(cfg, ris, {}))
     timed["write_touchstone"] = lambda: cli.write_touchstone(doc, out, spelled)
-    timed["phase_gradient_seed"] = lambda: cli.phase_gradient_seed(scn, cfg.bounds, cfg.varactor, z0_ohm=ris.z0_ohm)
+    timed["phase_gradient_seed"] = seed_call
     if "optimize" in wl.commands:
         opts = cfg.optimizer.replace(initial=seed, seed=wl.cli_seed)
         timed["optimize"] = lambda: cli.optimize(full, cfg.bounds, cfg.varactor, opts)
+    elif wl.name == "wide_touchstone":  # N = 128, which the workload itself never optimizes
+        for label, starts in (("optimize 1 start", 1), ("optimize 8 starts", 8)):
+            opts = cfg.optimizer.replace(initial=seed, seed=wl.cli_seed, starts=starts)
+            timed[label] = functools.partial(cli.optimize, full, cfg.bounds, cfg.varactor, opts)
     return timed
 
 
