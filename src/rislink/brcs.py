@@ -92,10 +92,10 @@ def sweep_rx_angle(
 
     The loads stay fixed while the receiver moves, so only the Rx coupling
     row r(alpha) of the full matrix changes:
-    S_RxTx(alpha) = S_RxTx + r(alpha) @ Gamma*(I - S_ii*Gamma)^-1 * t.
-    S_ii, the Tx column and the zero direct term do not depend on alpha, so
-    the full matrix is assembled once and its kernel (``full.kernel``) solves
-    for the loaded-port waves once; each row is then dotted with them.
+    S_RxTx(alpha) = direct + r(alpha) @ Gamma*(I - S_ii*Gamma)^-1 * t.
+    S_ii, the Tx column t and the zero direct term do not depend on alpha, so
+    the full matrix is assembled once and its kernel's ``s_rx_tx`` solves for
+    the loaded-port waves once, then dots each angle's row with them.
 
     The Rx paths of every grid angle come from one :func:`element_paths`
     call. They give every angle's row, and they pick the angle at which the
@@ -117,10 +117,8 @@ def sweep_rx_angle(
     kernel = full.kernel
     if len(caps) != kernel.n_ris:
         raise ValueError(f"{len(caps)} loads for {kernel.n_ris} RIS ports")
-    wave = kernel.tx_wave(load_gammas(caps, full.freq_hz, full.z0_ohm, model).as_array)
-
-    # One dot per row: a matrix-vector product sums in another order and moves sigma in its last bits.
-    s21 = kernel.s_ee[1, 0] + np.array([r @ wave for r in _rows(scn, patterns, "rx", d, gamma)])
+    gam = load_gammas(caps, full.freq_hz, full.z0_ohm, model).as_array
+    s21 = kernel.s_rx_tx(gam, _rows(scn, patterns, "rx", d, gamma))
     sigma = _sigma_m2(s21.tolist(), scn.r_m, scn.r_m, scn.g_tx_lin, scn.g_rx_lin, scn.wavelength_m)
     return BrcsCurve.from_sigma_m2(alphas, sigma, "ris")
 

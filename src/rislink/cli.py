@@ -252,23 +252,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rislink {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("config", help="scenario configuration file")
-        p.add_argument("--alpha", type=float, default=None, help="override Rx angle (degrees)")
-        p.add_argument("--beta", type=float, default=None, help="override Tx angle (degrees)")
-        p.add_argument("--seed", type=int, default=None, help="override optimizer seed")
-        p.add_argument("--out", default=None, help="override output directory")
+    common = argparse.ArgumentParser(add_help=False)  # the arguments every command takes
+    common.add_argument("config", help="scenario configuration file")
+    common.add_argument("--alpha", type=float, default=None, help="override Rx angle (degrees)")
+    common.add_argument("--beta", type=float, default=None, help="override Tx angle (degrees)")
+    common.add_argument("--seed", type=int, default=None, help="override optimizer seed")
+    common.add_argument("--out", default=None, help="override output directory")
 
-    p_syn = sub.add_parser("synthesize", help="assemble the full link matrix to a Touchstone file")
-    common(p_syn)
+    p_syn = sub.add_parser("synthesize", parents=[common], help="assemble the full link matrix to a Touchstone file")
     p_syn.set_defaults(func=cmd_synthesize)
 
-    p_opt = sub.add_parser("optimize", help="optimize per-element load capacitances")
-    common(p_opt)
+    p_opt = sub.add_parser("optimize", parents=[common], help="optimize per-element load capacitances")
     p_opt.set_defaults(func=cmd_optimize)
 
-    p_swp = sub.add_parser("sweep", help="BRCS receiver-angle sweep with reflector reference")
-    common(p_swp)
+    p_swp = sub.add_parser("sweep", parents=[common], help="BRCS receiver-angle sweep with reflector reference")
     p_swp.add_argument("caps", nargs="?", default=None,
                        help="caps.csv from 'optimize' (omit for reflector-only)")
     p_swp.set_defaults(func=cmd_sweep)

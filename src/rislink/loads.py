@@ -177,8 +177,9 @@ def phase_gradient_seed(
     """Physics-informed start vector for the optimizer, read from the assembled link ``full``.
 
     Picks each capacitance so the element's reflection phase cancels its path
-    phase -arg(t_k*r_k) (t the Tx column, r the Rx row), or the nearest phase
-    achievable inside the bounds; a pattern null (t_k or r_k zero) targets 0.
+    phase -arg(t_k*r_k) (the kernel's Tx column ``t`` and Rx row ``r``), or the
+    nearest phase achievable inside the bounds; a pattern null (t_k or r_k
+    zero) targets 0.
     The phase -> capacitance inversion assumes an ideal load at ``full.z0_ohm``;
     with parasitics it is still only a starting point.
     """
@@ -188,7 +189,7 @@ def phase_gradient_seed(
     phase_lo, phase_hi = (float(np.angle(cap_to_gamma(c, f, z0))) for c in (bounds.c_max_f, bounds.c_min_f))
 
     caps = []
-    for target in (-np.angle(full.kernel.s_ie[:, 0] * full.kernel.s_ei[1])).tolist():
+    for target in (-np.angle(full.kernel.t * full.kernel.r)).tolist():
         if phase_lo <= target <= phase_hi:
             c = model.capacitance(z0 / math.tan(target / 2.0), w)
         elif abs(math.remainder(target - phase_lo, math.tau)) <= abs(math.remainder(target - phase_hi, math.tau)):
@@ -279,8 +280,8 @@ def _terms(
 ) -> tuple[complex, complex, complex]:
     """(A, B, C) with S_RxTx = A + B*g/(1 - C*g) when load k is g and every other load is ``gam``.
 
-    From q = [P | w] = (I - S_ii*Gamma)^-1 [S_ii | t] (Tx column t) and rg = r*Gamma (Rx row r), Sherman-Morrison
-    on matching load k gives v = P[:, k]/(1 + gamma_k*P_kk) and u = w - v*gamma_k*w_k, so A = S_ee[1, 0] + rg'*u,
+    From q = [P | w] = (I - S_ii*Gamma)^-1 [S_ii | t] and rg = r*Gamma (the kernel's ``t`` and ``r``), Sherman-Morrison
+    on matching load k gives v = P[:, k]/(1 + gamma_k*P_kk) and u = w - v*gamma_k*w_k, so A = direct + rg'*u,
     B = (r_k + rg'*v)*u_k and C = v_k, where rg' is rg with entry k zeroed: O(N), no solve.
     """
     if kernel.checks_conditioning:
@@ -289,7 +290,7 @@ def _terms(
     u = q[:, -1] - v * (gam[k] * q[k, -1])
     held = rg.copy()
     held[k] = 0.0
-    return complex(kernel.s_ee[1, 0] + held @ u), complex((kernel.s_ei[1, k] + held @ v) * u[k]), complex(v[k])
+    return complex(kernel.direct + held @ u), complex((kernel.r[k] + held @ v) * u[k]), complex(v[k])
 
 
 def optimize(
@@ -323,8 +324,8 @@ def optimize(
     Raises
     ------
     UnoptimizableError
-        If the Tx or Rx side has no coupling to any RIS port, making the
-        objective constant.
+        If the link's Tx column t or its Rx row r is zero: S_RxTx depends on
+        the loads only through t and r, so the objective is constant.
     InputError
         If ``c_max_f`` in pF, or eight times the square of the reactance at ``c_min_f``, overflows a float.
     """
@@ -334,10 +335,7 @@ def optimize(
     if n == 0:
         raise ValueError("full matrix has no RIS ports to load")
 
-    # Rows of s_ei and columns of s_ie are the (Tx, Rx) couplings to the RIS ports.
-    tx_coupling = max(np.abs(kernel.s_ei[0]).max(), np.abs(kernel.s_ie[:, 0]).max())
-    rx_coupling = max(np.abs(kernel.s_ei[1]).max(), np.abs(kernel.s_ie[:, 1]).max())
-    if tx_coupling == 0.0 or rx_coupling == 0.0:
+    if not (kernel.t.any() and kernel.r.any()):
         raise UnoptimizableError("unoptimizable: no Tx or Rx coupling to the RIS ports")
 
     lo_pf, hi_pf = bounds.c_min_f * 1e12, bounds.c_max_f * 1e12
@@ -365,7 +363,8 @@ def optimize(
         rng = np.random.default_rng(opts.seed)
         start_points += [rng.uniform(lo_pf, hi_pf, n) for _ in range(opts.starts - 1)]
 
-    def run_start(index: int, x0_pf: np.ndarray) -> tuple[StartTrace, np.ndarray]:
+    traces: list[StartTrace] = []
+    for index, x0_pf in enumerate(start_points):
         # The clip undoes an ulp that the pF -> F conversion can put outside the bounds.
         caps = np.clip(x0_pf * 1e-12, bounds.c_min_f, bounds.c_max_f)
         gam = model.gammas(caps, f, z0)  # gam[k] follows caps[k] bit for bit: both change only together
@@ -375,7 +374,7 @@ def optimize(
         while len(history) < opts.max_evals:
             before = best
             passes += 1
-            q, rg = kernel.columns(gam), kernel.s_ei[1] * gam
+            q, rg = kernel.columns(gam), kernel.r * gam
             for k in range(n):
                 if len(history) == opts.max_evals:
                     break
@@ -387,18 +386,13 @@ def optimize(
                     # Gamma_k += delta changes I - S_ii*Gamma by -delta*S_ii[:, k]*e_k^T: one outer product updates q.
                     delta = g - gam[k]
                     q += np.outer(q[:, k] * (delta / (1.0 - delta * q[k, k])), q[k])
-                    best, caps[k], gam[k], rg[k] = value, c_k, g, kernel.s_ei[1, k] * g
+                    best, caps[k], gam[k], rg[k] = value, c_k, g, kernel.r[k] * g
                 history.append(best)
             if best - before <= _PASS_RTOL * before:
                 break
-        best = kernel.transfer(gam)
-        return StartTrace(index, tuple(x0_pf), len(history), best, tuple(history), passes, passes + 2), caps
-
-    outcomes = [run_start(index, x0) for index, x0 in enumerate(start_points)]
-
-    best_trace, best_caps = outcomes[0]
-    for trace, caps in outcomes[1:]:
-        if trace.best_objective > best_trace.best_objective:
+        trace = StartTrace(index, tuple(x0_pf), len(history), kernel.transfer(gam), tuple(history), passes, passes + 2)
+        traces.append(trace)
+        if index == 0 or trace.best_objective > best_trace.best_objective:  # an exact tie keeps the earlier start
             best_trace, best_caps = trace, caps
 
-    return OptimizeResult(LoadVector.of(best_caps), best_trace.best_objective, tuple(t for t, _ in outcomes))
+    return OptimizeResult(LoadVector.of(best_caps), best_trace.best_objective, tuple(traces))

@@ -134,7 +134,10 @@ class LinkKernel:
     evaluation is the linear solve plus a few array operations: no index
     lookups, no fancy indexing and no validation. Callers check their inputs
     at their own boundary; get the kernel through ``ScatterMatrix.kernel``,
-    which builds it once per matrix.
+    which builds it once per matrix. The parts of the link transfer
+    S_RxTx = direct + r*Gamma*(I - S_ii*Gamma)^-1*t are named here, and only
+    here: ``t`` is the Tx column (the RIS ports' coupling from Tx), ``r`` the
+    Rx row (their coupling to Rx) and ``direct`` the Tx -> Rx entry.
 
     Conditioning: with s = sigma_max(S_ii) < 1 and every |gamma| <= 1,
     cond2(I - S_ii*Gamma) <= (1 + s)/(1 - s) (||I - S_ii*Gamma|| <= 1 + s, and
@@ -154,6 +157,7 @@ class LinkKernel:
         self.s_ei = s[np.ix_(ext, ris)]
         self.s_ie = s[np.ix_(ris, ext)]
         self.s_ii = s[np.ix_(ris, ris)]
+        self.t, self.r, self.direct = self.s_ie[:, 0], self.s_ei[1], self.s_ee[1, 0]
         self._eye = np.eye(self.n_ris, dtype=complex)
         self.cond_bound = _passive_cond_bound(self.s_ii)
         self.checks_conditioning = self.cond_bound >= 0.5 / RCOND_LIMIT
@@ -175,13 +179,15 @@ class LinkKernel:
             return self.s_ee.copy()
         return self.s_ee + self.s_ei @ (gam[:, np.newaxis] * np.linalg.solve(self.system(gam), self.s_ie))
 
-    def tx_wave(self, gam: np.ndarray) -> np.ndarray:
-        """Gamma*(I - S_ii*Gamma)^-1*t for the Tx column t; S_RxTx = S_ee[1, 0] + r @ this for Rx row r."""
-        return gam * np.linalg.solve(self.system(gam), self.s_ie[:, 0])
+    def s_rx_tx(self, gam: np.ndarray, rows: Iterable[np.ndarray]) -> np.ndarray:
+        """S_RxTx under the loads ``gam`` with each of ``rows`` as the Rx row r: one solve, then one dot per row."""
+        wave = gam * np.linalg.solve(self.system(gam), self.t)
+        # One dot per row: a matrix-vector product sums in another order and moves the last bits.
+        return self.direct + np.array([r @ wave for r in rows])
 
     def columns(self, gam: np.ndarray) -> np.ndarray:
-        """(I - S_ii*Gamma)^-1 [S_ii | t] for the Tx column t: one factorization, N + 1 right-hand sides."""
-        return np.linalg.solve(self.system(gam), np.column_stack((self.s_ii, self.s_ie[:, 0])))
+        """(I - S_ii*Gamma)^-1 [S_ii | t]: one factorization, N + 1 right-hand sides."""
+        return np.linalg.solve(self.system(gam), np.column_stack((self.s_ii, self.t)))
 
     def transfer(self, gam: np.ndarray) -> float:
         """|S_RxTx|^2 with the RIS ports terminated by ``gam``."""
@@ -189,11 +195,10 @@ class LinkKernel:
 
     def gradient(self, gam: np.ndarray) -> tuple[complex, np.ndarray]:
         """S_RxTx and dS_RxTx/dgamma under the loads ``gam``, from one forward and one adjoint solve."""
-        row, col = self.s_ei[1], self.s_ie[:, 0]
         system = self.system(gam)
-        p = np.linalg.solve(system, col)
-        y = np.linalg.solve(system.T, row * gam)
-        return self.s_ee[1, 0] + row @ (gam * p), (row + self.s_ii.T @ y) * p
+        p = np.linalg.solve(system, self.t)
+        y = np.linalg.solve(system.T, self.r * gam)
+        return self.direct + self.r @ (gam * p), (self.r + self.s_ii.T @ y) * p
 
 
 def _passive_cond_bound(s_ii: np.ndarray) -> float:

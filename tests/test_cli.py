@@ -1069,6 +1069,33 @@ class TestEntryPoints:
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == f"rislink {__version__}"
 
+    COMMON_HELP = (
+        "[-h] [--alpha ALPHA] [--beta BETA] [--seed SEED] [--out OUT] config{caps} positional arguments: "
+        "config scenario configuration file{caps_help} options: -h, --help show this help message and exit "
+        "--alpha ALPHA override Rx angle (degrees) --beta BETA override Tx angle (degrees) "
+        "--seed SEED override optimizer seed --out OUT override output directory"
+    )
+    HELP = {
+        (): "usage: rislink [-h] [--version] {synthesize,optimize,sweep} ... Far-field link synthesis, load "
+            "optimization and BRCS sweeps for RIS links positional arguments: {synthesize,optimize,sweep} "
+            "synthesize assemble the full link matrix to a Touchstone file optimize optimize per-element load "
+            "capacitances sweep BRCS receiver-angle sweep with reflector reference options: -h, --help show this "
+            "help message and exit --version show program's version number and exit",
+        ("synthesize",): "usage: rislink synthesize " + COMMON_HELP.format(caps="", caps_help=""),
+        ("optimize",): "usage: rislink optimize " + COMMON_HELP.format(caps="", caps_help=""),
+        ("sweep",): "usage: rislink sweep " + COMMON_HELP.format(
+            caps=" [caps]", caps_help=" caps caps.csv from 'optimize' (omit for reflector-only)"),
+    }
+
+    @pytest.mark.parametrize("command", HELP)
+    def test_help_of_every_command(self, monkeypatch, capsys, command):
+        # Compared with its whitespace collapsed: where argparse wraps a line depends on the terminal width.
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main([*command, "--help"])
+        assert stop.value.code == 0
+        assert " ".join(capsys.readouterr().out.split()) == self.HELP[command]
+
     def test_cli_import_leaves_scipy_optimize_unimported(self):
         run = _python("-c", "import sys, rislink.cli; print('scipy.optimize' in sys.modules)")
         assert run.returncode == 0, run.stderr

@@ -320,6 +320,14 @@ class TestOptimize:
         with pytest.raises(UnoptimizableError, match="no Tx or Rx coupling"):
             optimize(full, BOUNDS)
 
+    def test_zero_tx_column_is_unoptimizable_whatever_the_tx_row(self):
+        # S_RxTx reads Tx only through its column t: with t = 0 the transfer is 0.0 under every load.
+        s = np.zeros((6, 6), dtype=complex)
+        s[0, 1:5] = s[5, 1:5] = s[1:5, 5] = 0.1
+        full = ScatterMatrix.full_link(s, F_CARRIER, [1, 2, 3, 4])
+        with pytest.raises(UnoptimizableError, match="no Tx or Rx coupling"):
+            optimize(full, BOUNDS)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("c_min_f", [5e-324, 1e-320, 1e-310, 1e-300, 1e-200, 4e-165, 3.5e-165])
     def test_c_min_whose_squared_reactance_overflows_is_refused_by_name(self, c_min_f):
@@ -386,6 +394,15 @@ class TestCoordinateAscent:
         assert trace.best_history == (trace.best_history[0],) * 3
         assert again.objective == pytest.approx(optimum.objective, rel=1e-12)
         assert again.caps.caps_f == pytest.approx(optimum.caps.caps_f, rel=1e-12)
+
+    def test_step_that_ties_the_best_is_taken(self, monkeypatch):
+        # Every transfer and every coordinate maximum read 1.0, so each step ties the best: all must be taken.
+        monkeypatch.setattr(LinkKernel, "transfer", lambda self, gam: 1.0)
+        monkeypatch.setattr(loads, "_coordinate_max", lambda terms, *args: (BOUNDS.c_max_f, 1.0))
+        initial = LoadVector.of([0.5e-12, 1.5e-12])
+        result = optimize(link_n2(), BOUNDS, opts=OptimizerOptions(starts=1, initial=initial))
+        assert result.trace[0].best_history == (1.0,) * 3
+        assert result.caps.caps_f == (BOUNDS.c_max_f,) * 2
 
     def test_max_evals_caps_every_start(self, rng):
         opts = OptimizerOptions(starts=4, max_evals=10, seed=1)

@@ -127,28 +127,37 @@ def outputs(work: Path) -> dict[str, object]:
     return found
 
 
+def compare(trees: dict[str, Path], tmp: Path) -> tuple[int, list[str]]:
+    """Run every case from the ``src`` directories ``trees["base"]`` and ``trees["work"]``, under ``tmp``.
+
+    Returns the number of files compared and each difference or failed command.
+    """
+    compared, problems = 0, []
+    for name, seed in CASES:
+        case = f"{name}-{seed}"
+        wl = prepare_case(name, seed, tmp / "inputs" / case)
+        found = {}
+        for tree, src in trees.items():
+            failures = run_case(src, wl.input_files, wl, tmp / tree / case)  # caps.csv is an input file
+            problems += [f"{case} ({tree}): {failure}" for failure in failures]
+            found[tree] = outputs(tmp / tree / case)
+        for key in sorted(found["base"].keys() | found["work"].keys()):
+            if key not in found["base"] or key not in found["work"]:
+                problems.append(f"{case}: {key} is written by one tree only")
+                continue
+            compared += 1
+            if found["base"][key] != found["work"][key]:
+                problems.append(f"{case}: {key} differs")
+    return compared, problems
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="the revision to compare the working tree with (HEAD)")
     args = parser.parse_args(argv)
-    compared, problems = 0, []
     with tempfile.TemporaryDirectory(prefix="same_bytes_") as tmp:
-        trees = {"base": base_tree(args.base, Path(tmp) / "base_tree"), "work": ROOT / "src"}
-        for name, seed in CASES:
-            case = f"{name}-{seed}"
-            wl = prepare_case(name, seed, Path(tmp) / "inputs" / case)
-            found = {}
-            for tree, src in trees.items():
-                failures = run_case(src, wl.input_files, wl, Path(tmp) / tree / case)  # caps.csv is an input file
-                problems += [f"{case} ({tree}): {failure}" for failure in failures]
-                found[tree] = outputs(Path(tmp) / tree / case)
-            for key in sorted(found["base"].keys() | found["work"].keys()):
-                if key not in found["base"] or key not in found["work"]:
-                    problems.append(f"{case}: {key} is written by one tree only")
-                    continue
-                compared += 1
-                if found["base"][key] != found["work"][key]:
-                    problems.append(f"{case}: {key} differs")
+        compared, problems = compare({"base": base_tree(args.base, Path(tmp) / "base_tree"), "work": ROOT / "src"},
+                                     Path(tmp))
     for problem in problems:
         print(problem)
     print(f"{compared} files compared with {args.base}'s: {len(problems)} difference(s) or failure(s)")
