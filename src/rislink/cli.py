@@ -96,7 +96,8 @@ def _build_patterns(cfg: ScenarioConfig, ris: ScatterMatrix,
                     digests: dict[str, str] | None = None) -> list[ElementPattern]:
     """The element patterns, uniform or from ``patterns.file``: read once, parsed unless cached for its bytes.
 
-    The file's SHA-256 goes into ``digests["patterns"]`` for the manifest; only a miss decodes the bytes.
+    The file's SHA-256 goes into ``digests["patterns"]`` for the manifest; only a miss decodes the bytes. Uniform
+    patterns take each element's s_mm from the RIS diagonal, so an export's |S_mm| above 1 is an InputError here.
     """
     scn = cfg.scenario
     if isinstance(cfg.patterns, PatternsFile):
@@ -112,10 +113,13 @@ def _build_patterns(cfg: ScenarioConfig, ris: ScatterMatrix,
             raise InputError(f"pattern table lacks elements {missing}")
         return [parsed[m] for m in scn.element_numbers]
     assert isinstance(cfg.patterns, PatternsUniform)
-    return [
-        ElementPattern.isotropic(m, cfg.patterns.gain_lin, s_mm=complex(ris.entries[i, i]))
-        for i, m in enumerate(scn.element_numbers)
-    ]
+    patterns = []
+    for i, m in enumerate(scn.element_numbers):
+        s_mm = complex(ris.entries[i, i])
+        if not abs(s_mm) <= 1 + 1e-9:  # only an export's diagonal can fail: a model checks its own s_mm
+            raise InputError(f"{cfg.ris.path}: element {m}: |S_mm| = {abs(s_mm):.6f} exceeds 1")
+        patterns.append(ElementPattern.isotropic(m, cfg.patterns.gain_lin, s_mm=s_mm))
+    return patterns
 
 
 def _write_manifest(cfg: ScenarioConfig, args: argparse.Namespace, outputs: list[str], digests: dict[str, str],

@@ -242,6 +242,10 @@ def load_scenario(config_text: str, base_dir: str | Path | None = None) -> Scena
             raise ConfigError(f"missing mandatory key {key!r}")
         return default
 
+    def build(make, keys: dict[str, str], **fields):
+        """:func:`_build` of ``make`` with ``fields`` and each field of ``keys`` read from its config key, in order."""
+        return _build("/".join(keys.values()), make, **fields, **{field: get(key) for field, key in keys.items()})
+
     def path(key: str) -> Path:
         file = base / get(key)
         try:
@@ -262,23 +266,11 @@ def load_scenario(config_text: str, base_dir: str | Path | None = None) -> Scena
         fields = ("rows", "cols", "pitch_x", "pitch_z", "offset_x", "offset_z")
         elements = _grid_elements(*(get(f"grid.{field}") for field in fields))
     else:
-        elements = tuple(
-            _build(f"element.{m}.x/element.{m}.z", ElementGeometry,
-                   index_m=m, x_m=get(f"element.{m}.x"), z_m=get(f"element.{m}.z"))
-            for m in numbers
-        )
-    scenario = _build(
-        "range/alpha/beta/freq/gain_tx_db/gain_rx_db",
-        Scenario,
-        r_m=get("range"),
-        alpha_rad=get("alpha"),
-        beta_rad=get("beta"),
-        freq_hz=get("freq"),
-        g_tx_lin=get("gain_tx_db"),
-        g_rx_lin=get("gain_rx_db"),
-        elements=elements,
-    )
-    bounds = _build("bounds.c_min/bounds.c_max", LoadBounds, c_min_f=get("bounds.c_min"), c_max_f=get("bounds.c_max"))
+        elements = tuple(build(ElementGeometry, {"x_m": f"element.{m}.x", "z_m": f"element.{m}.z"}, index_m=m)
+                         for m in numbers)
+    scenario = build(Scenario, {"r_m": "range", "alpha_rad": "alpha", "beta_rad": "beta", "freq_hz": "freq",
+                                "g_tx_lin": "gain_tx_db", "g_rx_lin": "gain_rx_db"}, elements=elements)
+    bounds = build(LoadBounds, {"c_min_f": "bounds.c_min", "c_max_f": "bounds.c_max"})
 
     model = get("ris.model")
     if (get("ris.file") is None) == (model is None):
@@ -297,23 +289,12 @@ def load_scenario(config_text: str, base_dir: str | Path | None = None) -> Scena
         raise ConfigError("set exactly one of patterns.file or patterns.gain_db")
     patterns = PatternsFile(path("patterns.file")) if gain_lin is None else PatternsUniform(gain_lin)
 
-    varactor = _build(
-        "varactor.rs/varactor.ls",
-        VaractorModel,
-        series_resistance_ohm=get("varactor.rs"),
-        series_inductance_h=get("varactor.ls"),
-    )
+    varactor = build(VaractorModel, {"series_resistance_ohm": "varactor.rs", "series_inductance_h": "varactor.ls"})
     sweep = SweepGrid(get("sweep.start"), get("sweep.stop"), get("sweep.step"))
     reflector = None
     if "reflector.width" in values or "reflector.height" in values:
         reflector = ReflectorSpec(get("reflector.width"), get("reflector.height"))
-    optimizer = _build(
-        "opt.starts/opt.max_evals/opt.seed",
-        OptimizerOptions,
-        starts=get("opt.starts"),
-        max_evals=get("opt.max_evals"),
-        seed=get("opt.seed"),
-    )
+    optimizer = build(OptimizerOptions, {"starts": "opt.starts", "max_evals": "opt.max_evals", "seed": "opt.seed"})
     out_dir = base / get("out.dir")
 
     unknown = sorted(set(values) - used)

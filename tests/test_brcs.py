@@ -312,6 +312,15 @@ class TestExportCsv:
         for j, curve in enumerate(curves):
             np.testing.assert_allclose(parsed[:, j], curve.sigma_dbsm, rtol=1e-5)
 
+    def test_exact_text_has_six_significant_digits(self, tmp_path):
+        """An angle and a sigma that differ from their 6-digit text at the 7th digit, the floor, a comma in a label."""
+        alphas = np.radians([0.0, 12.345678])
+        ris = BrcsCurve(alphas, np.array([1.2345678, rislink.brcs.DBSM_FLOOR]), "ris,opt")
+        reflector = BrcsCurve(alphas, np.array([-3.25, 0.627303267]), "reflector")
+        path = tmp_path / "curves.csv"
+        export_csv([ris, reflector], path)
+        assert path.read_bytes() == b"alpha_deg,ris_opt,reflector\n0,1.23457,-3.25\n12.3457,-100,0.627303\n"
+
     def test_mismatched_grids_rejected(self, tmp_path):
         a = BrcsCurve(np.array([0.0, 0.1]), np.array([1.0, 2.0]), "a")
         b = BrcsCurve(np.array([0.0, 0.2]), np.array([1.0, 2.0]), "b")

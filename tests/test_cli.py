@@ -708,6 +708,25 @@ class TestTouchstoneCache:
         made = [Path(CACHE_DIR)] if blocked == "rename_refused" else []  # the directory, empty
         assert sorted(p.relative_to(board) for p in board.rglob("*")) == sorted(before + made)
 
+    @pytest.mark.parametrize("command", ["synthesize", "optimize", "sweep"])
+    def test_non_passive_diagonal_with_uniform_patterns_exits_2_alike_cold_and_warm(self, board, tmp_path, capsys,
+                                                                                     command):
+        """Uniform patterns take s_mm from the export's diagonal: |S_11| = 1.5 is refused, never a traceback."""
+        export, cfg = board / "board.s14p", board / "scenario.cfg"
+        doc = read_touchstone(export)
+        s = doc.points[1][1].copy()
+        s[0, 0] = 1.5
+        write_touchstone(TouchstoneDocument(14, doc.options, (doc.points[0], (doc.points[1][0], s))), export)
+        cfg.write_text(cfg.read_text().replace("patterns.file = patterns.csv", "patterns.gain_db = 5 dB"))
+        caps = tmp_path / "caps.csv"
+        caps.write_text("m,c_pf\n" + "".join(f"{m},1\n" for m in range(1, 15)))
+        caps_arg, errors = [str(caps)] if command == "sweep" else [], []
+        for run in ("cold", "warm"):
+            assert main([command, str(cfg), *caps_arg, "--out", str(tmp_path / run)]) == 2
+            errors.append(capsys.readouterr().err)
+            assert (board / CACHE_DIR / "board.s14p.npz").exists()  # the second run is served from the cache
+        assert errors == [f"error: {export}: element 1: |S_mm| = 1.500000 exceeds 1\n"] * 2
+
 
 class TestExportText:
     """A miss caches the text of the point it selected; only a warm synthesize reads it, into the RIS block."""

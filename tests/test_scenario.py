@@ -218,6 +218,34 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match=rf"{key} must lie within \[-90, 90\] deg"):
             self.project(tmp_path, lambda t: t + f"{key} = {value}\n")
 
+    GRID = "grid.rows = 2\ngrid.cols = 7\ngrid.pitch_x = 40 mm\ngrid.pitch_z = 46.8 mm\n"
+    DECAY = "ris.model = exp_decay\nris.smm_re = 0.2\nris.c0 = 0.1\nris.rolloff = 50 mm\n"
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("alpha = 0 deg", "alpha = 120 deg", "range/alpha/beta/freq/gain_tx_db/gain_rx_db: "
+         "alpha_rad must be within [-pi/2, pi/2], got 2.0943951023931953"),
+        ("bounds.c_min = 0.23 pF", "bounds.c_min = 3 pF",
+         "bounds.c_min/bounds.c_max: c_max_f must be greater than c_min_f = 3e-12, got 2.1e-12"),
+        (None, "varactor.rs = -1 ohm\n", "varactor.rs/varactor.ls: series_resistance_ohm must be finite and >= 0, "
+         "got -1.0"),
+        (None, "opt.starts = 0\n", "opt.starts/opt.max_evals/opt.seed: starts must be an integer >= 1, got 0"),
+        (GRID, "element.0.x = 0 mm\nelement.0.z = 0 mm\n",
+         "element.0.x/element.0.z: index_m must be an integer >= 1, got 0"),
+        ("grid.pitch_x = 40 mm", "grid.pitch_x = 1e308 m", "grid.*: x_m must be finite, got -inf"),
+        ("ris.c0 = 0.1", "ris.c0 = -2", "ris.smm_re/ris.smm_im/ris.c0/ris.rolloff: c0 must be finite and >= 0, got -2.0"),
+        (DECAY, "ris.model = isolated\nris.smm_re = 2\n",
+         "ris.smm_re/ris.smm_im: s_mm must be of magnitude <= 1, got (2+0j)"),
+    ], ids=["scenario", "bounds", "varactor", "optimizer", "element", "grid", "exp_decay", "isolated"])
+    def test_constructor_refusal_names_its_keys_in_reading_order(self, tmp_path, old, new, message):
+        """Each group's refusal, in full: the keys its constructor reads, joined by / in the order they are read.
+
+        ``new`` replaces ``old``, or is appended where ``old`` is None.
+        """
+        assert old is None or old in BOARD_7X2_CFG
+        with pytest.raises(ConfigError) as refused:
+            self.project(tmp_path, lambda t: t + new if old is None else t.replace(old, new))
+        assert str(refused.value) == message
+
     def test_bad_line(self, tmp_path):
         with pytest.raises(ConfigError, match="key = value"):
             self.project(tmp_path, lambda t: t + "not a key value line\n")

@@ -70,6 +70,12 @@ MUTANTS = [
     ("loads.py", "if not (kernel.t.any() and kernel.r.any()):",
      "if not ((kernel.t.any() or kernel.s_ei[0].any()) and (kernel.r.any() or kernel.s_ie[:, 1].any())):",
      "the no-coupling refusal also accepts the Tx row and the Rx column"),
+    ("brcs.py", 'row = [f"{math.degrees(alpha):.6g}"]', 'row = [f"{math.degrees(alpha):.7g}"]',
+     "brcs.csv writes its angles with 7 significant digits"),
+    ("brcs.py", 'row.extend(f"{curve.sigma_dbsm[i]:.6g}"', 'row.extend(f"{curve.sigma_dbsm[i]:.7g}"',
+     "brcs.csv writes its sigmas with 7 significant digits"),
+    ("scenario.py", '_build("/".join(keys.values()),', '_build("/".join(reversed(keys.values())),',
+     "a constructor's refusal names its config keys in reverse order"),
 ]
 
 

@@ -43,9 +43,11 @@ import numpy as np  # noqa: E402
 from common import CLI_SNIPPET, caps_for_sweep, cli_args  # noqa: E402
 from workloads import BOARD_CONFIG, FREQ_HZ, Workload, prepare  # noqa: E402
 
-#: (workload, seed) pairs run: those the byte-identity checks of earlier changes ran, and the non-reciprocal export.
-CASES = [("board_7x2", 7), ("board_7x2", 3), ("wide_touchstone", 301), ("lossy_mid", 4), ("lossy_mid", 101),
-         ("board_nonreciprocal", 11)]
+#: (workload, seed) pairs run: those the byte-identity checks of earlier changes ran, the non-reciprocal export, and
+#: board seed 906, whose caps.csv changes when the optimizer's start points drop their pF round trip (seeds 7 and 3
+#: keep theirs).
+CASES = [("board_7x2", 7), ("board_7x2", 3), ("board_7x2", 906), ("wide_touchstone", 301), ("lossy_mid", 4),
+         ("lossy_mid", 101), ("board_nonreciprocal", 11)]
 #: Output files compared; every manifest is compared too.
 OUTPUTS = ("full.s*p", "caps.csv", "brcs.csv")
 
